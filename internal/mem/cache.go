@@ -58,11 +58,15 @@ type Cache struct {
 
 	next Level //rmtsnap:skip — hierarchy wiring; the next level snapshots itself
 
-	sets [][]line // sets[set][way], way 0 = MRU
-	// predictedWay implements way prediction: a hit in a non-predicted way
-	// costs one extra cycle and retrains the predictor.
-	predictedWay []int
-	wayPredict   bool //rmtsnap:skip — construction-time config
+	// sets[set][way], way 0 = MRU. In every set the valid lines form an
+	// MRU prefix and the invalid lines behind it are all-zero: a fill
+	// shifts the set right and installs at way 0, promote moves only valid
+	// lines, and nothing invalidates a line. The sparse snapshot relies on
+	// this.
+	sets [][]line
+	// wayPredict enables way prediction. The predicted way is always the
+	// MRU way 0, so a hit in any other way costs one extra cycle.
+	wayPredict bool //rmtsnap:skip — construction-time config
 
 	Hits           stats.Counter
 	Misses         stats.Counter
@@ -92,15 +96,14 @@ func NewCache(cfg Config, next Level) *Cache {
 		blockBits++
 	}
 	c := &Cache{
-		name:         cfg.Name,
-		nsets:        uint64(nsets),
-		blockBits:    blockBits,
-		ways:         cfg.Ways,
-		hitLat:       cfg.HitLatency,
-		next:         next,
-		sets:         make([][]line, nsets),
-		predictedWay: make([]int, nsets),
-		wayPredict:   cfg.WayPredict,
+		name:       cfg.Name,
+		nsets:      uint64(nsets),
+		blockBits:  blockBits,
+		ways:       cfg.Ways,
+		hitLat:     cfg.HitLatency,
+		next:       next,
+		sets:       make([][]line, nsets),
+		wayPredict: cfg.WayPredict,
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
@@ -143,15 +146,12 @@ func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
 		if l.valid && l.tag == tag {
 			c.Hits.Inc()
 			extra := uint64(0)
-			if c.wayPredict && c.predictedWay[set] != w {
-				// Way misprediction: one retry cycle, retrain.
+			if c.wayPredict && w != 0 {
+				// Way misprediction: one retry cycle; promote retrains.
 				c.WayMispredicts.Inc()
 				extra = 1
 			}
 			c.promote(set, w)
-			if c.wayPredict {
-				c.predictedWay[set] = 0 // MRU after promote
-			}
 			done := now + c.hitLat + extra
 			if l.readyAt > done {
 				done = l.readyAt // fill still in flight
@@ -165,9 +165,6 @@ func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
 	set2 := c.sets[set]
 	copy(set2[1:], set2[:len(set2)-1])
 	set2[0] = line{tag: tag, valid: true, readyAt: fill}
-	if c.wayPredict {
-		c.predictedWay[set] = 0
-	}
 	return fill, false
 }
 

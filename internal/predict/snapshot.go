@@ -8,27 +8,21 @@ import (
 // Snapshot support for the prediction structures. Table geometry comes from
 // configuration; only table contents, per-thread histories, and counters
 // travel. 8-bit counter tables are written as byte strings to keep the
-// stream compact (a branch predictor alone is three 32K-entry tables).
+// stream compact (a branch predictor alone is three 32K-entry tables). The
+// word tables — line and jump targets, store-set IDs and last-fetched-store
+// tags — hold their default in nearly every entry, so they travel as sparse
+// tables whose size tracks the entries a run has trained.
 
 // SnapshotTo writes the line predictor's table and counters.
 func (l *LinePredictor) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(l.table)))
-	for _, v := range l.table {
-		w.U64(v)
-	}
+	snap.WriteSparse(w, l.table, 0)
 	w.U64(l.Lookups.Value())
 	w.U64(l.Wrong.Value())
 }
 
 // RestoreFrom reads state written by SnapshotTo.
 func (l *LinePredictor) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(l.table) {
-		r.Failf("line predictor size mismatch")
-		return
-	}
-	for i := range l.table {
-		l.table[i] = r.U64()
-	}
+	snap.ReadSparse(r, l.table, 0)
 	l.Lookups = stats.Counter(r.U64())
 	l.Wrong = stats.Counter(r.U64())
 }
@@ -90,38 +84,24 @@ func (ras *RAS) RestoreFrom(r *snap.Reader) {
 
 // SnapshotTo writes the jump predictor's table and counters.
 func (j *JumpPredictor) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(j.table)))
-	for _, v := range j.table {
-		w.U64(v)
-	}
+	snap.WriteSparse(w, j.table, 0)
 	w.U64(j.Lookups.Value())
 	w.U64(j.Wrong.Value())
 }
 
 // RestoreFrom reads state written by SnapshotTo.
 func (j *JumpPredictor) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(j.table) {
-		r.Failf("jump predictor size mismatch")
-		return
-	}
-	for i := range j.table {
-		j.table[i] = r.U64()
-	}
+	snap.ReadSparse(r, j.table, 0)
 	j.Lookups = stats.Counter(r.U64())
 	j.Wrong = stats.Counter(r.U64())
 }
 
 // SnapshotTo writes the store-sets tables, the cyclic-clear phase, and
-// counters.
+// counters. The SSIT's default is -1 (no set), so its entries travel as
+// set ID + 1.
 func (s *StoreSets) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(s.ssit)))
-	for _, v := range s.ssit {
-		w.I64(int64(v))
-	}
-	w.U64(uint64(len(s.lfst)))
-	for _, v := range s.lfst {
-		w.U64(v)
-	}
+	snap.WriteSparse(w, s.ssit, -1)
+	snap.WriteSparse(w, s.lfst, 0)
 	w.U64(s.accesses)
 	w.U64(s.Assignments.Value())
 	w.U64(s.Violations.Value())
@@ -130,20 +110,14 @@ func (s *StoreSets) SnapshotTo(w *snap.Writer) {
 
 // RestoreFrom reads state written by SnapshotTo.
 func (s *StoreSets) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(s.ssit) {
-		r.Failf("store-sets SSIT size mismatch")
-		return
+	snap.ReadSparse(r, s.ssit, -1)
+	for i, set := range s.ssit {
+		if set < -1 || int(set) >= len(s.lfst) {
+			r.Failf("store-sets SSIT entry %d names set %d of %d", i, set, len(s.lfst))
+			return
+		}
 	}
-	for i := range s.ssit {
-		s.ssit[i] = int32(r.I64())
-	}
-	if int(r.U64()) != len(s.lfst) {
-		r.Failf("store-sets LFST size mismatch")
-		return
-	}
-	for i := range s.lfst {
-		s.lfst[i] = r.U64()
-	}
+	snap.ReadSparse(r, s.lfst, 0)
 	s.accesses = r.U64()
 	s.Assignments = stats.Counter(r.U64())
 	s.Violations = stats.Counter(r.U64())

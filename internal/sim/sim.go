@@ -161,8 +161,9 @@ type Machine struct {
 	// capture its queued (addr, value) stream.
 	bridges []*ioBridge
 
-	// snapHint remembers the last snapshot's encoded size so the next one
-	// preallocates its buffer instead of growing into it.
+	// snapHint remembers the last snapshot's (or restored stream's) encoded
+	// size so the next snapshot preallocates its buffer instead of growing
+	// into it.
 	snapHint int
 
 	// Recoveries and RecoveryCycles account SRTR rollbacks: how many the

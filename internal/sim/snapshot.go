@@ -8,8 +8,9 @@ import (
 
 // snapshotVersion frames the sim-level snapshot: the pipeline state plus
 // the machine assembly's own mutable pieces (pseudo-devices and uncached
-// I/O replication bridges).
-const snapshotVersion = 1
+// I/O replication bridges). Version 2 encodes caches and predictor word
+// tables sparsely.
+const snapshotVersion = 2
 
 // Snapshot serializes the machine's complete simulated state. The snapshot
 // pairs with the Spec the machine was built from: Restore rebuilds an
@@ -17,7 +18,10 @@ const snapshotVersion = 1
 // (Metrics, Events, trace hooks) are not captured; a restored machine
 // starts with whatever observers its fresh build has.
 func (m *Machine) Snapshot() ([]byte, error) {
-	w := snap.NewWriterSize(m.snapHint + 512)
+	// The encoding grows by a few percent per checkpoint interval as the run
+	// touches new cache lines and predictor entries; the slack keeps the next
+	// snapshot inside one allocation.
+	w := snap.NewWriterSize(m.snapHint + m.snapHint/16 + 4096)
 	w.U64(snapshotVersion)
 	m.Machine.SnapshotTo(w)
 	w.Int(len(m.Devices))
@@ -101,6 +105,7 @@ func (m *Machine) RestoreState(data []byte) (err error) {
 			br.vals = append(br.vals, r.U64())
 		}
 	}
+	m.snapHint = len(data)
 	return r.Done()
 }
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -22,7 +24,7 @@ func snapSpec(mode Mode, progs ...string) Spec {
 // runToCycle builds a machine for spec, snapshots it at the top of
 // iteration k, and runs to completion. It returns the mid-run snapshot and
 // the finished machine.
-func runToCycle(t *testing.T, spec Spec, k uint64) (snapshot []byte, m *Machine) {
+func runToCycle(t testing.TB, spec Spec, k uint64) (snapshot []byte, m *Machine) {
 	t.Helper()
 	m, err := Build(spec)
 	if err != nil {
@@ -179,7 +181,8 @@ func TestRestoreRejectsWrongSpec(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsGarbage: malformed streams error out, never panic.
+// TestRestoreRejectsGarbage: malformed streams error out, never panic, and
+// a stream in an earlier format version is refused as such.
 func TestRestoreRejectsGarbage(t *testing.T) {
 	spec := snapSpec(ModeSRT, "compress")
 	snapshot, _ := runToCycle(t, spec, 1500)
@@ -188,14 +191,21 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 			t.Errorf("truncation to %d bytes restored successfully", n)
 		}
 	}
+	v1 := bytes.Clone(snapshot)
+	binary.LittleEndian.PutUint64(v1[8:], 1) // the version word follows the 8-byte magic
+	if _, err := Restore(spec, v1); err == nil || !strings.Contains(err.Error(), "snapshot version 1") {
+		t.Errorf("version-1 stream: err = %v, want a version error", err)
+	}
 }
 
 // FuzzSnapshot feeds arbitrary bytes to RestoreState: it must reject or
 // accept but never crash, and any accepted stream must re-serialize
 // idempotently (restore → snapshot → restore → snapshot is a fixed point).
+// Besides a freshly built machine, the corpus seeds a mid-run snapshot,
+// whose caches and predictor tables hold live entries, so mutations reach
+// the sparse-entry decode paths.
 func FuzzSnapshot(f *testing.F) {
 	spec := snapSpec(ModeSRT, "compress")
-	spec.Budget, spec.Warmup = 600, 200
 	m, err := Build(spec)
 	if err != nil {
 		f.Fatal(err)
@@ -204,8 +214,11 @@ func FuzzSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	mid, _ := runToCycle(f, spec, 1500)
 	f.Add(seed)
+	f.Add(mid)
 	f.Add(seed[:len(seed)/2])
+	f.Add(mid[:len(mid)/2])
 	f.Add(seed[:9])
 	f.Add([]byte("RMTSNAP1"))
 	f.Add([]byte{})

@@ -2,13 +2,15 @@
 // the machine-state snapshot layer: a length-checked little-endian
 // writer/reader pair over plain byte slices, standard library only.
 //
-// The encoding is deliberately primitive — fixed-width 64-bit words plus
-// length-prefixed byte strings behind an 8-byte magic header — because the
-// snapshot contract is byte-identity: the same machine state must always
-// encode to the same bytes. There is no reflection, no map iteration, and
-// no varint ambiguity; every composite structure above this layer writes
-// its fields in a fixed order and serializes map-backed state in sorted key
-// order.
+// The encoding is deliberately primitive — fixed-width 64-bit words,
+// length-prefixed byte strings and sparse (index, word) tables behind an
+// 8-byte magic header — because the snapshot contract is byte-identity: the
+// same machine state must always encode to the same bytes. There is no
+// reflection, no map iteration, and no varint ambiguity; every composite
+// structure above this layer writes its fields in a fixed order and
+// serializes map-backed state in sorted key order. Sparse tables have one
+// canonical form, and the reader rejects any other, so restoring a stream
+// and re-encoding it reproduces the stream.
 //
 // The Reader is total: malformed input can never panic it. Errors are
 // sticky — after the first failure every subsequent read returns the zero
@@ -17,6 +19,7 @@
 package snap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -37,9 +40,10 @@ func NewWriter() *Writer {
 
 // NewWriterSize returns a writer primed with the stream header and buffer
 // capacity for a stream whose encoded size is roughly known in advance. A
-// machine snapshot re-encodes to within a few hundred bytes of its previous
-// size, and preallocating skips the doubling-growth copies that otherwise
-// dominate encode cost on multi-megabyte streams.
+// machine snapshot re-encodes to within a few kilobytes of its previous
+// size, and preallocating skips the doubling-growth copies of a buffer that
+// otherwise grows from 4 KB to the hundreds of kilobytes a mid-run machine
+// encodes to.
 func NewWriterSize(capacity int) *Writer {
 	if capacity < 4096 {
 		capacity = 4096
@@ -80,6 +84,29 @@ func (w *Writer) Bytes(b []byte) {
 
 // Finish returns the encoded stream. The writer may not be reused after.
 func (w *Writer) Finish() []byte { return w.buf }
+
+// Word is the element type of a sparse table.
+type Word interface{ ~uint64 | ~int32 }
+
+// WriteSparse writes a fixed-length table whose entries mostly hold the
+// default value def: the table length, the count of entries that differ
+// from def, then each such entry's index and word in ascending index order.
+// An entry's word is v-def, so the default is the zero word and is never
+// written (a table defaulting to -1 stores v+1).
+func WriteSparse[T Word](w *Writer, table []T, def T) {
+	w.U64(uint64(len(table)))
+	at := len(w.buf)
+	w.U64(0) // the count, patched once the entries are written
+	var k uint64
+	for i, v := range table {
+		if v != def {
+			w.U64(uint64(i))
+			w.U64(uint64(v - def))
+			k++
+		}
+	}
+	binary.LittleEndian.PutUint64(w.buf[at:], k)
+}
 
 // ErrMalformed reports a structurally invalid snapshot stream.
 var ErrMalformed = errors.New("snap: malformed snapshot")
@@ -178,6 +205,47 @@ func (r *Reader) Count(minBytes int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// ReadSparse reads a table written by WriteSparse into table, which must
+// have the stream's length, and sets every entry the stream does not list
+// to def. Only the canonical form is accepted — strictly ascending indices
+// below the table length, no explicit default, and words that are the image
+// of a T — so an accepted stream re-encodes to exactly its own bytes.
+func ReadSparse[T Word](r *Reader, table []T, def T) {
+	if n := r.U64(); r.err == nil && n != uint64(len(table)) {
+		r.fail("sparse table of %d entries, want %d", n, len(table))
+	}
+	k := r.Count(16)
+	if r.err != nil {
+		return
+	}
+	if def == 0 {
+		clear(table)
+	} else {
+		for i := range table {
+			table[i] = def
+		}
+	}
+	next := uint64(0) // lowest index the next entry may carry
+	for ; k > 0; k-- {
+		i, word := r.U64(), r.U64()
+		switch {
+		case r.err != nil:
+			return
+		case i < next || i >= uint64(len(table)):
+			r.fail("sparse index %d out of order or range at offset %d", i, r.off-16)
+			return
+		case word == 0:
+			r.fail("sparse entry %d holds the default at offset %d", i, r.off-16)
+			return
+		case uint64(T(word)) != word:
+			r.fail("sparse entry %d word %#x out of range at offset %d", i, word, r.off-16)
+			return
+		}
+		table[i] = T(word) + def
+		next = i + 1
+	}
 }
 
 // Failf lets a decoder latch a domain error of its own — a geometry

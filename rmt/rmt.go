@@ -293,7 +293,9 @@ func WithStaticPruning() Option { return func(c *config) { c.staticPruning = tru
 // Resume makes Run continue from a snapshot produced by WithCheckpoint
 // instead of starting fresh. The caller must pass the same Spec and sizing
 // options the snapshot was taken under; mismatched machine geometry is
-// rejected. Local engine only.
+// rejected. Snapshots in an earlier encoding version (those written before
+// caches and predictor tables were encoded sparsely) are rejected too; take
+// a new checkpoint. Local engine only.
 func Resume(snapshot []byte) Option {
 	return func(c *config) { c.resume = snapshot }
 }
