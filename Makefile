@@ -17,11 +17,11 @@ lint:
 	go run ./cmd/rmtlint ./...
 
 # Acceptance gate for the static ACE analysis: every statically-masked
-# injection site must be dynamically confirmed Masked (randomized
-# cross-validation over all kernels plus one targeted injection per site),
-# and a pruned campaign must be byte-identical to the unpruned one.
+# injection site must be dynamically confirmed Masked (randomized campaign
+# cross-validation over the registry kernels and a generated slice, plus
+# one targeted injection per site).
 crossval:
-	go test ./internal/fault/ -run 'TestPrunedCampaignByteIdentical|TestStaticMaskingCrossValidation|TestStaticMaskedSitesExhaustive|TestGenPrunedCampaignByteIdentical|TestGenStaticMaskedSitesExhaustive' -count=1 -v
+	go test ./internal/fault/ -run 'TestStaticMaskingCrossValidation|TestStaticMaskedSitesExhaustive|TestGenPrunedCampaignByteIdentical|TestGenStaticMaskedSitesExhaustive' -count=1 -v
 
 # Quick end-to-end check of the parallel sweep engine: regenerate the
 # evaluation at cut-down sizes across 4 workers.
@@ -118,53 +118,6 @@ serve-smoke:
 	trap - EXIT; \
 	echo "serve-smoke: ok"
 
-# Performance harness: run the benchmark battery with allocation accounting
-# and fold the results into BENCH_4.json as the "current" role, next to the
-# recorded pre-optimisation baseline (see EXPERIMENTS.md).
-bench-json: bench-campaign
-	@set -e; out=$$(mktemp); trap 'rm -f $$out' EXIT; \
-	go test -run '^$$' -bench . -benchtime 1x -benchmem . | tee $$out; \
-	go run ./cmd/benchjson -o BENCH_4.json -role current $$out
-
-# Campaign-engine speedup artifact: the same campaign benchmark under the
-# legacy per-trial engine (baseline) and the fork-on-fault engine (current),
-# recorded as BENCH_5.json. The two runs report identical simcycles — the
-# engines are byte-equivalent (TestForkMatchesLegacy) — so the ns/op ratio
-# is pure engine speedup.
-bench-campaign:
-	@set -e; legacy=$$(mktemp); fork=$$(mktemp); trap 'rm -f $$legacy $$fork' EXIT; \
-	RMT_CAMPAIGN_ENGINE=legacy go test -run '^$$' -bench BenchmarkCampaign_ForkOnFault -benchtime 3x . | tee $$legacy; \
-	go run ./cmd/benchjson -o BENCH_5.json -role baseline $$legacy; \
-	go test -run '^$$' -bench BenchmarkCampaign_ForkOnFault -benchtime 3x . | tee $$fork; \
-	go run ./cmd/benchjson -o BENCH_5.json -role current $$fork
-
-# Static-pruning speedup artifact: the same fork-on-fault campaign on
-# kernels with statically-masked sites, without pruning (baseline) and with
-# PruneStaticallyMasked (current), recorded as BENCH_6.json. The summaries
-# are byte-identical (TestPrunedCampaignByteIdentical), so the ns/op ratio
-# is the replay work the static ACE analysis saves.
-bench-campaign-prune:
-	@set -e; noprune=$$(mktemp); prune=$$(mktemp); trap 'rm -f $$noprune $$prune' EXIT; \
-	go test -run '^$$' -bench BenchmarkCampaign_StaticPruning -benchtime 3x . | tee $$noprune; \
-	go run ./cmd/benchjson -o BENCH_6.json -role baseline $$noprune; \
-	RMT_CAMPAIGN_PRUNE=1 go test -run '^$$' -bench BenchmarkCampaign_StaticPruning -benchtime 3x . | tee $$prune; \
-	go run ./cmd/benchjson -o BENCH_6.json -role current $$prune
-
-# Batched-engine speedup artifact: the functional campaign-replay and
-# corpus-verification benchmarks under scalar switch dispatch
-# (baseline) and the batched SoA engine (current), recorded as
-# BENCH_7.json. Both roles execute identical instruction streams — the
-# engines are bit-equivalent (vm and vmdiff differential batteries), so
-# identical simcycles and the ns/op ratio is pure dispatch speedup. Each
-# role runs -count repetitions and benchjson keeps the fastest, which is
-# the noise-robust estimator on shared machines.
-bench-batch:
-	@set -e; scalar=$$(mktemp); batch=$$(mktemp); trap 'rm -f $$scalar $$batch' EXIT; \
-	RMT_VM_DISPATCH=switch go test -run '^$$' -bench 'BenchmarkFunctionalCampaignReplay|BenchmarkCorpusBatchReplay' -benchtime 10x -count 5 . | tee $$scalar; \
-	go run ./cmd/benchjson -o BENCH_7.json -role baseline $$scalar; \
-	go test -run '^$$' -bench 'BenchmarkFunctionalCampaignReplay|BenchmarkCorpusBatchReplay' -benchtime 10x -count 5 . | tee $$batch; \
-	go run ./cmd/benchjson -o BENCH_7.json -role current $$batch
-
 # CI-sized performance gate: every benchmark must still run (one iteration
 # at -short sizes — this drives the batched campaign-replay and
 # characterisation paths), a warm simulator must allocate nothing per
@@ -174,4 +127,4 @@ bench-smoke:
 	go test ./internal/sim/ -run TestSteadyStateAllocs -count=1
 	go test ./internal/vm/ -run 'TestBatchSteadyStateAllocs|TestBatchResetReuse' -count=1
 
-.PHONY: verify race lint crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-json bench-campaign bench-campaign-prune bench-batch bench-smoke serve-smoke
+.PHONY: verify race lint crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-smoke serve-smoke

@@ -10,7 +10,6 @@
 package repro
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/exp"
@@ -102,20 +101,13 @@ func BenchmarkFig12_Lock_CRT4(b *testing.B) { benchExperiment(b, exp.Fig12) }
 func BenchmarkCoverage_Faults(b *testing.B) { benchExperiment(b, exp.Coverage) }
 
 // BenchmarkCampaign_ForkOnFault measures one serial fault-injection
-// campaign: 96 trials on SRT/compress over a doubled cycle budget (the
-// legacy engine's cost scales with run length × trials; the fork engine
-// pays the run once, so a campaign-sized workload is where the design
-// difference shows). By default it runs the fork-on-fault engine — golden
-// run simulated once with periodic state checkpoints, each trial restores
-// the checkpoint before its injection and replays only the suffix, exiting
-// early when its state rejoins the golden run bytewise;
-// RMT_CAMPAIGN_ENGINE=legacy selects the original
-// build-everything-per-trial engine. Both engines produce byte-identical
-// summaries (internal/fault's TestForkMatchesLegacy), so their ns/op ratio
-// — recorded in BENCH_5.json with the legacy run as "baseline" and the fork
-// run as "current" — is the campaign speedup at parallelism 1. The
-// identical simcycles metric across the two roles is the equivalence check
-// in artifact form.
+// campaign: 96 trials on SRT/compress over a doubled cycle budget (a
+// from-scratch engine's cost scales with run length × trials; the fork
+// engine pays the run once, so a campaign-sized workload is where the
+// design shows). The golden run is simulated once with periodic state
+// checkpoints; each trial restores the checkpoint before its injection and
+// replays only the suffix, exiting early when its state rejoins the golden
+// run bytewise.
 func BenchmarkCampaign_ForkOnFault(b *testing.B) {
 	p := benchParams(b)
 	spec := sim.Spec{
@@ -123,67 +115,24 @@ func BenchmarkCampaign_ForkOnFault(b *testing.B) {
 		Budget: 2 * p.Budget, Warmup: p.Warmup,
 		Config: pipeline.DefaultConfig(), PSR: true,
 	}
-	engine := fault.CampaignParallel
-	if os.Getenv("RMT_CAMPAIGN_ENGINE") == "legacy" {
-		engine = fault.CampaignLegacy
-	}
 	var total uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := engine(spec, 96, 0xC0FFEE, fault.CampaignOptions{Parallelism: 1})
+		sum, err := fault.Campaign(spec, 96, 0xC0FFEE, fault.CampaignOptions{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		total = sum.TotalCycles
 	}
 	b.ReportMetric(float64(total), "simcycles")
-}
-
-// BenchmarkCampaign_StaticPruning measures the same serial fork-on-fault
-// campaign on gcc+li — the kernels whose vulnerability profiles carry
-// statically-masked sites — without pruning by default, and with
-// PruneStaticallyMasked when RMT_CAMPAIGN_PRUNE=1. The two runs produce
-// byte-identical summaries (internal/fault's TestPrunedCampaignByteIdentical),
-// so the ns/op ratio — recorded in BENCH_6.json with the unpruned run as
-// "baseline" and the pruned run as "current" — is the pure replay work the
-// static ACE analysis saves; the pruned metric reports how many trials it
-// claimed.
-func BenchmarkCampaign_StaticPruning(b *testing.B) {
-	p := benchParams(b)
-	spec := sim.Spec{
-		Mode: sim.ModeSRT, Programs: []string{"gcc", "li"},
-		Budget: 2 * p.Budget, Warmup: p.Warmup,
-		Config: pipeline.DefaultConfig(), PSR: true,
-	}
-	opts := fault.CampaignOptions{Parallelism: 1}
-	opts.PruneStaticallyMasked = os.Getenv("RMT_CAMPAIGN_PRUNE") == "1"
-	var pstats fault.PruneStats
-	opts.PruneStats = &pstats
-	var total uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, err := fault.CampaignParallel(spec, 96, 0xF00D, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = sum.TotalCycles
-	}
-	b.ReportMetric(float64(total), "simcycles")
-	b.ReportMetric(float64(pstats.Pruned), "pruned")
 }
 
 // BenchmarkFunctionalCampaignReplay measures the batched functional
 // execution engine on the campaign-replay shape: 64 trials of one
 // generated kernel, each lane armed with its own planned transient, run as
-// one SoA vm.Batch with predecoded handler tables. RMT_VM_DISPATCH=switch
-// selects the baseline — 64 independent scalar threads on the original
-// decode-per-step switch (the pre-batch engine). Both engines execute the
-// identical instruction streams (internal/vmdiff's lockstep battery), so
-// the ns/op ratio — recorded in BENCH_7.json with the switch run as
-// "baseline" and the batched run as "current" — is pure dispatch+layout
-// speedup. The functional engine's unit of work is executed instructions;
-// they are reported as the simcycles metric (identical across roles, the
-// equivalence check in artifact form) and as KIPS.
+// one SoA vm.Batch with predecoded handler tables. The functional engine's
+// unit of work is executed instructions; they are reported as the
+// simcycles metric and as KIPS.
 func BenchmarkFunctionalCampaignReplay(b *testing.B) {
 	const lanes = 64
 	k := progen.Generate(progen.CorpusSeeds(0xC0FFEE, 1)[0])
@@ -202,28 +151,17 @@ func BenchmarkFunctionalCampaignReplay(b *testing.B) {
 		}
 	}
 	maxRounds := 4*k.MaxDynInstr + 64
-	scalar := os.Getenv("RMT_VM_DISPATCH") == "switch"
 	var executed uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mem := vm.NewMemory()
 		vm.Load(k.Prog, mem)
-		if scalar {
-			for lane := 0; lane < lanes; lane++ {
-				th := vm.NewThreadWith(lane, k.Prog, mem, vm.Config{Dispatch: vm.DispatchSwitch})
-				th.Tolerant = true
-				th.Corrupt = hooks[lane]
-				th.Run(maxRounds)
-				executed += th.Seq
-			}
-		} else {
-			bt := vm.NewBatch(k.Prog, mem, lanes)
-			bt.Tolerant = true
-			copy(bt.Corrupt, hooks)
-			bt.Run(maxRounds)
-			for lane := 0; lane < lanes; lane++ {
-				executed += bt.Seq[lane]
-			}
+		bt := vm.NewBatch(k.Prog, mem, lanes)
+		bt.Tolerant = true
+		copy(bt.Corrupt, hooks)
+		bt.Run(maxRounds)
+		for lane := 0; lane < lanes; lane++ {
+			executed += bt.Seq[lane]
 		}
 	}
 	b.ReportMetric(float64(executed)/float64(b.N), "simcycles")
@@ -237,10 +175,7 @@ func BenchmarkFunctionalCampaignReplay(b *testing.B) {
 // replay of 64 lanes each of 8 fixed-corpus kernels, run as one SoA
 // vm.Batch per kernel with no Observer — the column fast path, where live
 // lanes bucket by PC and each distinct PC costs one handler call.
-// RMT_VM_DISPATCH=switch selects the baseline (independent scalar threads
-// on the decode-per-step switch). Reported like
-// BenchmarkFunctionalCampaignReplay; with no corruption hooks in either
-// engine, the ratio isolates dispatch and SoA layout.
+// Reported like BenchmarkFunctionalCampaignReplay.
 func BenchmarkCorpusBatchReplay(b *testing.B) {
 	const lanes = 64
 	seeds := progen.CorpusSeeds(0xC0FFEE, 8)
@@ -248,28 +183,17 @@ func BenchmarkCorpusBatchReplay(b *testing.B) {
 	for i, s := range seeds {
 		kernels[i] = progen.Generate(s)
 	}
-	scalar := os.Getenv("RMT_VM_DISPATCH") == "switch"
 	var executed uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range kernels {
 			mem := vm.NewMemory()
 			vm.Load(k.Prog, mem)
-			maxRounds := 4*k.MaxDynInstr + 64
-			if scalar {
-				for lane := 0; lane < lanes; lane++ {
-					th := vm.NewThreadWith(lane, k.Prog, mem, vm.Config{Dispatch: vm.DispatchSwitch})
-					th.Tolerant = true
-					th.Run(maxRounds)
-					executed += th.Seq
-				}
-			} else {
-				bt := vm.NewBatch(k.Prog, mem, lanes)
-				bt.Tolerant = true
-				bt.Run(maxRounds)
-				for lane := 0; lane < lanes; lane++ {
-					executed += bt.Seq[lane]
-				}
+			bt := vm.NewBatch(k.Prog, mem, lanes)
+			bt.Tolerant = true
+			bt.Run(4*k.MaxDynInstr + 64)
+			for lane := 0; lane < lanes; lane++ {
+				executed += bt.Seq[lane]
 			}
 		}
 	}
@@ -281,28 +205,21 @@ func BenchmarkCorpusBatchReplay(b *testing.B) {
 
 // BenchmarkProgenCharacterize measures corpus characterisation — the full
 // functional replay behind every generated kernel's profile — on the
-// batched engine (progen.Characterize, a single-lane vm.Batch).
-// RMT_VM_DISPATCH=switch selects the scalar decode-switch oracle
-// (progen.CharacterizeOracle, the pre-batch path). Profiles are
-// byte-identical across engines (TestCharacterizeMatchesOracle), so the
-// ns/op ratio is pure dispatch speedup; executed instructions are reported
-// as simcycles and KIPS as in BenchmarkFunctionalCampaignReplay.
+// batched engine (progen.Characterize, a single-lane vm.Batch). Executed
+// instructions are reported as simcycles and KIPS as in
+// BenchmarkFunctionalCampaignReplay.
 func BenchmarkProgenCharacterize(b *testing.B) {
 	seeds := progen.CorpusSeeds(0xC0FFEE, 16)
 	kernels := make([]*progen.Kernel, len(seeds))
 	for i, s := range seeds {
 		kernels[i] = progen.Generate(s)
 	}
-	characterize := progen.Characterize
-	if os.Getenv("RMT_VM_DISPATCH") == "switch" {
-		characterize = progen.CharacterizeOracle
-	}
 	var perIter uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		perIter = 0
 		for _, k := range kernels {
-			p, err := characterize(k)
+			p, err := progen.Characterize(k)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,8 +13,6 @@
 //	faultinject -mode adaptive -theta 0.75 -n 50 # partial redundancy
 //	faultinject -progs gcc -n 200 -parallel 8    # sharded campaign
 //	faultinject -n 50 -server http://host:8471   # campaign on an rmtd daemon
-//	faultinject -progs gcc -n 200 -prune         # skip statically-masked trials
-//	faultinject -progs gcc -n 200 -validate-static  # replay them anyway, assert agreement
 //	faultinject -one -seq 5000 -bit 7 -point storedata -target trailing
 //
 // Campaigns go through the rmt.Runner seam: in-process by default, or
@@ -28,7 +26,7 @@ import (
 	"os"
 
 	"repro/internal/cliflags"
-	"repro/internal/fault"    //rmtlint:allow layering — single precisely-placed injections (-one) are not exposed via the facade
+	"repro/internal/fault"    //rmtlint:allow layering — single precisely-placed injections (-one) and the campaign-mode predicate are not exposed via the facade
 	"repro/internal/pipeline" //rmtlint:allow layering — per-run pipeline Config knobs for -one
 	"repro/internal/sim"      //rmtlint:allow layering — builds the -one Spec the facade does not cover
 	"repro/internal/vm"       //rmtlint:allow layering — names architectural corruption points for -point
@@ -44,9 +42,6 @@ func main() {
 		theta     = flag.Float64("theta", 0.5, "adaptive-mode protection threshold θ in [0,1]")
 
 		server = flag.String("server", "", "run the campaign on an rmtd daemon at this base URL instead of in-process")
-
-		prune    = flag.Bool("prune", false, "classify statically-masked trials without replay (local engine only; summary unchanged)")
-		validate = flag.Bool("validate-static", false, "replay pruned trials anyway and fail if the static masking proof disagrees")
 
 		one    = flag.Bool("one", false, "inject a single described fault instead of a campaign")
 		seq    = flag.Uint64("seq", 8000, "dynamic instruction number for -one")
@@ -71,9 +66,7 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("faultinject: %w", err))
 	}
-	switch mode {
-	case sim.ModeSRT, sim.ModeCRT, sim.ModeSRTR, sim.ModeAdaptive:
-	default:
+	if !fault.CampaignMode(mode) {
 		fatal(fmt.Errorf("faultinject: mode must be srt, crt, srtr or adaptive"))
 	}
 	budget, warmup := sf.Sizes(20000, 5000, 8000, 2000)
@@ -109,49 +102,6 @@ func main() {
 		}
 		if res.Outcome == fault.Recovered {
 			fmt.Printf("rollbacks: %d, re-executed cycles: %d\n", res.Recoveries, res.RecoveryCycles)
-		}
-		return
-	}
-
-	// Pruning is a local execution policy: it needs the fork engine and the
-	// static analysis on this machine, and it reports how many trials were
-	// skipped — information the daemon protocol deliberately does not carry
-	// (the summary is identical either way).
-	if *prune || *validate {
-		if *server != "" {
-			fatal(fmt.Errorf("faultinject: -prune/-validate-static are local execution policies; drop -server"))
-		}
-		var stats fault.PruneStats
-		sum, err := fault.CampaignParallel(spec, *n, *seed, fault.CampaignOptions{
-			Parallelism:           sf.Parallelism(),
-			PruneStaticallyMasked: true,
-			ValidateStaticMasking: *validate,
-			PruneStats:            &stats,
-			Progress: func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rtrial %d/%d", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("campaign: mode=%v progs=%v trials=%d\n", mode, spec.Programs, sum.Runs)
-		fmt.Printf("  detected:  %d\n  masked:    %d\n  not fired: %d\n", sum.Detected, sum.Masked, sum.NotFired)
-		if sum.Recovered > 0 {
-			fmt.Printf("  recovered: %d (mean re-execution %.0f cycles)\n", sum.Recovered, sum.MeanRecoveryCycles)
-		}
-		if sum.UnprotectedSDC > 0 {
-			fmt.Printf("  unprotected SDC: %d\n", sum.UnprotectedSDC)
-		}
-		fmt.Printf("  coverage of fired faults: %.1f%%\n", 100*sum.Coverage())
-		if sum.Detected > 0 {
-			fmt.Printf("  mean detection latency:   %.0f cycles\n", sum.MeanDetectionCycles)
-		}
-		fmt.Printf("  statically pruned: %d of %d fired trials (%d planned)\n", stats.Pruned, stats.Fired, stats.Planned)
-		if *validate {
-			fmt.Println("  static masking cross-validation: every pruned trial replayed identically")
 		}
 		return
 	}

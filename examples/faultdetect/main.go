@@ -71,7 +71,7 @@ func main() {
 
 	// Finish with a small random campaign to show aggregate coverage.
 	fmt.Println("random campaign (30 single-bit transients):")
-	sum, err := fault.Campaign(spec, 30, 0xDECAF)
+	sum, err := fault.Campaign(spec, 30, 0xDECAF, fault.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

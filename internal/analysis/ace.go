@@ -24,9 +24,9 @@ import (
 //     potentially ACE (detection-ACE) unless the store is unreachable.
 //
 // The classification is bit-agnostic and deliberately one-sided: "masked"
-// is a proof, "ACE" is an over-approximation. The fault engine's
-// cross-validation mode (fault.CampaignOptions.ValidateStaticMasking)
-// replays pruned trials and asserts the dynamic outcome agrees.
+// is a proof, "ACE" is an over-approximation. ModeAdaptive's protection
+// table consumes it; internal/fault's cross-validation tests check every
+// campaign trial that fires at a masked site replays as masked.
 
 // Masking reasons recorded in MaskedSite.Reason.
 const (

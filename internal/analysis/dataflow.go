@@ -139,9 +139,9 @@ func useBits(ins isa.Instr) regBits {
 // before being fully overwritten. Note the distinction from register
 // deadness: a dead store is architecturally benign, but its data and
 // address still cross the sphere-of-replication boundary through the store
-// comparator, so dead-store injection sites remain detection-ACE and are
-// never pruned from fault campaigns. The list is exposed for profiling and
-// kernel hygiene only.
+// comparator, so dead-store injection sites remain detection-ACE and the
+// ACE analysis never classifies them masked. The list is exposed for
+// profiling and kernel hygiene only.
 type MemLiveness struct {
 	// DeadStores are the PCs of reachable stores whose written span is
 	// dead: on every path, the span is fully overwritten by a later store

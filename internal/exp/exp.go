@@ -545,7 +545,7 @@ func Coverage(p Params) (*stats.Table, map[string]float64, error) {
 				Budget: p.Budget / 2, Warmup: p.Warmup / 2,
 				Config: p.Config, PSR: true,
 			}
-			sum, err := fault.CampaignParallel(spec, p.CampaignRuns/len(kernels)+1, 0xABCD^uint64(len(k)),
+			sum, err := fault.Campaign(spec, p.CampaignRuns/len(kernels)+1, 0xABCD^uint64(len(k)),
 				fault.CampaignOptions{Parallelism: p.Parallelism, Progress: p.Progress, OnReport: p.OnReport})
 			if err != nil {
 				return nil, nil, err
@@ -604,7 +604,7 @@ func FigRecovery(p Params) (*stats.Table, map[string]float64, error) {
 				Config: p.Config, PSR: true,
 				CheckpointInterval: iv,
 			}
-			sum, err := fault.CampaignParallel(spec, runs, 0xBADC0DE^iv^uint64(len(k)),
+			sum, err := fault.Campaign(spec, runs, 0xBADC0DE^iv^uint64(len(k)),
 				fault.CampaignOptions{Parallelism: p.Parallelism, Progress: p.Progress, OnReport: p.OnReport})
 			if err != nil {
 				return nil, nil, err
@@ -701,7 +701,7 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 				Config: p.Config, PSR: true,
 				AdaptiveThreshold: th,
 			}
-			sum, err := fault.CampaignParallel(spec, runsPer, 0xADA^uint64(ti*31+len(k)),
+			sum, err := fault.Campaign(spec, runsPer, 0xADA^uint64(ti*31+len(k)),
 				fault.CampaignOptions{Parallelism: p.Parallelism, Progress: p.Progress, OnReport: p.OnReport})
 			if err != nil {
 				return nil, nil, err

@@ -19,8 +19,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/analysis"
-	"repro/internal/progen"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -216,8 +214,8 @@ func (r *rng) next() uint64 {
 // Plan draws the deterministic fault sequence a campaign over spec with
 // this seed injects: trial i of the campaign injects Plan(spec, n, seed)[i].
 // Drawing the whole plan from the serial generator before any trial runs is
-// what lets CampaignParallel shard trials across workers without changing
-// a single outcome.
+// what lets Campaign shard trials across workers without changing a single
+// outcome.
 func Plan(spec sim.Spec, n int, seed uint64) []Transient {
 	r := rng(seed | 1)
 	points := []vm.CorruptPoint{vm.PointResult, vm.PointStoreData, vm.PointLoadValue, vm.PointStoreAddr}
@@ -236,15 +234,6 @@ func Plan(spec sim.Spec, n int, seed uint64) []Transient {
 	return faults
 }
 
-// Campaign runs n injection trials against the configuration described by
-// spec (which must be an RMT mode: SRT or CRT). Each trial injects one
-// transient at a pseudo-random point after warmup and classifies the
-// outcome. Trials run serially; use CampaignParallel to shard them across
-// workers.
-func Campaign(spec sim.Spec, n int, seed uint64) (*CampaignSummary, error) {
-	return CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1})
-}
-
 // CampaignOptions configure how a campaign schedules its trials.
 type CampaignOptions struct {
 	// Parallelism caps concurrent trials (0 = GOMAXPROCS, 1 = serial).
@@ -256,34 +245,6 @@ type CampaignOptions struct {
 	// Cancel, when non-nil, is polled before each trial; a non-nil return
 	// aborts the campaign with that error (context cancellation plumbing).
 	Cancel func() error
-	// PruneStaticallyMasked classifies fired trials whose injection site
-	// the static ACE analysis (analysis.AnalyzeProgram) proves masked —
-	// the corrupted destination register is dead at the fire pc — without
-	// replaying them. The pruned summary is byte-identical to the unpruned
-	// one: a dead-register flip cannot change any architectural outcome,
-	// so the replay the prune skips is provably the golden suffix with the
-	// golden end cycle and the Masked outcome. Only the fork-on-fault
-	// engine supports pruning (it needs the golden pass's fire pcs).
-	PruneStaticallyMasked bool
-	// ValidateStaticMasking replays every pruned trial anyway and fails
-	// the campaign if the dynamic result disagrees with the static
-	// classification — the cross-validation gate for the ACE analysis.
-	// Implies PruneStaticallyMasked does not save any work.
-	ValidateStaticMasking bool
-	// PruneStats, when non-nil, receives what pruning did.
-	PruneStats *PruneStats
-}
-
-// PruneStats reports the effect of PruneStaticallyMasked on one campaign.
-type PruneStats struct {
-	// Planned is the campaign's trial count.
-	Planned int
-	// Fired counts trials whose fault fires in the golden run (the rest
-	// are classified from golden end state by both engines already).
-	Fired int
-	// Pruned counts fired trials the static analysis classified without
-	// replay.
-	Pruned int
 }
 
 // replayChunkSize bounds how many replay trials ride in one worker job.
@@ -294,24 +255,31 @@ type PruneStats struct {
 // workers when fires cluster around one checkpoint.
 const replayChunkSize = 8
 
-// CampaignParallel runs the same campaign as Campaign with the injection
-// trials sharded across a worker pool, using the fork-on-fault engine: the
+// Campaign runs n injection trials against the configuration described by
+// spec, whose mode must pass CampaignMode. Each trial injects one transient
+// at a pseudo-random point after warmup (trial i injects Plan(spec, n,
+// seed)[i]) and classifies the outcome. n == 0 yields an empty summary; a
+// negative n is an error.
+//
+// Trials run on the fork-on-fault engine, sharded across a worker pool: the
 // fault-free (golden) run is simulated once, with machine-state checkpoints
 // taken at a fixed cycle interval, and each trial restores the last
 // checkpoint before its injection point and replays only the suffix instead
-// of re-simulating the whole prefix. Trials that need no replay at all —
-// never fired, or statically pruned — are classified inline from golden end
-// state; the rest are grouped into chunks sharing a golden checkpoint (see
-// replayChunkSize) and sharded across the pool. Replay machines are
-// recycled through a pool (restore overwrites all mutable state), so
-// steady-state trial cost is one snapshot decode plus the suffix cycles.
-// The fault plan is fixed before the first trial starts and results are
-// written by trial index, so the summary — including per-trial outcome
-// order — is identical at any parallelism, and byte-identical to
-// CampaignLegacy's.
-func CampaignParallel(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
+// of re-simulating the whole prefix. Trials whose fault never fires are
+// classified inline from golden end state; the rest are grouped into chunks
+// sharing a golden checkpoint (see replayChunkSize) and sharded across the
+// pool. Replay machines are recycled through a pool (restore overwrites all
+// mutable state), so steady-state trial cost is one snapshot decode plus the
+// suffix cycles. The fault plan is fixed before the first trial starts and
+// results are written by trial index, so the summary — including per-trial
+// outcome order — is identical at any parallelism, and byte-identical to
+// building and simulating every trial from scratch.
+func Campaign(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
 	if !CampaignMode(spec.Mode) {
 		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("fault: campaign trial count %d is negative", n)
 	}
 	spec.StopOnDetection = true
 	if opts.Cancel != nil {
@@ -323,10 +291,6 @@ func CampaignParallel(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (
 	prep, err := forkPrepare(spec, faults)
 	if err != nil {
 		return nil, fmt.Errorf("fault: golden run: %w", err)
-	}
-	pruned, err := planPruning(spec, faults, prep, opts)
-	if err != nil {
-		return nil, err
 	}
 
 	// Campaign-owned per-trial progress: workers complete whole chunks, but
@@ -343,24 +307,18 @@ func CampaignParallel(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (
 		progMu.Unlock()
 	}
 
-	// Classify the cheap trials inline — their outcome is a function of
-	// golden end state (or the static proof), no replay involved.
+	// Classify unfired trials inline — their outcome is a function of
+	// golden end state, no replay involved.
 	results := make([]Result, n)
 	var replays []int
-	cheap := 0
 	for i, f := range faults {
-		switch {
-		case !prep.fired[i]:
-			results[i] = prep.classifyUnfired(f)
-			cheap++
-		case pruned[i] != nil && !opts.ValidateStaticMasking:
-			results[i] = *pruned[i]
-			cheap++
-		default:
+		if prep.fired[i] {
 			replays = append(replays, i)
+		} else {
+			results[i] = prep.classifyUnfired(f)
 		}
 	}
-	trialsDone(cheap)
+	trialsDone(n - len(replays))
 
 	chunks := chunkByCheckpoint(replays, prep)
 	jobs := make([]func() (struct{}, error), len(chunks))
@@ -377,10 +335,6 @@ func CampaignParallel(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (
 				res, err := prep.replay(spec, f, i)
 				if err != nil {
 					return struct{}{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
-				}
-				if pruned[i] != nil && res != *pruned[i] {
-					return struct{}{}, fmt.Errorf("fault: trial %d (%v): static masking disagrees with replay: static %+v, dynamic %+v",
-						i, f, *pruned[i], res)
 				}
 				results[i] = res
 				trialsDone(1)
@@ -428,47 +382,6 @@ func chunkByCheckpoint(replays []int, prep *forkPrep) [][]int {
 	return chunks
 }
 
-// CampaignLegacy runs the campaign with the original per-trial engine:
-// every trial builds a fresh machine and re-simulates warmup plus the
-// entire fault-free prefix before its injection point. It is retained as
-// the equivalence baseline for the fork-on-fault engine (the two must
-// produce byte-identical summaries) and for benchmarking the speedup.
-func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
-	if !CampaignMode(spec.Mode) {
-		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
-	}
-	spec.StopOnDetection = true
-	golden, err := goldenDigest(spec)
-	if err != nil {
-		return nil, fmt.Errorf("fault: golden run: %w", err)
-	}
-	faults := Plan(spec, n, seed)
-	jobs := make([]func() (Result, error), n)
-	for i := range faults {
-		i, f := i, faults[i]
-		jobs[i] = func() (Result, error) {
-			if opts.Cancel != nil {
-				if err := opts.Cancel(); err != nil {
-					return Result{}, err
-				}
-			}
-			res, err := runOneWith(spec, f, golden)
-			if err != nil {
-				return Result{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
-			}
-			return res, nil
-		}
-	}
-	results, rep, err := runner.Run(jobs, runner.Options{Parallelism: opts.Parallelism, Progress: opts.Progress})
-	if opts.OnReport != nil {
-		opts.OnReport(rep)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return summarize(n, results), nil
-}
-
 // CampaignMode reports whether the mode supports injection campaigns: it
 // needs a redundant pair to strike and a detection (or, for adaptive, an
 // architectural-digest) boundary to classify against. The serving layer's
@@ -513,101 +426,6 @@ func summarize(n int, results []Result) *CampaignSummary {
 	return sum
 }
 
-// planPruning statically pre-classifies fired trials when the options ask
-// for it. The returned slice holds, per trial, the Result static analysis
-// proves — nil when the trial must (or may as well) replay.
-//
-// A trial is prunable when all of the following hold:
-//
-//   - the golden run is healthy (no detections, no halt divergence for the
-//     victim pair): otherwise every trial is classified Detected from
-//     golden end state and static masking is moot;
-//   - the fault corrupts a destination register (PointResult, or
-//     PointLoadValue, whose corrupted value lands in the load's
-//     destination; the load value queue replicates addresses, not values,
-//     across the sphere boundary) — store data/address corruptions always
-//     face the store comparator and are never pruned;
-//   - the ACE analysis proves the destination register dead at the fire
-//     pc recorded by the golden pass.
-//
-// For such a trial the flip is invisible to every consumer: the victim's
-// timing and all compared values are unchanged, so the replay would run
-// the golden suffix to the golden end cycle and classify Masked with zero
-// detection latency — exactly the Result returned here. That equivalence
-// is what keeps pruned summaries byte-identical, and is machine-checked by
-// ValidateStaticMasking (the cross-validation gate).
-//
-// SRTR never prunes: its register value queue cross-checks every retired
-// destination value, so a flip the ACE analysis proves architecturally
-// masked is still detected microarchitecturally and recovered — the static
-// Masked classification would be wrong.
-func planPruning(spec sim.Spec, faults []Transient, prep *forkPrep, opts CampaignOptions) ([]*Result, error) {
-	if spec.Mode == sim.ModeSRTR ||
-		(!opts.PruneStaticallyMasked && !opts.ValidateStaticMasking) {
-		if opts.PruneStats != nil {
-			*opts.PruneStats = PruneStats{Planned: len(faults)}
-		}
-		return make([]*Result, len(faults)), nil
-	}
-	masked, err := staticMaskedSites(spec)
-	if err != nil {
-		return nil, fmt.Errorf("fault: static analysis: %w", err)
-	}
-	pruned := make([]*Result, len(faults))
-	stats := PruneStats{Planned: len(faults)}
-	for i, f := range faults {
-		if !prep.fired[i] {
-			continue
-		}
-		stats.Fired++
-		if prep.detections > 0 || prep.haltDiverged[f.Logical] {
-			continue
-		}
-		if f.Point != vm.PointResult && f.Point != vm.PointLoadValue {
-			continue
-		}
-		if sites := masked[f.Logical]; sites != nil && sites[int(prep.firePC[i])] {
-			pruned[i] = &Result{Fault: f, Outcome: Masked, Cycles: prep.endCycle}
-			stats.Pruned++
-		}
-	}
-	if opts.PruneStats != nil {
-		*opts.PruneStats = stats
-	}
-	return pruned, nil
-}
-
-// staticMaskedSites runs the ACE analysis over each of the campaign's
-// programs and returns, per logical thread, the set of pcs whose
-// destination-register injection site is provably masked (nil when the
-// analysis is conservative and proves nothing).
-func staticMaskedSites(spec sim.Spec) ([]map[int]bool, error) {
-	cache := make(map[string]map[int]bool, len(spec.Programs))
-	out := make([]map[int]bool, len(spec.Programs))
-	for i, name := range spec.Programs {
-		sites, ok := cache[name]
-		if !ok {
-			prog, err := progen.Build(name)
-			if err != nil {
-				return nil, err
-			}
-			prof, err := analysis.AnalyzeProgram(prog)
-			if err != nil {
-				return nil, err
-			}
-			if !prof.Conservative {
-				sites = make(map[int]bool, len(prof.MaskedSites))
-				for _, s := range prof.MaskedSites {
-					sites[s.PC] = true
-				}
-			}
-			cache[name] = sites
-		}
-		out[i] = sites
-	}
-	return out, nil
-}
-
 // checkpointInterval is the golden-run checkpoint spacing in machine
 // iterations. A trial replays from the last checkpoint at or before its
 // fire iteration; an armed fault is silent until its exact injection point,
@@ -645,7 +463,6 @@ var errConverged = errors.New("fault: replay converged with golden run")
 type forkPrep struct {
 	fired    []bool
 	fireIter []uint64          // machine iteration (Machine.Cycles) at fire
-	firePC   []uint64          // victim pc at fire (static-pruning lookup key)
 	snaps    map[uint64][]byte // checkpoint iteration -> snapshot
 	pool     sync.Pool         // recycled *sim.Machine for replay trials
 
@@ -688,8 +505,8 @@ func (p *forkPrep) checkpointFor(i int) []byte {
 	return p.snaps[p.restoreBase(i)]
 }
 
-// classifyUnfired reproduces the legacy engine's classification for a trial
-// whose fault never fires: such a trial's machine executes the golden run
+// classifyUnfired reproduces runArmed's classification for a trial whose
+// fault never fires: such a trial's machine executes the golden run
 // bit-for-bit (an armed-but-silent fault and oracle tolerance change
 // nothing on a fault-free path), so its outcome is a function of golden end
 // state alone.
@@ -717,7 +534,6 @@ func forkPrepare(spec sim.Spec, faults []Transient) (*forkPrep, error) {
 	p := &forkPrep{
 		fired:    make([]bool, len(faults)),
 		fireIter: make([]uint64, len(faults)),
-		firePC:   make([]uint64, len(faults)),
 		snaps:    make(map[uint64][]byte),
 	}
 	if spec.Mode == sim.ModeSRTR {
@@ -760,7 +576,6 @@ func forkPrepare(spec sim.Spec, faults []Transient) (*forkPrep, error) {
 					if !p.fired[i] && seq >= faults[i].AtSeq && point == faults[i].Point {
 						p.fired[i] = true
 						p.fireIter[i] = g.Cycles
-						p.firePC[i] = pc
 						firedCount++
 						if g.Cycles > maxFire {
 							maxFire = g.Cycles

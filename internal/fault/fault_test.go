@@ -113,7 +113,7 @@ func TestCRTDetectsFaults(t *testing.T) {
 // detected or masked — never a silent escape (an SRT machine compares every
 // store).
 func TestCampaignNoEscapes(t *testing.T) {
-	sum, err := Campaign(faultSpec(sim.ModeSRT, "compress"), 20, 0xfeedface)
+	sum, err := Campaign(faultSpec(sim.ModeSRT, "compress"), 20, 0xfeedface, CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestCampaignNoEscapes(t *testing.T) {
 
 // TestCampaignDeterministic: identical seeds give identical results.
 func TestCampaignDeterministic(t *testing.T) {
-	a, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42)
+	a, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42, CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42)
+	b, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42, CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,21 @@ func TestFaultFreeRunHasNoDetections(t *testing.T) {
 	}
 }
 
-// TestCampaignRejectsNonRMTModes: injection needs a comparator.
+// TestCampaignRejectsNonRMTModes: injection needs a comparator, and a
+// trial count from outside the program must be non-negative; either
+// violation is an error, never a panic.
 func TestCampaignRejectsNonRMTModes(t *testing.T) {
-	if _, err := Campaign(faultSpec(sim.ModeBase, "gcc"), 1, 1); err == nil {
-		t.Error("campaign on base mode should error")
+	for _, tc := range []struct {
+		name string
+		spec sim.Spec
+		n    int
+	}{
+		{"base mode", faultSpec(sim.ModeBase, "gcc"), 1},
+		{"negative trial count", faultSpec(sim.ModeSRT, "gcc"), -1},
+	} {
+		if _, err := Campaign(tc.spec, tc.n, 1, CampaignOptions{Parallelism: 1}); err == nil {
+			t.Errorf("%s: campaign should error", tc.name)
+		}
 	}
 }
 
@@ -174,11 +185,11 @@ func TestCampaignRejectsNonRMTModes(t *testing.T) {
 // before any trial runs and results are keyed by trial index.
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	spec := faultSpec(sim.ModeSRT, "compress")
-	serial, err := Campaign(spec, 8, 0xBEEF)
+	serial, err := Campaign(spec, 8, 0xBEEF, CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CampaignParallel(spec, 8, 0xBEEF, CampaignOptions{Parallelism: 4})
+	parallel, err := Campaign(spec, 8, 0xBEEF, CampaignOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestPlanDeterministic(t *testing.T) {
 // TestPlanShardingInvariance: the fault plan is a pure function of
 // (spec, n, seed), every campaign trial executes exactly its plan entry,
 // and the whole summary — per-trial outcomes and Coverage — is invariant
-// to CampaignParallel's worker count. This is the sharding contract
+// to Campaign's worker count. This is the sharding contract
 // rmtd's /campaign endpoint leans on when it serves cached summaries
 // computed at an arbitrary parallelism.
 func TestPlanShardingInvariance(t *testing.T) {
@@ -247,10 +258,10 @@ func TestPlanShardingInvariance(t *testing.T) {
 			}
 			var ref *CampaignSummary
 			for _, workers := range []int{1, 4, 8} {
-				// StopOnDetection is forced inside CampaignParallel; pass a
+				// StopOnDetection is forced inside Campaign; pass a
 				// fresh copy so spec mutation cannot leak between runs.
 				spec := tc.spec
-				sum, err := CampaignParallel(spec, tc.n, tc.seed, CampaignOptions{Parallelism: workers})
+				sum, err := Campaign(spec, tc.n, tc.seed, CampaignOptions{Parallelism: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -2,10 +2,53 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
+
+// CampaignLegacy runs the campaign with the original per-trial engine:
+// every trial builds a fresh machine and re-simulates warmup plus the
+// entire fault-free prefix before its injection point. It is the
+// equivalence oracle for the fork-on-fault engine: the two must produce
+// byte-identical summaries.
+func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
+	if !CampaignMode(spec.Mode) {
+		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	}
+	spec.StopOnDetection = true
+	golden, err := goldenDigest(spec)
+	if err != nil {
+		return nil, fmt.Errorf("fault: golden run: %w", err)
+	}
+	faults := Plan(spec, n, seed)
+	jobs := make([]func() (Result, error), n)
+	for i := range faults {
+		i, f := i, faults[i]
+		jobs[i] = func() (Result, error) {
+			if opts.Cancel != nil {
+				if err := opts.Cancel(); err != nil {
+					return Result{}, err
+				}
+			}
+			res, err := runOneWith(spec, f, golden)
+			if err != nil {
+				return Result{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
+			}
+			return res, nil
+		}
+	}
+	results, rep, err := runner.Run(jobs, runner.Options{Parallelism: opts.Parallelism, Progress: opts.Progress})
+	if opts.OnReport != nil {
+		opts.OnReport(rep)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return summarize(n, results), nil
+}
 
 // TestForkMatchesLegacy is the fork-on-fault engine's ground-truth check:
 // over the same table the sharding-invariance test uses, the snapshot/replay
@@ -46,7 +89,7 @@ func TestForkMatchesLegacy(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				spec := tc.spec
-				fork, err := CampaignParallel(spec, tc.n, tc.seed, CampaignOptions{Parallelism: workers})
+				fork, err := Campaign(spec, tc.n, tc.seed, CampaignOptions{Parallelism: workers})
 				if err != nil {
 					t.Fatalf("fork workers=%d: %v", workers, err)
 				}
@@ -75,7 +118,7 @@ func TestForkMatchesLegacy(t *testing.T) {
 func TestCampaignCancel(t *testing.T) {
 	boom := errors.New("canceled")
 	for name, run := range map[string]func(sim.Spec, int, uint64, CampaignOptions) (*CampaignSummary, error){
-		"fork":   CampaignParallel,
+		"fork":   Campaign,
 		"legacy": CampaignLegacy,
 	} {
 		_, err := run(faultSpec(sim.ModeSRT, "compress"), 4, 1,

@@ -309,7 +309,7 @@ func TestSRTRCampaignRecoversCurated(t *testing.T) {
 	totalRecovered := 0
 	for _, name := range program.Names() {
 		spec := matrixSpec(sim.ModeSRTR, name)
-		sum, err := CampaignParallel(spec, 8, 0xD15EA5E, CampaignOptions{Parallelism: 2})
+		sum, err := Campaign(spec, 8, 0xD15EA5E, CampaignOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -361,7 +361,7 @@ func TestSRTRCampaignRecoversGenCorpus(t *testing.T) {
 	names := genNames(32)
 	for i, name := range names {
 		spec := genFaultSpec(sim.ModeSRTR, name)
-		sum, err := CampaignParallel(spec, 6, 0xD15EA5E, CampaignOptions{Parallelism: 2})
+		sum, err := Campaign(spec, 6, 0xD15EA5E, CampaignOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -369,7 +369,7 @@ func TestSRTRCampaignRecoversGenCorpus(t *testing.T) {
 			// Campaign determinism across parallelism, on generated kernels:
 			// a recovery-bearing campaign must produce the identical summary
 			// regardless of worker count.
-			wide, err := CampaignParallel(spec, 6, 0xD15EA5E, CampaignOptions{Parallelism: 4})
+			wide, err := Campaign(spec, 6, 0xD15EA5E, CampaignOptions{Parallelism: 4})
 			if err != nil {
 				t.Fatalf("%s wide: %v", name, err)
 			}
@@ -473,7 +473,7 @@ func TestAdaptiveCampaignFrontier(t *testing.T) {
 	run := func(theta float64) *CampaignSummary {
 		spec := matrixSpec(sim.ModeAdaptive, "gcc")
 		spec.AdaptiveThreshold = theta
-		sum, err := CampaignParallel(spec, 48, 0xF00D, CampaignOptions{Parallelism: 4})
+		sum, err := Campaign(spec, 48, 0xF00D, CampaignOptions{Parallelism: 4})
 		if err != nil {
 			t.Fatalf("θ=%v: %v", theta, err)
 		}

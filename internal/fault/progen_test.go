@@ -11,12 +11,12 @@ import (
 
 // Generated-corpus fault battery: the fixed corpus the sim layer replays
 // (progen.CorpusSeeds(genCorpusSeed, ...)) also has to hold up the
-// campaign machinery's two strongest claims — pruning never changes an
-// outcome, and a statically-masked site can never fire as detected — on
-// kernels nobody hand-tuned. Campaign sizes are explicit and small:
-// Plan draws AtSeq inside [Warmup/2, Warmup+Budget/2], and every
-// generated kernel runs at least ~20k dynamic instructions, so these
-// sizes guarantee each fault fires well before HALT.
+// campaign machinery's claim that a statically-masked site can never fire
+// as anything but masked, on kernels nobody hand-tuned. Campaign sizes are
+// explicit and small: Plan draws AtSeq inside [Warmup/2,
+// Warmup+Budget/2], and every generated kernel runs at least ~20k dynamic
+// instructions, so these sizes guarantee each fault fires well before
+// HALT.
 
 const genCorpusSeed = 0xC0FFEE
 
@@ -35,42 +35,18 @@ func genNames(n int) []string {
 	return names
 }
 
-// TestGenPrunedCampaignByteIdentical: prune cross-validation over
-// generated kernels — pruned and unpruned campaigns must agree on every
-// aggregate and every per-trial Result.
+// TestGenPrunedCampaignByteIdentical: the static-masking cross-validation
+// over generated kernels — every campaign trial that fires at a site the
+// ACE analysis proves masked must replay byte-identical to the result a
+// pruned (never replayed) trial would carry: Masked at the golden end
+// cycle.
 func TestGenPrunedCampaignByteIdentical(t *testing.T) {
+	landed := maskedLandingGate(t)
 	for _, name := range genNames(6) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec := genFaultSpec(sim.ModeSRT, name)
-			const n, seed = 48, 0xACE
-			base, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatalf("unpruned: %v", err)
-			}
-			var stats PruneStats
-			pruned, err := CampaignParallel(spec, n, seed, CampaignOptions{
-				Parallelism:           4,
-				PruneStaticallyMasked: true,
-				ValidateStaticMasking: true,
-				PruneStats:            &stats,
-			})
-			if err != nil {
-				t.Fatalf("pruned: %v", err)
-			}
-			t.Logf("prune stats: %+v", stats)
-			if pruned.Runs != base.Runs || pruned.Detected != base.Detected ||
-				pruned.Masked != base.Masked || pruned.NotFired != base.NotFired ||
-				pruned.MeanDetectionCycles != base.MeanDetectionCycles ||
-				pruned.TotalCycles != base.TotalCycles {
-				t.Fatalf("summary differs:\npruned:   %+v\nunpruned: %+v", pruned, base)
-			}
-			for i := range pruned.Results {
-				if pruned.Results[i] != base.Results[i] {
-					t.Fatalf("trial %d: pruned %+v, unpruned %+v", i, pruned.Results[i], base.Results[i])
-				}
-			}
+			landed.Add(int64(crossValidateStaticMasking(t, genFaultSpec(sim.ModeSRT, name), 48, 0xACE, 4)))
 		})
 	}
 }
@@ -157,11 +133,11 @@ func TestGenCRTMixCampaignDeterministic(t *testing.T) {
 	pair := progen.MixPairs(genCorpusSeed, 1)[0]
 	spec := genFaultSpec(sim.ModeCRT, pair[0], pair[1])
 	const n, seed = 32, 0xBEEF
-	serial, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 1})
+	serial, err := Campaign(spec, n, seed, CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CampaignParallel(spec, n, seed, CampaignOptions{Parallelism: 4})
+	parallel, err := Campaign(spec, n, seed, CampaignOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,9 @@ type Profile struct {
 const characterizeCap = 4 << 20
 
 // profiler accumulates one kernel's profile from its committed outcome
-// stream. Both replay engines feed it identically — the measurement is a
-// pure function of the outcome sequence, which the vm battery holds
-// bit-equal across engines.
+// stream. The measurement is a pure function of the outcome sequence,
+// which the vm battery holds bit-equal between batched and scalar
+// execution.
 type profiler struct {
 	loads, stores, branches, fp stats.Counter
 	taken                       stats.Mean
@@ -137,9 +137,8 @@ func (p *profiler) finish(k *Kernel, dyn uint64) *Profile {
 // Characterize replays the kernel functionally to its HALT on the batched
 // engine (a single-lane vm.Batch — predecode amortised, outcomes observed
 // in place) and measures the profile. An error means the kernel overran
-// its declared bound — the generator's halt guarantee failed.
-// CharacterizeOracle is the same measurement on the scalar decode-switch
-// engine; the two are byte-identical by construction and by test.
+// its declared bound — the generator's halt guarantee failed. The tests
+// hold it byte-identical to the same measurement over a scalar vm.Thread.
 func Characterize(k *Kernel) (*Profile, error) {
 	memImg := vm.NewMemory()
 	vm.Load(k.Prog, memImg)
@@ -159,31 +158,6 @@ func Characterize(k *Kernel) (*Profile, error) {
 			k.Prog.Name, b.Seq[0], k.MaxDynInstr)
 	}
 	return p.finish(k, b.Seq[0]), nil
-}
-
-// CharacterizeOracle replays the kernel on the scalar switch-dispatch
-// thread — the differential oracle the batched Characterize is tested
-// against.
-func CharacterizeOracle(k *Kernel) (*Profile, error) {
-	memImg := vm.NewMemory()
-	vm.Load(k.Prog, memImg)
-	th := vm.NewThreadWith(0, k.Prog, memImg, vm.Config{Dispatch: vm.DispatchSwitch})
-	p := newProfiler()
-
-	var out vm.Outcome
-	for !th.Halted {
-		if th.Seq >= characterizeCap {
-			return nil, fmt.Errorf("progen: %s did not halt within %d instructions (declared bound %d)",
-				k.Prog.Name, uint64(characterizeCap), k.MaxDynInstr)
-		}
-		th.StepInto(&out)
-		p.step(&out)
-	}
-	if th.Seq > k.MaxDynInstr {
-		return nil, fmt.Errorf("progen: %s halted at %d dynamic instructions, beyond its declared bound %d",
-			k.Prog.Name, th.Seq, k.MaxDynInstr)
-	}
-	return p.finish(k, th.Seq), nil
 }
 
 // isFPOp reports whether the op executes in the FP classes.

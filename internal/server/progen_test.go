@@ -21,7 +21,7 @@ import (
 
 // TestGenCRTMixCampaignEndpointMatchesDirect is the acceptance criterion:
 // a randomized 2-pair cross-coupled CRT mix served through /campaign
-// agrees with a direct local fault.CampaignParallel on every aggregate
+// agrees with a direct local fault.Campaign on every aggregate
 // and every per-trial outcome, and the repeat request is a cache hit
 // serving identical bytes.
 func TestGenCRTMixCampaignEndpointMatchesDirect(t *testing.T) {
@@ -33,7 +33,7 @@ func TestGenCRTMixCampaignEndpointMatchesDirect(t *testing.T) {
 		budget = 2500
 		warmup = 1000
 	)
-	direct, err := fault.CampaignParallel(sim.Spec{
+	direct, err := fault.Campaign(sim.Spec{
 		Mode:     sim.ModeCRT,
 		Programs: []string{pair[0], pair[1]},
 		Budget:   budget,

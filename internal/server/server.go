@@ -395,7 +395,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			AdaptiveThreshold:  req.AdaptiveThreshold,
 			CheckpointInterval: req.CheckpointInterval,
 		}
-		sum, err := fault.CampaignParallel(spec, req.N, req.Seed,
+		sum, err := fault.Campaign(spec, req.N, req.Seed,
 			fault.CampaignOptions{Parallelism: s.cfg.SimParallelism})
 		if err != nil {
 			return nil, err

@@ -455,7 +455,7 @@ func TestCampaignEndpointMatchesDirectAndCaches(t *testing.T) {
 		budget = 4000
 		warmup = 1500
 	)
-	direct, err := fault.CampaignParallel(sim.Spec{
+	direct, err := fault.Campaign(sim.Spec{
 		Mode:     sim.ModeSRT,
 		Programs: []string{"compress"},
 		Budget:   budget,
@@ -508,7 +508,7 @@ func TestCampaignPassesThroughNoStoreComparison(t *testing.T) {
 		budget = 4000
 		warmup = 1500
 	)
-	direct, err := fault.CampaignParallel(sim.Spec{
+	direct, err := fault.Campaign(sim.Spec{
 		Mode:              sim.ModeSRT,
 		Programs:          []string{"compress"},
 		Budget:            budget,

@@ -128,12 +128,6 @@ type Spec struct {
 
 	// MaxCycles caps the run (0 = derived from the budget).
 	MaxCycles uint64
-
-	// VM selects the functional engine's interpreter for every hardware
-	// thread context. Dispatch is timing-invariant — outcomes are
-	// byte-identical between variants — so it is deliberately not part of
-	// the rmtd wire contract or its canonical cache keys.
-	VM vm.Config
 }
 
 // Machine is an assembled simulation ready to run.
@@ -294,7 +288,7 @@ func newSingle(name string, progID int, spec Spec) (*pipeline.Context, error) {
 	}
 	memImg := vm.NewMemory()
 	vm.Load(prog, memImg)
-	arch := vm.NewThreadWith(progID, prog, memImg, spec.VM)
+	arch := vm.NewThread(progID, prog, memImg)
 	ctx := pipeline.NewContext(pipeline.RoleSingle, progID, arch, spec.Warmup+spec.Budget)
 	ctx.Warmup = spec.Warmup
 	return ctx, nil
@@ -309,8 +303,8 @@ func newPair(name string, logical int, spec Spec, lat rmt.Latencies, cfg pipelin
 	}
 	memImg := vm.NewMemory()
 	vm.Load(prog, memImg)
-	leadArch := vm.NewThreadWith(logical*2, prog, memImg, spec.VM)
-	trailArch := vm.NewThreadWith(logical*2+1, prog, memImg, spec.VM)
+	leadArch := vm.NewThread(logical*2, prog, memImg)
+	trailArch := vm.NewThread(logical*2+1, prog, memImg)
 	lead = pipeline.NewContext(pipeline.RoleLeading, logical, leadArch, spec.Warmup+spec.Budget)
 	lead.Warmup = spec.Warmup
 	trail = pipeline.NewContext(pipeline.RoleTrailing, logical, trailArch, 0)

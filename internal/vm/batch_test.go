@@ -1,140 +1,53 @@
-package vm
+package vm_test
 
 import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/vm"
+	"repro/internal/vmdiff"
 )
 
-// laneOracle pairs a Batch with N scalar switch-dispatch oracle threads
-// over the same base memory, stepping them in lockstep and comparing
-// everything: per-lane outcomes, register columns, PCs, Seqs, flags. A
-// second, unobserved shadow batch rides along so the PC-grouped column
-// fast path (taken only when Observer is nil) is held to the same state
-// identity; hooks are pure, so sharing them with the shadow is sound.
-type laneOracle struct {
-	b       *Batch
-	shadow  *Batch
-	threads []*Thread
-	outs    []Outcome
-	seen    []bool
-}
-
-func newLaneOracle(t *testing.T, prog *isa.Program, n int, corrupt func(lane int) CorruptFunc) *laneOracle {
+// lockstep runs prog on an n-lane batch against n scalar switch oracles
+// (vmdiff.Lockstep with the exhaustive every-round register sweep) for at
+// most rounds rounds, failing the test at the first divergence.
+func lockstep(t *testing.T, prog *isa.Program, n int, rounds uint64, corrupt func(lane int) vm.CorruptFunc) *vmdiff.Lockstep {
 	t.Helper()
-	mem := NewMemory()
-	Load(prog, mem)
-	io := func(addr uint64) uint64 { return addr ^ 0xABCD }
-	lo := &laneOracle{
-		b:       NewBatch(prog, mem, n),
-		shadow:  NewBatch(prog, mem, n),
-		threads: make([]*Thread, n),
-		outs:    make([]Outcome, n),
-		seen:    make([]bool, n),
+	l := vmdiff.NewLockstep(prog, n, vmdiff.Options{
+		Tolerant: true,
+		IORead:   func(addr uint64) uint64 { return addr ^ 0xABCD },
+		Corrupt:  corrupt,
+	})
+	l.SweepEvery = 1
+	if err := l.Run(rounds); err != nil {
+		t.Fatalf("%s: %v", prog.Name, err)
 	}
-	lo.b.Tolerant = true
-	lo.b.IORead = io
-	lo.b.Observer = func(lane int, out *Outcome) {
-		lo.outs[lane] = *out
-		lo.seen[lane] = true
-	}
-	lo.shadow.Tolerant = true
-	lo.shadow.IORead = io
-	for i := 0; i < n; i++ {
-		th := NewThreadWith(i, prog, mem, Config{Dispatch: DispatchSwitch})
-		th.Tolerant = true
-		th.IORead = io
-		if corrupt != nil {
-			c := corrupt(i)
-			th.Corrupt = c
-			lo.b.Corrupt[i] = c
-			lo.shadow.Corrupt[i] = c
-		}
-		lo.threads[i] = th
-	}
-	return lo
-}
-
-// step advances batch and oracles one round and compares all lanes.
-func (lo *laneOracle) step(t *testing.T, round int) int {
-	t.Helper()
-	for i := range lo.seen {
-		lo.seen[i] = false
-	}
-	wasLive := make([]bool, lo.b.N)
-	for i := range lo.threads {
-		wasLive[i] = !lo.b.Halted[i]
-	}
-	live := lo.b.Step()
-	lo.shadow.Step()
-	for i, th := range lo.threads {
-		if !wasLive[i] {
-			continue // batch skips halted lanes; a halted Thread step is a state no-op
-		}
-		want := th.Step()
-		if !lo.seen[i] {
-			t.Fatalf("round %d lane %d: batch emitted no outcome", round, i)
-		}
-		if want != lo.outs[i] {
-			t.Fatalf("round %d lane %d: outcome diverged\nscalar: %+v\nbatch:  %+v", round, i, want, lo.outs[i])
-		}
-		for _, cmp := range []struct {
-			label string
-			b     *Batch
-		}{{"batch", lo.b}, {"shadow", lo.shadow}} {
-			if th.PC != cmp.b.PC[i] || th.Seq != cmp.b.Seq[i] ||
-				th.Halted != cmp.b.Halted[i] || th.Trapped != cmp.b.Trapped[i] {
-				t.Fatalf("round %d %s lane %d: control state diverged: oracle pc %d seq %d halted %v trapped %v, got pc %d seq %d halted %v trapped %v",
-					round, cmp.label, i, th.PC, th.Seq, th.Halted, th.Trapped,
-					cmp.b.PC[i], cmp.b.Seq[i], cmp.b.Halted[i], cmp.b.Trapped[i])
-			}
-			for r := 0; r < isa.NumIntRegs; r++ {
-				if th.IntReg[r] != cmp.b.IntReg[r][i] {
-					t.Fatalf("round %d %s lane %d: r%d = %#x, got %#x", round, cmp.label, i, r, th.IntReg[r], cmp.b.IntReg[r][i])
-				}
-			}
-			for r := 0; r < isa.NumFPRegs; r++ {
-				if th.FPReg[r] != cmp.b.FPReg[r][i] {
-					t.Fatalf("round %d %s lane %d: f%d = %#x, got %#x", round, cmp.label, i, r, th.FPReg[r], cmp.b.FPReg[r][i])
-				}
-			}
-			if op, bp := th.Mem.PendingBytes(), cmp.b.Mem[i].PendingBytes(); op != bp {
-				t.Fatalf("round %d %s lane %d: overlay diverged: oracle %d pending bytes, got %d", round, cmp.label, i, op, bp)
-			}
-		}
-	}
-	return live
+	return l
 }
 
 // TestBatchMatchesScalar: a Batch over random programs — one per opcode,
 // each forced to contain that opcode — must stay bit-equal to N
 // independent scalar oracle threads after every lockstep round, with
 // distinct per-lane corruption hooks driving the lanes apart. The shadow
-// batch inside laneOracle extends the identity to the column fast path
-// for every handler shape.
+// batch inside vmdiff.Lockstep extends the identity to the column fast
+// path for every handler shape.
 func TestBatchMatchesScalar(t *testing.T) {
 	for i, op := range allOps() {
 		seed := uint64(i + 1)
 		prog := randProgram(seed*131071, op)
-		const n = 8
-		corrupt := func(lane int) CorruptFunc {
+		corrupt := func(lane int) vm.CorruptFunc {
 			if lane == 0 {
 				return nil // lane 0 runs fault-free
 			}
 			salt := uint64(lane) * 0x9E37
-			return func(point CorruptPoint, seq, pc, v uint64) uint64 {
+			return func(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
 				if (seq+salt)%11 == 5 {
 					return v ^ (salt << uint(point))
 				}
 				return v
 			}
 		}
-		lo := newLaneOracle(t, prog, n, corrupt)
-		for round := 0; round < 3000; round++ {
-			if lo.step(t, round) == 0 {
-				break
-			}
-		}
+		lockstep(t, prog, 8, 3000, corrupt)
 	}
 }
 
@@ -149,28 +62,23 @@ func TestBatchTrapParity(t *testing.T) {
 		{Op: isa.JMP, Rd: isa.ZeroReg, Ra: 1},
 		{Op: isa.HALT},
 	}}
-	corrupt := func(lane int) CorruptFunc {
+	corrupt := func(lane int) vm.CorruptFunc {
 		if lane%2 == 0 {
 			return nil // even lanes halt cleanly at PC 2
 		}
-		return func(point CorruptPoint, seq, pc, v uint64) uint64 {
-			if point == PointResult && pc == 0 {
+		return func(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
+			if point == vm.PointResult && pc == 0 {
 				return 77 // odd lanes jump to 77 and trap
 			}
 			return v
 		}
 	}
-	lo := newLaneOracle(t, prog, 6, corrupt)
-	for round := 0; round < 8; round++ {
-		if lo.step(t, round) == 0 {
-			break
-		}
-	}
-	for lane := 0; lane < lo.b.N; lane++ {
+	b := lockstep(t, prog, 6, 8, corrupt).Batch
+	for lane := 0; lane < b.N; lane++ {
 		wantTrap := lane%2 == 1
-		if !lo.b.Halted[lane] || lo.b.Trapped[lane] != wantTrap {
+		if !b.Halted[lane] || b.Trapped[lane] != wantTrap {
 			t.Fatalf("lane %d: halted %v trapped %v, want halted, trapped=%v",
-				lane, lo.b.Halted[lane], lo.b.Trapped[lane], wantTrap)
+				lane, b.Halted[lane], b.Trapped[lane], wantTrap)
 		}
 	}
 
@@ -181,8 +89,8 @@ func TestBatchTrapParity(t *testing.T) {
 				t.Fatal("intolerant batch PC overrun did not panic")
 			}
 		}()
-		mem := NewMemory()
-		b := NewBatch(prog, mem, 1)
+		mem := vm.NewMemory()
+		b := vm.NewBatch(prog, mem, 1)
 		b.Corrupt[0] = corrupt(1)
 		b.Run(8)
 	}()
@@ -203,8 +111,8 @@ func storeLoop() *isa.Program {
 // TestBatchSteadyStateAllocs: the batched hot loop must allocate nothing
 // per step once the overlays are warm.
 func TestBatchSteadyStateAllocs(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatch(storeLoop(), mem, 16)
+	mem := vm.NewMemory()
+	b := vm.NewBatch(storeLoop(), mem, 16)
 	b.Run(64) // warm the overlay maps
 	allocs := testing.AllocsPerRun(200, func() {
 		b.Step()
@@ -224,9 +132,9 @@ func TestBatchResetReuse(t *testing.T) {
 		{Op: isa.STQ, Rd: 1, Ra: 1, Imm: 8},
 		{Op: isa.HALT},
 	}}
-	mem := NewMemory()
-	Load(prog, mem)
-	b := NewBatch(prog, mem, 8)
+	mem := vm.NewMemory()
+	vm.Load(prog, mem)
+	b := vm.NewBatch(prog, mem, 8)
 	b.Run(16) // first campaign grows the overlay maps
 	allocs := testing.AllocsPerRun(50, func() {
 		b.Reset(mem)

@@ -21,36 +21,10 @@ import (
 // build time), so a step is one indirect call with no per-step decode. The
 // semantic core — value functions and branch predicates — is defined once
 // below and shared with the SoA batch engine (batch.go), so the scalar and
-// batched threaded paths cannot drift apart; the original switch
-// interpreter is retained verbatim (thread.go stepSwitch) as the
-// differential oracle and is exhaustively checked against the compiled
-// handlers by the vm and vmdiff test batteries.
-
-// Dispatch selects the functional interpreter a Thread steps with.
-type Dispatch uint8
-
-// Interpreter choices.
-const (
-	// DispatchThreaded steps through the per-PC predecoded handler table.
-	// It is the default.
-	DispatchThreaded Dispatch = iota
-	// DispatchSwitch steps through the original per-step decode switch. It
-	// is the differential oracle for the threaded paths.
-	DispatchSwitch
-)
-
-func (d Dispatch) String() string {
-	if d == DispatchSwitch {
-		return "switch"
-	}
-	return "threaded"
-}
-
-// Config selects functional-engine variants. The zero value is the
-// default (threaded dispatch).
-type Config struct {
-	Dispatch Dispatch
-}
+// batched threaded paths cannot drift apart. The original switch
+// interpreter lives on as the differential oracle in internal/vmdiff, and
+// the vm and vmdiff test batteries check the compiled handlers against it
+// exhaustively.
 
 // shape classifies an instruction by the handler skeleton it compiles to.
 type shape uint8

@@ -1,17 +1,21 @@
-package vm
+package vm_test
 
 import (
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/snap"
+	"repro/internal/vm"
+	"repro/internal/vmdiff"
 )
 
 // The dispatch differential battery: the compiled per-PC handler tables
 // (threaded dispatch, scalar and batch) must be step-for-step and
-// bit-for-bit equal to the original decode switch (stepSwitch, the
+// bit-for-bit equal to the original decode switch (vmdiff.SwitchStep, the
 // oracle), over every opcode, with and without corruption hooks, through
-// traps and halts.
+// traps and halts. The battery is an external test package because the
+// oracle and the lockstep harness live in internal/vmdiff, which imports
+// vm.
 
 // allOps is every defined opcode, used to assert generator coverage.
 func allOps() []isa.Op {
@@ -76,37 +80,37 @@ func randProgram(seed uint64, op isa.Op) *isa.Program {
 
 // testCorrupt is a deterministic corruption hook exercising every
 // corruption point's ordering.
-func testCorrupt(point CorruptPoint, seq, pc, v uint64) uint64 {
+func testCorrupt(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
 	if seq%7 == 3 {
 		return v ^ (1 << (uint(point) + uint(pc%8)))
 	}
 	return v
 }
 
-func snapshotBytes(t *Thread) []byte {
+func snapshotBytes(t *vm.Thread) []byte {
 	w := snap.NewWriter()
 	t.SnapshotTo(w)
 	return w.Finish()
 }
 
-func newDiffThread(prog *isa.Program, cfg Config, corrupt CorruptFunc) *Thread {
-	mem := NewMemory()
-	Load(prog, mem)
-	th := NewThreadWith(0, prog, mem, cfg)
+func newDiffThread(prog *isa.Program, corrupt vm.CorruptFunc) *vm.Thread {
+	mem := vm.NewMemory()
+	vm.Load(prog, mem)
+	th := vm.NewThread(0, prog, mem)
 	th.Tolerant = true
 	th.Corrupt = corrupt
 	th.IORead = func(addr uint64) uint64 { return addr * 0x9E3779B97F4A7C15 }
 	return th
 }
 
-func compareOutcomes(t *testing.T, label string, step int, want, got Outcome) {
+func compareOutcomes(t *testing.T, label string, step int, want, got vm.Outcome) {
 	t.Helper()
 	if want != got {
 		t.Fatalf("%s: step %d: outcome diverged\nswitch:   %+v\nthreaded: %+v", label, step, want, got)
 	}
 }
 
-func compareState(t *testing.T, label string, step int, oracle, subject *Thread) {
+func compareState(t *testing.T, label string, step int, oracle, subject *vm.Thread) {
 	t.Helper()
 	if oracle.PC != subject.PC || oracle.Seq != subject.Seq ||
 		oracle.Halted != subject.Halted || oracle.Trapped != subject.Trapped ||
@@ -124,14 +128,14 @@ func TestThreadedMatchesSwitch(t *testing.T) {
 		op := op
 		t.Run(op.String(), func(t *testing.T) {
 			t.Parallel()
-			for variant, corrupt := range map[string]CorruptFunc{"clean": nil, "corrupt": testCorrupt} {
+			for variant, corrupt := range map[string]vm.CorruptFunc{"clean": nil, "corrupt": testCorrupt} {
 				for seed := uint64(1); seed <= 8; seed++ {
 					prog := randProgram(seed*977+uint64(op), op)
-					oracle := newDiffThread(prog, Config{Dispatch: DispatchSwitch}, corrupt)
-					subject := newDiffThread(prog, Config{}, corrupt)
+					oracle := newDiffThread(prog, corrupt)
+					subject := newDiffThread(prog, corrupt)
 					label := op.String() + "/" + variant
 					for step := 0; step < 3000; step++ {
-						a := oracle.Step()
+						a := vmdiff.SwitchStep(oracle)
 						b := subject.Step()
 						compareOutcomes(t, label, step, a, b)
 						compareState(t, label, step, oracle, subject)
@@ -158,45 +162,51 @@ func TestTrapOutcome(t *testing.T) {
 		{Op: isa.LDI, Rd: 1, Imm: 99},
 		{Op: isa.JMP, Rd: isa.ZeroReg, Ra: 1},
 	}}
-	for _, cfg := range []Config{{}, {Dispatch: DispatchSwitch}} {
-		mem := NewMemory()
-		th := NewThreadWith(0, prog, mem, cfg)
+	for _, d := range []struct {
+		name string
+		step func(*vm.Thread) vm.Outcome
+	}{
+		{"threaded", (*vm.Thread).Step},
+		{"switch", vmdiff.SwitchStep},
+	} {
+		mem := vm.NewMemory()
+		th := vm.NewThread(0, prog, mem)
 		th.Tolerant = true
-		th.Step() // LDI
-		th.Step() // JMP to 99
-		out := th.Step()
+		d.step(th) // LDI
+		d.step(th) // JMP to 99
+		out := d.step(th)
 		if !out.Halted || !out.Trap || out.PC != 99 || out.Seq != 2 {
-			t.Fatalf("%v: trap outcome = %+v, want Halted+Trap at PC 99 Seq 2", cfg.Dispatch, out)
+			t.Fatalf("%s: trap outcome = %+v, want Halted+Trap at PC 99 Seq 2", d.name, out)
 		}
 		if !th.Halted || !th.Trapped || th.Seq != 2 {
-			t.Fatalf("%v: trap state = halted %v trapped %v seq %d", cfg.Dispatch, th.Halted, th.Trapped, th.Seq)
+			t.Fatalf("%s: trap state = halted %v trapped %v seq %d", d.name, th.Halted, th.Trapped, th.Seq)
 		}
-		again := th.Step()
+		again := d.step(th)
 		if !again.Halted || !again.Trap || again.Seq != 2 {
-			t.Fatalf("%v: post-trap no-op outcome = %+v, want Halted+Trap Seq 2", cfg.Dispatch, again)
+			t.Fatalf("%s: post-trap no-op outcome = %+v, want Halted+Trap Seq 2", d.name, again)
 		}
 		// A normal HALT must not be marked as a trap.
-		hm := NewMemory()
-		ht := NewThreadWith(0, &isa.Program{Name: "halt", Code: []isa.Instr{{Op: isa.HALT}}}, hm, cfg)
-		if out := ht.Step(); out.Trap || !out.Halted || ht.Trapped {
-			t.Fatalf("%v: HALT outcome = %+v trapped=%v, want clean halt", cfg.Dispatch, out, ht.Trapped)
+		hm := vm.NewMemory()
+		ht := vm.NewThread(0, &isa.Program{Name: "halt", Code: []isa.Instr{{Op: isa.HALT}}}, hm)
+		if out := d.step(ht); out.Trap || !out.Halted || ht.Trapped {
+			t.Fatalf("%s: HALT outcome = %+v trapped=%v, want clean halt", d.name, out, ht.Trapped)
 		}
-		if out := ht.Step(); out.Trap || !out.Halted {
-			t.Fatalf("%v: post-HALT no-op = %+v, want clean halt", cfg.Dispatch, out)
+		if out := d.step(ht); out.Trap || !out.Halted {
+			t.Fatalf("%s: post-HALT no-op = %+v, want clean halt", d.name, out)
 		}
 
 		// Intolerant overrun still panics.
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%v: intolerant PC overrun did not panic", cfg.Dispatch)
+					t.Fatalf("%s: intolerant PC overrun did not panic", d.name)
 				}
 			}()
-			pm := NewMemory()
-			pt := NewThreadWith(0, prog, pm, cfg)
-			pt.Step()
-			pt.Step()
-			pt.Step()
+			pm := vm.NewMemory()
+			pt := vm.NewThread(0, prog, pm)
+			d.step(pt)
+			d.step(pt)
+			d.step(pt)
 		}()
 	}
 }
@@ -208,8 +218,8 @@ func TestTrapSnapshotRoundTrip(t *testing.T) {
 		{Op: isa.LDI, Rd: 1, Imm: 50},
 		{Op: isa.JMP, Rd: isa.ZeroReg, Ra: 1},
 	}}
-	mem := NewMemory()
-	th := NewThread(0, prog, mem)
+	mem := vm.NewMemory()
+	th := vm.NewThread(0, prog, mem)
 	th.Tolerant = true
 	th.Run(3)
 	if !th.Trapped {
@@ -220,8 +230,8 @@ func TestTrapSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem2 := NewMemory()
-	th2 := NewThread(0, prog, mem2)
+	mem2 := vm.NewMemory()
+	th2 := vm.NewThread(0, prog, mem2)
 	th2.RestoreFrom(r)
 	if !th2.Trapped {
 		t.Fatal("Trapped lost across snapshot/restore")

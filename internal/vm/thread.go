@@ -107,8 +107,8 @@ type Thread struct {
 	// rather than a HALT instruction (see Outcome.Trap).
 	Trapped bool
 
-	// ops is the per-PC predecoded handler table (threaded dispatch); nil
-	// selects the original decode switch.
+	// ops is the per-PC predecoded handler table Step dispatches through
+	// (see dispatch.go).
 	ops []stepFn //rmtsnap:skip — compiled view of Prog, rebuilt at construction
 
 	// stepOut backs Step's by-value return: passing a stack variable's
@@ -119,24 +119,15 @@ type Thread struct {
 
 // NewThread creates a thread at the program entry with a fresh overlay over
 // mem. The program's initial data image must already have been loaded into
-// mem (see Load). The thread steps with the default threaded dispatch; use
-// NewThreadWith to select the switch oracle.
+// mem (see Load).
 func NewThread(id int, prog *isa.Program, mem *Memory) *Thread {
-	return NewThreadWith(id, prog, mem, Config{})
-}
-
-// NewThreadWith is NewThread with an explicit functional-engine config.
-func NewThreadWith(id int, prog *isa.Program, mem *Memory, cfg Config) *Thread {
-	t := &Thread{
+	return &Thread{
 		ID:   id,
 		Prog: prog,
 		PC:   prog.Entry,
 		Mem:  NewOverlay(mem),
+		ops:  buildOps(prog),
 	}
-	if cfg.Dispatch == DispatchThreaded {
-		t.ops = buildOps(prog)
-	}
-	return t
 }
 
 // Load initialises mem with the program's data image.
@@ -216,228 +207,7 @@ func (t *Thread) StepInto(out *Outcome) {
 		panic(fmt.Sprintf("vm: thread %d PC %d outside %q code (len %d)",
 			t.ID, t.PC, t.Prog.Name, len(t.Prog.Code)))
 	}
-	if t.ops != nil {
-		t.ops[t.PC](t, out)
-		return
-	}
-	t.stepSwitch(out)
-}
-
-// stepSwitch is the original decode-per-step interpreter, retained
-// verbatim as the differential oracle for the threaded handler tables
-// (select it with Config{Dispatch: DispatchSwitch}).
-func (t *Thread) stepSwitch(out *Outcome) {
-	ins := t.Prog.Code[t.PC]
-	*out = Outcome{Seq: t.Seq, PC: t.PC, Instr: ins, NextPC: t.PC + 1}
-
-	switch ins.Op {
-	case isa.NOP:
-
-	// Integer ALU.
-	case isa.ADD:
-		out.DestVal = t.readInt(ins.Ra) + t.readInt(ins.Rb)
-	case isa.SUB:
-		out.DestVal = t.readInt(ins.Ra) - t.readInt(ins.Rb)
-	case isa.MUL:
-		out.DestVal = t.readInt(ins.Ra) * t.readInt(ins.Rb)
-	case isa.DIV:
-		d := int64(t.readInt(ins.Rb))
-		if d == 0 {
-			out.DestVal = 0
-		} else {
-			out.DestVal = uint64(int64(t.readInt(ins.Ra)) / d)
-		}
-	case isa.MOD:
-		d := int64(t.readInt(ins.Rb))
-		if d == 0 {
-			out.DestVal = 0
-		} else {
-			out.DestVal = uint64(int64(t.readInt(ins.Ra)) % d)
-		}
-	case isa.AND:
-		out.DestVal = t.readInt(ins.Ra) & t.readInt(ins.Rb)
-	case isa.OR:
-		out.DestVal = t.readInt(ins.Ra) | t.readInt(ins.Rb)
-	case isa.XOR:
-		out.DestVal = t.readInt(ins.Ra) ^ t.readInt(ins.Rb)
-	case isa.SLL:
-		out.DestVal = t.readInt(ins.Ra) << (t.readInt(ins.Rb) & 63)
-	case isa.SRL:
-		out.DestVal = t.readInt(ins.Ra) >> (t.readInt(ins.Rb) & 63)
-	case isa.SRA:
-		out.DestVal = uint64(int64(t.readInt(ins.Ra)) >> (t.readInt(ins.Rb) & 63))
-	case isa.CMPEQ:
-		out.DestVal = boolBits(t.readInt(ins.Ra) == t.readInt(ins.Rb))
-	case isa.CMPLT:
-		out.DestVal = boolBits(int64(t.readInt(ins.Ra)) < int64(t.readInt(ins.Rb)))
-	case isa.CMPLE:
-		out.DestVal = boolBits(int64(t.readInt(ins.Ra)) <= int64(t.readInt(ins.Rb)))
-	case isa.CMPULT:
-		out.DestVal = boolBits(t.readInt(ins.Ra) < t.readInt(ins.Rb))
-
-	// Integer ALU immediate.
-	case isa.LDI:
-		out.DestVal = uint64(ins.Imm)
-	case isa.ADDI:
-		out.DestVal = t.readInt(ins.Ra) + uint64(ins.Imm)
-	case isa.MULI:
-		out.DestVal = t.readInt(ins.Ra) * uint64(ins.Imm)
-	case isa.ANDI:
-		out.DestVal = t.readInt(ins.Ra) & uint64(ins.Imm)
-	case isa.ORI:
-		out.DestVal = t.readInt(ins.Ra) | uint64(ins.Imm)
-	case isa.XORI:
-		out.DestVal = t.readInt(ins.Ra) ^ uint64(ins.Imm)
-	case isa.SLLI:
-		out.DestVal = t.readInt(ins.Ra) << (uint64(ins.Imm) & 63)
-	case isa.SRLI:
-		out.DestVal = t.readInt(ins.Ra) >> (uint64(ins.Imm) & 63)
-	case isa.SRAI:
-		out.DestVal = uint64(int64(t.readInt(ins.Ra)) >> (uint64(ins.Imm) & 63))
-	case isa.CMPEQI:
-		out.DestVal = boolBits(t.readInt(ins.Ra) == uint64(ins.Imm))
-	case isa.CMPLTI:
-		out.DestVal = boolBits(int64(t.readInt(ins.Ra)) < ins.Imm)
-
-	// Uncached I/O. The device read is side-effecting and happens here
-	// (in program order, exactly once per dynamic instance); the device
-	// WRITE is deferred to the machine (performed once, after output
-	// comparison), so STIO only computes its address and data.
-	case isa.LDIO:
-		out.Addr = t.readInt(ins.Ra) + uint64(ins.Imm)
-		out.Size = 8
-		var v uint64
-		if t.IORead != nil {
-			v = t.IORead(out.Addr)
-		}
-		out.Value = t.corrupt(PointLoadValue, t.PC, v)
-		out.DestVal = out.Value
-	case isa.STIO:
-		out.Addr = t.corrupt(PointStoreAddr, t.PC, t.readInt(ins.Ra)+uint64(ins.Imm))
-		out.Size = 8
-		out.Value = t.corrupt(PointStoreData, t.PC, t.readInt(ins.Rd))
-
-	// Memory.
-	case isa.LDQ, isa.FLDQ:
-		out.Addr = t.readInt(ins.Ra) + uint64(ins.Imm)
-		out.Size = 8
-		out.Value = t.corrupt(PointLoadValue, t.PC, t.Mem.Read64(out.Addr))
-		out.DestVal = out.Value
-	case isa.LDB:
-		out.Addr = t.readInt(ins.Ra) + uint64(ins.Imm)
-		out.Size = 1
-		out.Value = t.corrupt(PointLoadValue, t.PC, uint64(t.Mem.Byte(out.Addr)))
-		out.DestVal = out.Value
-	case isa.STQ:
-		out.Addr = t.corrupt(PointStoreAddr, t.PC, t.readInt(ins.Ra)+uint64(ins.Imm))
-		out.Size = 8
-		out.Value = t.corrupt(PointStoreData, t.PC, t.readInt(ins.Rd))
-	case isa.FSTQ:
-		out.Addr = t.corrupt(PointStoreAddr, t.PC, t.readInt(ins.Ra)+uint64(ins.Imm))
-		out.Size = 8
-		out.Value = t.corrupt(PointStoreData, t.PC, t.readFP(ins.Rd))
-	case isa.STB:
-		out.Addr = t.corrupt(PointStoreAddr, t.PC, t.readInt(ins.Ra)+uint64(ins.Imm))
-		out.Size = 1
-		out.Value = t.corrupt(PointStoreData, t.PC, t.readInt(ins.Rd)&0xff)
-
-	// Floating point.
-	case isa.FADD:
-		out.DestVal = bits(f64(t.readFP(ins.Ra)) + f64(t.readFP(ins.Rb)))
-	case isa.FSUB:
-		out.DestVal = bits(f64(t.readFP(ins.Ra)) - f64(t.readFP(ins.Rb)))
-	case isa.FMUL:
-		out.DestVal = bits(f64(t.readFP(ins.Ra)) * f64(t.readFP(ins.Rb)))
-	case isa.FDIV:
-		out.DestVal = bits(f64(t.readFP(ins.Ra)) / f64(t.readFP(ins.Rb)))
-	case isa.FSQRT:
-		out.DestVal = bits(math.Sqrt(f64(t.readFP(ins.Ra))))
-	case isa.FNEG:
-		out.DestVal = bits(-f64(t.readFP(ins.Ra)))
-	case isa.FCMPEQ:
-		out.DestVal = boolBits(f64(t.readFP(ins.Ra)) == f64(t.readFP(ins.Rb)))
-	case isa.FCMPLT:
-		out.DestVal = boolBits(f64(t.readFP(ins.Ra)) < f64(t.readFP(ins.Rb)))
-	case isa.FCMPLE:
-		out.DestVal = boolBits(f64(t.readFP(ins.Ra)) <= f64(t.readFP(ins.Rb)))
-	case isa.CVTQF:
-		out.DestVal = bits(float64(int64(t.readInt(ins.Ra))))
-	case isa.CVTFQ:
-		f := f64(t.readFP(ins.Ra))
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			out.DestVal = 0
-		} else {
-			out.DestVal = uint64(int64(f))
-		}
-	case isa.ITOF:
-		out.DestVal = t.readInt(ins.Ra)
-	case isa.FTOI:
-		out.DestVal = t.readFP(ins.Ra)
-
-	// Control.
-	case isa.BR:
-		out.Taken = true
-		out.NextPC = ins.BranchTarget(t.PC)
-	case isa.BEQ:
-		out.Taken = t.readInt(ins.Ra) == 0
-	case isa.BNE:
-		out.Taken = t.readInt(ins.Ra) != 0
-	case isa.BLT:
-		out.Taken = int64(t.readInt(ins.Ra)) < 0
-	case isa.BGE:
-		out.Taken = int64(t.readInt(ins.Ra)) >= 0
-	case isa.BGT:
-		out.Taken = int64(t.readInt(ins.Ra)) > 0
-	case isa.BLE:
-		out.Taken = int64(t.readInt(ins.Ra)) <= 0
-	case isa.JSR:
-		out.Taken = true
-		out.DestVal = t.PC + 1
-		out.NextPC = ins.BranchTarget(t.PC)
-	case isa.JMP:
-		out.Taken = true
-		out.DestVal = t.PC + 1
-		out.NextPC = t.readInt(ins.Ra)
-
-	case isa.MB:
-
-	case isa.HALT:
-		out.Halted = true
-
-	default:
-		panic(fmt.Sprintf("vm: unimplemented opcode %v at pc=%d", ins.Op, t.PC))
-	}
-
-	if ins.IsCondBranch() && out.Taken {
-		out.NextPC = ins.BranchTarget(t.PC)
-	}
-
-	// Apply the result corruption point and write back.
-	if ins.HasDest() && !ins.IsStore() {
-		out.DestVal = t.corrupt(PointResult, t.PC, out.DestVal)
-		if ins.DestIsFP() {
-			t.writeFP(ins.Rd, out.DestVal)
-		} else {
-			t.writeInt(ins.Rd, out.DestVal)
-		}
-		if ins.IsLoad() {
-			out.Value = out.DestVal
-		}
-	}
-
-	// Stores become visible to this thread's own later loads immediately
-	// (architecturally: store-queue forwarding). Uncached stores target
-	// the device, not memory; the machine performs them at drain.
-	if ins.IsStore() && !ins.IsUncached() {
-		t.Mem.Store(out.Addr, out.Value, out.Size, out.Seq)
-	}
-
-	if out.Halted {
-		t.Halted = true
-	} else {
-		t.PC = out.NextPC
-	}
-	t.Seq++
+	t.ops[t.PC](t, out)
 }
 
 // Interrupt redirects the thread to an interrupt handler, hardware-style:

@@ -1,19 +1,19 @@
-// Package vmdiff is the differential harness for the batched functional
-// execution engine: it drives an N-lane vm.Batch and N independent scalar
-// oracle threads (decode-switch dispatch, the original interpreter) over
-// the same program in lockstep. Every round it compares the full Outcome
-// (which carries the destination write), control state (PC, Seq, halt and
-// trap flags) and the pending-store byte count; full register-file sweeps
-// run on a fixed cadence (SweepEvery rounds) and at each lane's halt, so
-// the terminal state is always checked bit-for-bit while the per-round
-// cost stays O(1) per lane — registers only change through destination
-// writes, which the outcome compare covers, so the sweep cadence only
-// bounds how long a write to the *wrong* register column could hide. An
-// unobserved shadow batch runs alongside so the PC-grouped column fast
-// path (taken only when no Observer is attached) is held to the same
-// state identity. The sim and fault batteries and the FuzzBatchStep fuzz
-// target all go through this harness, so "batch equals scalar" is checked
-// in one place.
+// Package vmdiff is the differential harness for the functional execution
+// engine. It holds the switch oracle (SwitchStep, the original
+// decode-per-step interpreter) and drives an N-lane vm.Batch and N
+// independent scalar oracle threads stepped by it over the same program in
+// lockstep. Every round it compares the full Outcome (which carries the
+// destination write), control state (PC, Seq, halt and trap flags) and the
+// pending-store byte count; full register-file sweeps run on a fixed
+// cadence (SweepEvery rounds) and at each lane's halt, so the terminal
+// state is always checked bit-for-bit while the per-round cost stays O(1)
+// per lane — registers only change through destination writes, which the
+// outcome compare covers, so the sweep cadence only bounds how long a
+// write to the *wrong* register column could hide. An unobserved shadow
+// batch runs alongside so the PC-grouped column fast path (taken only when
+// no Observer is attached) is held to the same state identity. The vm,
+// sim and fault batteries and the FuzzBatchStep fuzz target all go through
+// this harness, so "batch equals scalar" is checked in one place.
 package vmdiff
 
 import (
@@ -60,9 +60,9 @@ type Lockstep struct {
 	round uint64
 }
 
-// NewLockstep builds an n-lane batch and n scalar switch-dispatch oracle
-// threads over prog, all overlaying one shared base memory holding the
-// program's data image.
+// NewLockstep builds an n-lane batch and n scalar oracle threads (stepped
+// by SwitchStep) over prog, all overlaying one shared base memory holding
+// the program's data image.
 func NewLockstep(prog *isa.Program, n int, opts Options) *Lockstep {
 	mem := vm.NewMemory()
 	vm.Load(prog, mem)
@@ -83,7 +83,7 @@ func NewLockstep(prog *isa.Program, n int, opts Options) *Lockstep {
 	l.Shadow.Tolerant = opts.Tolerant
 	l.Shadow.IORead = opts.IORead
 	for i := 0; i < n; i++ {
-		th := vm.NewThreadWith(i, prog, mem, vm.Config{Dispatch: vm.DispatchSwitch})
+		th := vm.NewThread(i, prog, mem)
 		th.Tolerant = opts.Tolerant
 		th.IORead = opts.IORead
 		if opts.Corrupt != nil {
@@ -118,7 +118,7 @@ func (l *Lockstep) Round() (int, error) {
 		if !wasLive[i] {
 			continue // batch skips halted lanes; a halted oracle step is a state no-op
 		}
-		want := th.Step()
+		want := SwitchStep(th)
 		if !l.seen[i] {
 			return live, fmt.Errorf("vmdiff: lane %d: batch emitted no outcome at seq %d", i, want.Seq)
 		}

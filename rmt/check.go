@@ -43,9 +43,9 @@ type MaskedSite = analysis.MaskedSite
 
 // AnalyzeProgram runs the static liveness/ACE analysis over an assembled
 // program and returns its vulnerability profile — the per-region masking
-// information adaptive RMT schemes consume, and the basis for
-// WithStaticPruning in fault campaigns. The program must pass structural
-// verification (see CheckProgram).
+// information adaptive RMT schemes consume (ModeAdaptive's protection
+// table). The program must pass structural verification (see
+// CheckProgram).
 func AnalyzeProgram(p *isa.Program) (*VulnerabilityProfile, error) {
 	return analysis.AnalyzeProgram(p)
 }

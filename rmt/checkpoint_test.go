@@ -70,46 +70,37 @@ func TestRunContextCancel(t *testing.T) {
 }
 
 // TestLocalCampaign: the package-level Campaign runs in-process and its
-// summary partitions the trials.
+// summary partitions the trials; a zero-trial campaign is empty, and a
+// negative trial count is an error rather than a panic.
 func TestLocalCampaign(t *testing.T) {
-	sum, err := Campaign(context.Background(), CampaignSpec{
-		Spec: Spec{Mode: SRT, PSR: true, Programs: []string{"compress"}},
-		N:    5,
-		Seed: 7,
-	}, WithBudget(3000), WithWarmup(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Runs != 5 || len(sum.Outcomes) != 5 {
-		t.Fatalf("summary %+v, want 5 runs with 5 outcomes", sum)
-	}
-	if sum.Detected+sum.Masked+sum.NotFired != sum.Runs {
-		t.Fatalf("classification doesn't partition: %+v", sum)
-	}
-}
-
-// TestCampaignStaticPruningIdentical: WithStaticPruning is pure execution
-// policy — the facade summary, outcome order included, is unchanged by it.
-// The spec targets gcc+li (the kernels with statically-masked sites) at the
-// seed internal/fault's byte-identity test pins, so pruning has trials to
-// claim.
-func TestCampaignStaticPruningIdentical(t *testing.T) {
-	cs := CampaignSpec{
-		Spec: Spec{Mode: SRT, PSR: true, Programs: []string{"gcc", "li"}},
-		N:    48,
-		Seed: 0xACE,
-	}
-	opts := []Option{WithBudget(3000), WithWarmup(1000)}
-	base, err := Campaign(context.Background(), cs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := Campaign(context.Background(), cs, append(opts, WithStaticPruning())...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, pruned) {
-		t.Fatalf("pruned summary differs:\nbase:   %+v\npruned: %+v", base, pruned)
+	for _, tc := range []struct {
+		n       int
+		wantErr bool
+	}{
+		{n: 5},
+		{n: 0},
+		{n: -1, wantErr: true},
+	} {
+		sum, err := Campaign(context.Background(), CampaignSpec{
+			Spec: Spec{Mode: SRT, PSR: true, Programs: []string{"compress"}},
+			N:    tc.n,
+			Seed: 7,
+		}, WithBudget(3000), WithWarmup(1000))
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("N=%d: campaign should error", tc.n)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("N=%d: %v", tc.n, err)
+		}
+		if sum.Runs != tc.n || len(sum.Outcomes) != tc.n {
+			t.Fatalf("N=%d: summary %+v, want %d runs with %d outcomes", tc.n, sum, tc.n, tc.n)
+		}
+		if sum.Detected+sum.Masked+sum.NotFired != sum.Runs {
+			t.Fatalf("N=%d: classification doesn't partition: %+v", tc.n, sum)
+		}
 	}
 }
 

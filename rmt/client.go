@@ -65,7 +65,8 @@ func toWire(s Spec) specWire {
 // Adaptive).
 type CampaignSpec struct {
 	Spec Spec
-	// N is the number of injection trials; Seed draws the fault plan.
+	// N is the number of injection trials (negative is an error); Seed
+	// draws the fault plan.
 	N    int
 	Seed uint64
 }

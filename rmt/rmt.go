@@ -35,7 +35,6 @@ import (
 	"repro/internal/program"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // Mode selects the machine organisation.
@@ -156,10 +155,6 @@ type config struct {
 	checkpointEvery uint64
 	checkpointSink  func(cycle uint64, snapshot []byte) error
 	resume          []byte
-
-	staticPruning bool
-
-	dispatch Dispatch
 }
 
 // Default sizes for Run/Sweep/BaseIPC when no WithBudget/WithWarmup option
@@ -249,46 +244,6 @@ func WithCheckpoint(every uint64, sink func(cycle uint64, snapshot []byte) error
 		c.checkpointSink = sink
 	}
 }
-
-// Dispatch selects the functional execution engine's dispatch strategy.
-type Dispatch int
-
-// Dispatch strategies.
-const (
-	// DispatchThreaded (the default) steps with per-program predecoded
-	// handler tables: decode happens once at machine build, each step is
-	// one indirect call.
-	DispatchThreaded Dispatch = iota
-	// DispatchSwitch selects the original decode-per-step switch
-	// interpreter — the differential oracle and the benchmark baseline.
-	DispatchSwitch
-)
-
-// WithDispatch selects the functional engine's dispatch strategy.
-// Dispatch is timing-invariant — cycle results, summaries, and snapshots
-// are byte-identical under either engine (gated by the dispatch battery)
-// — so like WithStaticPruning it is execution policy, not part of the
-// experiment definition: it never enters the daemon's wire contract or
-// cache keys, and Client ignores it.
-func WithDispatch(d Dispatch) Option { return func(c *config) { c.dispatch = d } }
-
-// vmConfig maps the option onto the functional engine's config.
-func (c config) vmConfig() vm.Config {
-	if c.dispatch == DispatchSwitch {
-		return vm.Config{Dispatch: vm.DispatchSwitch}
-	}
-	return vm.Config{}
-}
-
-// WithStaticPruning lets fault campaigns classify trials at
-// statically-masked injection sites (see AnalyzeProgram) as Masked without
-// replaying them. The summary is byte-identical to the unpruned campaign —
-// pruning only skips work whose outcome is already proven, falling back to
-// replay for any kernel the analysis cannot cover. Execution policy, not
-// part of the experiment definition: like WithCheckpoint it applies to the
-// local engine only and is ignored by Client (the daemon's cache key is the
-// campaign request, which pruning does not change).
-func WithStaticPruning() Option { return func(c *config) { c.staticPruning = true } }
 
 // Resume makes Run continue from a snapshot produced by WithCheckpoint
 // instead of starting fresh. The caller must pass the same Spec and sizing
@@ -454,7 +409,6 @@ func runOne(ctx context.Context, spec Spec, c config) (*Result, error) {
 		CheckerLatency:     spec.CheckerLatency,
 		AdaptiveThreshold:  spec.AdaptiveThreshold,
 		CheckpointInterval: spec.CheckpointInterval,
-		VM:                 c.vmConfig(),
 	}
 	var m *sim.Machine
 	if c.resume != nil {

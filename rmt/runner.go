@@ -84,19 +84,17 @@ func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSu
 		NoStoreComparison:  cs.Spec.NoStoreComparison,
 		AdaptiveThreshold:  cs.Spec.AdaptiveThreshold,
 		CheckpointInterval: cs.Spec.CheckpointInterval,
-		VM:                 c.vmConfig(),
 	}
 	fopts := fault.CampaignOptions{
-		Parallelism:           c.parallelism,
-		Progress:              c.progress,
-		Cancel:                ctx.Err,
-		PruneStaticallyMasked: c.staticPruning,
+		Parallelism: c.parallelism,
+		Progress:    c.progress,
+		Cancel:      ctx.Err,
 	}
 	if c.report != nil {
 		report := c.report
 		fopts.OnReport = func(r runner.Report) { report(fromRunnerReport(r)) }
 	}
-	sum, err := fault.CampaignParallel(spec, cs.N, cs.Seed, fopts)
+	sum, err := fault.Campaign(spec, cs.N, cs.Seed, fopts)
 	if err != nil {
 		return nil, err
 	}
