@@ -26,7 +26,7 @@ import (
 	"os"
 
 	"repro/internal/cliflags"
-	"repro/internal/fault"    //rmtlint:allow layering — single precisely-placed injections (-one) and the campaign-mode predicate are not exposed via the facade
+	"repro/internal/fault"    //rmtlint:allow layering — single precisely-placed injections (-one) are not exposed via the facade
 	"repro/internal/pipeline" //rmtlint:allow layering — per-run pipeline Config knobs for -one
 	"repro/internal/sim"      //rmtlint:allow layering — builds the -one Spec the facade does not cover
 	"repro/internal/vm"       //rmtlint:allow layering — names architectural corruption points for -point
@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		modeFlag  = flag.String("mode", "srt", "machine: srt, crt, srtr or adaptive")
+		modeFlag  = flag.String("mode", "srt", fmt.Sprintf("machine, one of the paired modes %v", pairedModes()))
 		progsFlag = flag.String("progs", "compress", "comma-separated workload kernels")
 		n         = flag.Int("n", 40, "campaign size")
 		seed      = flag.Uint64("seed", 0xC0FFEE, "campaign seed")
@@ -62,25 +62,23 @@ func main() {
 		}
 	}()
 
-	mode, err := cliflags.ParseMode(*modeFlag)
+	mode, err := rmt.ParseMode(*modeFlag)
 	if err != nil {
 		fatal(fmt.Errorf("faultinject: %w", err))
 	}
-	if !fault.CampaignMode(mode) {
-		fatal(fmt.Errorf("faultinject: mode must be srt, crt, srtr or adaptive"))
+	if !mode.Paired() {
+		fatal(fmt.Errorf("faultinject: mode must be one of the paired modes %v", pairedModes()))
 	}
-	budget, warmup := sf.Sizes(20000, 5000, 8000, 2000)
+	budget, warmup := sf.Sizes(rmt.DefaultCampaignBudget, rmt.DefaultCampaignWarmup, 8000, 2000)
 	spec := sim.Spec{
-		Mode:     mode,
-		Programs: cliflags.SplitProgs(*progsFlag),
-		Budget:   budget,
-		Warmup:   warmup,
-		Config:   pipeline.DefaultConfig(),
-		PSR:      true,
-	}
-	if mode == sim.ModeAdaptive {
-		spec.AdaptiveThreshold = *theta
-	}
+		Mode:              mode,
+		Programs:          cliflags.SplitProgs(*progsFlag),
+		Budget:            budget,
+		Warmup:            warmup,
+		Config:            pipeline.DefaultConfig(),
+		PSR:               true,
+		AdaptiveThreshold: *theta,
+	}.Canonical()
 
 	if *one {
 		pt, err := parsePoint(*point)
@@ -112,12 +110,8 @@ func main() {
 	if *server != "" {
 		rn = rmt.NewClient(*server)
 	}
-	rmtMode, err := rmt.ParseMode(*modeFlag)
-	if err != nil {
-		fatal(fmt.Errorf("faultinject: %w", err))
-	}
 	cs := rmt.CampaignSpec{
-		Spec: rmt.Spec{Mode: rmtMode, Programs: spec.Programs, PSR: true,
+		Spec: rmt.Spec{Mode: mode, Programs: spec.Programs, PSR: true,
 			AdaptiveThreshold: spec.AdaptiveThreshold},
 		N:    *n,
 		Seed: *seed,
@@ -150,6 +144,18 @@ func main() {
 	for i, o := range sum.Outcomes {
 		fmt.Printf("  trial %d -> %s\n", i, o)
 	}
+}
+
+// pairedModes lists the modes that run each program as a leading/trailing
+// pair: the ones a fault can be injected into.
+func pairedModes() []rmt.Mode {
+	var ms []rmt.Mode
+	for _, m := range rmt.Modes() {
+		if m.Paired() {
+			ms = append(ms, m)
+		}
+	}
+	return ms
 }
 
 func parsePoint(s string) (vm.CorruptPoint, error) {

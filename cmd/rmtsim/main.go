@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		modeFlag  = flag.String("mode", "base", "machine: base, base2, srt, lockstep, crt")
+		modeFlag  = flag.String("mode", "base", fmt.Sprintf("machine, one of %v", rmt.Modes()))
 		progsFlag = flag.String("progs", "gcc", "comma-separated workload kernels")
 		ptsq      = flag.Bool("ptsq", false, "per-thread store queues")
 		psr       = flag.Bool("psr", true, "preferential space redundancy")
@@ -64,7 +64,7 @@ func main() {
 		return
 	}
 
-	mode, err := cliflags.ParseMode(*modeFlag)
+	mode, err := rmt.ParseMode(*modeFlag)
 	if err != nil {
 		fatal(fmt.Errorf("rmtsim: %w", err))
 	}

@@ -5,14 +5,11 @@ package cliflags
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Sim is the shared simulation flag group.
@@ -143,27 +140,6 @@ func (p *Prof) Start() (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// ParseMode maps a -mode flag value to the machine organisation it names.
-func ParseMode(s string) (sim.Mode, error) {
-	switch s {
-	case "base":
-		return sim.ModeBase, nil
-	case "base2":
-		return sim.ModeBase2, nil
-	case "srt":
-		return sim.ModeSRT, nil
-	case "lockstep":
-		return sim.ModeLockstep, nil
-	case "crt":
-		return sim.ModeCRT, nil
-	case "srtr":
-		return sim.ModeSRTR, nil
-	case "adaptive":
-		return sim.ModeAdaptive, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want base, base2, srt, lockstep, crt, srtr or adaptive)", s)
 }
 
 // SplitProgs splits a comma-separated -progs value, trimming spaces and

@@ -4,10 +4,8 @@ import (
 	"flag"
 	"reflect"
 	"runtime"
-	"time"
 	"testing"
-
-	"repro/internal/sim"
+	"time"
 )
 
 func parse(t *testing.T, args ...string) *Sim {
@@ -48,25 +46,6 @@ func TestParallelism(t *testing.T) {
 	}
 	if got := parse(t, "-parallel", "0").Parallelism(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("-parallel 0 resolved to %d, want GOMAXPROCS", got)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	want := map[string]sim.Mode{
-		"base":     sim.ModeBase,
-		"base2":    sim.ModeBase2,
-		"srt":      sim.ModeSRT,
-		"lockstep": sim.ModeLockstep,
-		"crt":      sim.ModeCRT,
-	}
-	for name, mode := range want {
-		got, err := ParseMode(name)
-		if err != nil || got != mode {
-			t.Errorf("ParseMode(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseMode("sr"); err == nil {
-		t.Error("ParseMode accepted a bad mode")
 	}
 }
 

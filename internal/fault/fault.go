@@ -256,10 +256,10 @@ type CampaignOptions struct {
 const replayChunkSize = 8
 
 // Campaign runs n injection trials against the configuration described by
-// spec, whose mode must pass CampaignMode. Each trial injects one transient
-// at a pseudo-random point after warmup (trial i injects Plan(spec, n,
-// seed)[i]) and classifies the outcome. n == 0 yields an empty summary; a
-// negative n is an error.
+// spec, whose mode must be paired (sim.Mode.Paired). Each trial injects one
+// transient at a pseudo-random point after warmup (trial i injects
+// Plan(spec, n, seed)[i]) and classifies the outcome. n == 0 yields an
+// empty summary; a negative n is an error.
 //
 // Trials run on the fork-on-fault engine, sharded across a worker pool: the
 // fault-free (golden) run is simulated once, with machine-state checkpoints
@@ -275,8 +275,8 @@ const replayChunkSize = 8
 // outcome order — is identical at any parallelism, and byte-identical to
 // building and simulating every trial from scratch.
 func Campaign(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
-	if !CampaignMode(spec.Mode) {
-		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	if !spec.Mode.Paired() {
+		return nil, fmt.Errorf("fault: campaign requires a paired mode (a leading/trailing pair to strike), got %v", spec.Mode)
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("fault: campaign trial count %d is negative", n)
@@ -380,19 +380,6 @@ func chunkByCheckpoint(replays []int, prep *forkPrep) [][]int {
 		}
 	}
 	return chunks
-}
-
-// CampaignMode reports whether the mode supports injection campaigns: it
-// needs a redundant pair to strike and a detection (or, for adaptive, an
-// architectural-digest) boundary to classify against. The serving layer's
-// campaign gate and the mode round-trip battery key off this predicate so
-// the engine stays the single source of truth.
-func CampaignMode(m sim.Mode) bool {
-	switch m {
-	case sim.ModeSRT, sim.ModeCRT, sim.ModeSRTR, sim.ModeAdaptive:
-		return true
-	}
-	return false
 }
 
 // summarize aggregates per-trial results into the campaign summary; shared

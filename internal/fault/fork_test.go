@@ -15,8 +15,8 @@ import (
 // equivalence oracle for the fork-on-fault engine: the two must produce
 // byte-identical summaries.
 func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
-	if !CampaignMode(spec.Mode) {
-		return nil, fmt.Errorf("fault: campaign requires an RMT mode, got %v", spec.Mode)
+	if !spec.Mode.Paired() {
+		return nil, fmt.Errorf("fault: campaign requires a paired mode, got %v", spec.Mode)
 	}
 	spec.StopOnDetection = true
 	golden, err := goldenDigest(spec)

@@ -90,7 +90,7 @@ func goldenRun(t *testing.T, spec sim.Spec) *sim.Machine {
 // maskedTargets reports which copies a mode can strike: only the paired
 // organisations have a trailing copy.
 func maskedTargets(mode sim.Mode) []Copy {
-	if CampaignMode(mode) {
+	if mode.Paired() {
 		return []Copy{LeadingCopy, TrailingCopy}
 	}
 	return []Copy{LeadingCopy}
@@ -290,7 +290,7 @@ func TestModeMatrixTargetedInjections(t *testing.T) {
 					}
 				}
 			}
-			if !CampaignMode(mode) && !sdcSeen {
+			if !mode.Paired() && !sdcSeen {
 				t.Errorf("%v: no injection corrupted architectural state; the silent-corruption contrast is gone", mode)
 			}
 		})

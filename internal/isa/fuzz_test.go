@@ -46,8 +46,8 @@ func FuzzLoadImage(f *testing.F) {
 		f.Add(img)
 	}
 	// Adversarial seeds steering the fuzzer at each validation branch.
-	f.Add([]byte{})                          // empty
-	f.Add([]byte("RMTBIN1\x00"))             // magic only, truncated header
+	f.Add([]byte{})                           // empty
+	f.Add([]byte("RMTBIN1\x00"))              // magic only, truncated header
 	f.Add([]byte("NOTANIMG________epilogue")) // bad magic
 	if len(images) > 0 {
 		img := images[0]

@@ -21,6 +21,7 @@ import (
 //	32      8     data blob count
 //	40      ...   code words, 8 B little-endian each (see Encode)
 //	...           per blob: u64 addr, u64 byte length, then the bytes
+//
 //rmtlint:allow sharedstate — read-only file magic, written by no one
 var imageMagic = [8]byte{'R', 'M', 'T', 'B', 'I', 'N', '1', 0}
 

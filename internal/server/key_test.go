@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/rmt"
 )
 
@@ -100,11 +101,13 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add([]byte(`{"mode":"srt","programs":["gen:7"],"budget":1000,"warmup":500}`))
 	f.Add([]byte(`{"mode":"crt","programs":["gen:12926140234400183891","gen:5988186966546787131"],"psr":true}`))
 	f.Add([]byte(`{"mode":"base","programs":["gen:0","gcc","gen:18446744073709551615"]}`))
+	f.Add([]byte(`{"mode":"srtr","programs":["gcc"]}`))
+	f.Add([]byte(`{"mode":"adaptive","programs":["gcc","gen:7"],"adaptive_threshold":0.5,"checkpoint_interval":512}`))
 
 	kernels := rmt.Kernels()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, mode, k1, err := parseRun(body)
+		req, spec, k1, err := parseRun(body)
 		if err != nil {
 			t.Skip() // not a valid request: no key to reason about
 		}
@@ -161,20 +164,46 @@ func FuzzCanonicalKey(f *testing.F) {
 		mutate("flip no_store_comparison", func(r *RunRequest) { r.NoStoreComparison = !r.NoStoreComparison })
 		mutate("append program", func(r *RunRequest) { r.Programs = append(r.Programs, kernels[0]) })
 		mutate("switch mode", func(r *RunRequest) {
-			next := map[string]string{"base": "base2", "base2": "srt", "srt": "crt", "crt": "lockstep", "lockstep": "base"}
-			r.Mode = next[r.Mode]
+			modes := sim.Modes()
+			for i, m := range modes {
+				if m == spec.Mode {
+					r.Mode = modes[(i+1)%len(modes)].String()
+				}
+			}
 		})
-		if mode == rmt.Lockstep {
-			mutate("checker_latency+1", func(r *RunRequest) { r.CheckerLatency++ })
-		} else {
-			// Non-semantic outside lockstep: must NOT move the key.
+
+		// Mode-specific knobs: changing one the mode reads must move the
+		// key; setting one it ignores must not.
+		reads := rmt.Spec{Mode: spec.Mode, CheckerLatency: 1, AdaptiveThreshold: 1, CheckpointInterval: 1}.Canonical()
+		for _, k := range []struct {
+			name string
+			read bool
+			set  func(r *RunRequest)
+		}{
+			{"checker_latency", reads.CheckerLatency != 0, func(r *RunRequest) { r.CheckerLatency++ }},
+			{"adaptive_threshold", reads.AdaptiveThreshold != 0, func(r *RunRequest) {
+				if r.AdaptiveThreshold == 0.5 {
+					r.AdaptiveThreshold = 0.25
+				} else {
+					r.AdaptiveThreshold = 0.5
+				}
+			}},
+			{"checkpoint_interval", reads.CheckpointInterval != 0, func(r *RunRequest) { r.CheckpointInterval++ }},
+		} {
+			if k.read {
+				mutate("change "+k.name, k.set)
+				continue
+			}
 			m := req
-			m.CheckerLatency = 5
-			mb, _ := json.Marshal(m)
+			k.set(&m)
+			mb, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if _, _, mk, err := parseRun(mb); err != nil {
 				t.Fatal(err)
 			} else if mk != k1 {
-				t.Fatalf("ignored checker latency forked the key for mode %s", req.Mode)
+				t.Fatalf("ignored %s forked the key for mode %s", k.name, req.Mode)
 			}
 		}
 		if len(req.Programs) > 1 && req.Programs[0] != req.Programs[len(req.Programs)-1] {

@@ -51,7 +51,7 @@ func TestGenCRTMixCampaignEndpointMatchesDirect(t *testing.T) {
 	if r1.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", r1.StatusCode, b1)
 	}
-	var got CampaignResponse
+	var got rmt.CampaignSummary
 	if err := json.Unmarshal(b1, &got); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 //
 //   - POST /run      one simulation (rmt.Run), canonical-keyed and cached
 //   - POST /sweep    independent simulations (rmt.Sweep), results in input order
-//   - POST /campaign a deterministic fault-injection campaign (internal/fault)
+//   - POST /campaign a deterministic fault-injection campaign (rmt.Campaign)
 //   - GET  /healthz  liveness (503 while draining)
 //   - GET  /metricsz the server's internal/metrics registry snapshot
 //
@@ -33,10 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/rmt"
 )
 
@@ -244,7 +241,7 @@ type httpError struct {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -326,14 +323,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
-	req, mode, key, err := parseRun(body)
+	req, spec, key, err := parseRun(body)
 	if err != nil {
 		s.run.errors.Add(1)
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.serveCached(w, r, &s.run, key, func() ([]byte, error) {
-		res, err := rmt.Run(r.Context(), req.toSpec(mode), rmt.WithBudget(req.Budget), rmt.WithWarmup(req.Warmup))
+		res, err := rmt.Run(r.Context(), spec, rmt.WithBudget(req.Budget), rmt.WithWarmup(req.Warmup))
 		if err != nil {
 			return nil, err
 		}
@@ -370,72 +367,21 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
-	req, mode, key, err := parseCampaign(body)
-	if err != nil {
-		s.campaign.errors.Add(1)
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	simMode, err := campaignSimMode(mode)
+	req, cs, key, err := parseCampaign(body)
 	if err != nil {
 		s.campaign.errors.Add(1)
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.serveCached(w, r, &s.campaign, key, func() ([]byte, error) {
-		spec := sim.Spec{
-			Mode:               simMode,
-			Programs:           req.Programs,
-			Budget:             req.Budget,
-			Warmup:             req.Warmup,
-			Config:             pipeline.DefaultConfig(),
-			PSR:                req.PSR,
-			PerThreadSQ:        req.PerThreadSQ,
-			NoStoreComparison:  req.NoStoreComparison,
-			AdaptiveThreshold:  req.AdaptiveThreshold,
-			CheckpointInterval: req.CheckpointInterval,
-		}
-		sum, err := fault.Campaign(spec, req.N, req.Seed,
-			fault.CampaignOptions{Parallelism: s.cfg.SimParallelism})
+		sum, err := rmt.Campaign(r.Context(), cs,
+			rmt.WithBudget(req.Budget), rmt.WithWarmup(req.Warmup),
+			rmt.WithParallelism(s.cfg.SimParallelism))
 		if err != nil {
 			return nil, err
 		}
-		resp := CampaignResponse{
-			Runs:                sum.Runs,
-			Detected:            sum.Detected,
-			Masked:              sum.Masked,
-			NotFired:            sum.NotFired,
-			Recovered:           sum.Recovered,
-			UnprotectedSDC:      sum.UnprotectedSDC,
-			Coverage:            sum.Coverage(),
-			MeanDetectionCycles: sum.MeanDetectionCycles,
-			MeanRecoveryCycles:  sum.MeanRecoveryCycles,
-			TotalCycles:         sum.TotalCycles,
-			Outcomes:            make([]string, 0, len(sum.Results)),
-		}
-		for _, res := range sum.Results {
-			resp.Outcomes = append(resp.Outcomes, res.Outcome.String())
-		}
-		return encodeJSON(resp), nil
+		return encodeJSON(sum), nil
 	})
-}
-
-// campaignSimMode resolves a campaign-capable facade mode to the engine
-// mode handleCampaign builds. Kept as a function (not inline) so the mode
-// round-trip battery can assert the server resolves every campaign mode
-// the wire contract accepts.
-func campaignSimMode(mode rmt.Mode) (sim.Mode, error) {
-	switch mode {
-	case rmt.SRT:
-		return sim.ModeSRT, nil
-	case rmt.CRT:
-		return sim.ModeCRT, nil
-	case rmt.SRTR:
-		return sim.ModeSRTR, nil
-	case rmt.Adaptive:
-		return sim.ModeAdaptive, nil
-	}
-	return 0, fmt.Errorf("campaign mode %s has no engine mapping", mode)
 }
 
 func statusFor(err error) int {

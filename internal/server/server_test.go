@@ -472,7 +472,7 @@ func TestCampaignEndpointMatchesDirectAndCaches(t *testing.T) {
 	if r1.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", r1.StatusCode, b1)
 	}
-	var got CampaignResponse
+	var got rmt.CampaignSummary
 	if err := json.Unmarshal(b1, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -493,6 +493,38 @@ func TestCampaignEndpointMatchesDirectAndCaches(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Fatalf("cached campaign served different bytes")
+	}
+}
+
+// TestCampaignRunsUnderRequestContext: /campaign computes under the
+// request's context, as /run and /sweep do, so a cancelled request stops
+// its own campaign (503, counted as rejected) and caches nothing.
+func TestCampaignRunsUnderRequestContext(t *testing.T) {
+	s := New(Config{Workers: 1})
+	started, release := gate(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ConnContext = func(context.Context, net.Conn) context.Context { return ctx }
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	reply := make(chan *http.Response, 1)
+	go func() {
+		resp, _ := postRaw(ts.URL+"/campaign", `{"mode":"srt","programs":["compress"],"n":4}`)
+		reply <- resp
+	}()
+	<-started // parked inside compute, past admission
+	cancel()
+	close(release)
+
+	if resp := <-reply; resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled campaign status = %d, want 503", resp.StatusCode)
+	}
+	if got := s.campaign.rejected.Load(); got != 1 {
+		t.Fatalf("rejected counter = %d, want 1", got)
+	}
+	if _, _, _, n := s.cache.stats(); n != 0 {
+		t.Fatalf("cancelled campaign left %d cache entries", n)
 	}
 }
 
@@ -525,7 +557,7 @@ func TestCampaignPassesThroughNoStoreComparison(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}
-	var got CampaignResponse
+	var got rmt.CampaignSummary
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -645,6 +677,71 @@ func TestClientHelpersRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, sum) {
 			t.Fatalf("Runner %T campaign summary differs:\ngot  %+v\nwant %+v", rn, got, sum)
 		}
+	}
+
+	// The client's private wire form and the server's own request types
+	// must spell every mode and knob alike: for each mode with the knobs
+	// it reads set, a Client request and the same request posted as a
+	// RunRequest or CampaignRequest share one cache entry. The runs warm
+	// up for tWarmup+1 instructions so their keys stay apart from the
+	// requests above and the hit can only come from the client's request.
+	for _, m := range sim.Modes() {
+		spec := rmt.Spec{Mode: m, Programs: []string{"li"}, PSR: true,
+			CheckerLatency: 8, AdaptiveThreshold: 0.5, CheckpointInterval: 512}.Canonical()
+		wire := SpecWire{
+			Mode: m.String(), Programs: spec.Programs, PSR: spec.PSR,
+			PerThreadSQ: spec.PerThreadSQ, NoStoreComparison: spec.NoStoreComparison,
+			CheckerLatency: spec.CheckerLatency, AdaptiveThreshold: spec.AdaptiveThreshold,
+			CheckpointInterval: spec.CheckpointInterval,
+		}
+		t.Run(m.String(), func(t *testing.T) {
+			direct, err := rmt.Run(ctx, spec, rmt.WithBudget(tBudget), rmt.WithWarmup(tWarmup+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Run(ctx, spec, rmt.WithBudget(tBudget), rmt.WithWarmup(tWarmup+1))
+			if err != nil {
+				t.Fatalf("client Run: %v", err)
+			}
+			if !reflect.DeepEqual(got, direct) {
+				t.Fatalf("client Run result differs from direct rmt.Run:\ngot  %+v\nwant %+v", got, direct)
+			}
+			body, err := json.Marshal(RunRequest{SpecWire: wire, Budget: tBudget, Warmup: tWarmup + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, b := post(t, ts.URL+"/run", string(body))
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+				t.Fatalf("RunRequest after the client's /run: status %d, X-Cache %q, want a hit", resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			if string(b) != string(EncodeResult(direct)) {
+				t.Fatalf("RunRequest served bytes differ from the direct encoding")
+			}
+
+			if !m.Paired() {
+				return
+			}
+			cs := rmt.CampaignSpec{Spec: spec, N: 3, Seed: 5}
+			sum, err := c.Campaign(ctx, cs, rmt.WithBudget(tBudget), rmt.WithWarmup(tWarmup))
+			if err != nil {
+				t.Fatalf("client Campaign: %v", err)
+			}
+			body, err = json.Marshal(CampaignRequest{SpecWire: wire, N: cs.N, Seed: cs.Seed, Budget: tBudget, Warmup: tWarmup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, b = post(t, ts.URL+"/campaign", string(body))
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+				t.Fatalf("CampaignRequest after the client's /campaign: status %d, X-Cache %q, want a hit", resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			var served rmt.CampaignSummary
+			if err := json.Unmarshal(b, &served); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(&served, sum) {
+				t.Fatalf("CampaignRequest served %+v, client got %+v", served, sum)
+			}
+		})
 	}
 
 	mb, err := c.Metrics(ctx)

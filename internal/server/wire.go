@@ -28,9 +28,9 @@ import (
 // mode fits in a few KB, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
-// SpecWire is the JSON form of one simulation spec. It mirrors rmt.Spec
-// with the mode spelled by name, plus the sizing that rmt passes as
-// options (0 = server default, resolved during canonicalisation).
+// SpecWire is the JSON form of one simulation spec: rmt.Spec with the mode
+// spelled by name. rmt.Client sends its own copy of this struct;
+// TestClientHelpersRoundTrip keeps the two in step.
 type SpecWire struct {
 	Mode               string   `json:"mode"`
 	Programs           []string `json:"programs"`
@@ -42,45 +42,26 @@ type SpecWire struct {
 	CheckpointInterval uint64   `json:"checkpoint_interval"`
 }
 
-// validate checks the spec and returns its parsed mode.
-func (s *SpecWire) validate() (rmt.Mode, error) {
+// canonicalise validates the spec, rewrites it into its canonical form and
+// returns the facade spec it names. The mode name becomes the parsed
+// mode's own String (so stray spellings cannot fork the key) and the knobs
+// the mode does not read are zeroed (rmt.Spec.Canonical): an SRT spec with
+// CheckerLatency 8 is the same experiment as one with 0 and must hit the
+// same cache line.
+func (s *SpecWire) canonicalise() (rmt.Spec, error) {
 	mode, err := rmt.ParseMode(s.Mode)
 	if err != nil {
-		return 0, err
+		return rmt.Spec{}, err
 	}
 	if len(s.Programs) == 0 {
-		return 0, fmt.Errorf("spec has no programs")
+		return rmt.Spec{}, fmt.Errorf("spec has no programs")
 	}
 	for _, p := range s.Programs {
 		if !rmt.KnownKernel(p) {
-			return 0, fmt.Errorf("unknown kernel %q (see rmt.Kernels() for the registry; generated kernels are \"gen:<seed>\")", p)
+			return rmt.Spec{}, fmt.Errorf("unknown kernel %q (see rmt.Kernels() for the registry; generated kernels are \"gen:<seed>\")", p)
 		}
 	}
-	return mode, nil
-}
-
-// normalise rewrites the spec into its canonical form: the mode name is
-// the parsed mode's own String (so aliases or stray spellings cannot fork
-// the key) and fields the mode ignores are zeroed (CheckerLatency only
-// matters under lockstep, AdaptiveThreshold under adaptive,
-// CheckpointInterval under srtr — an SRT spec with CheckerLatency 8 is
-// the same experiment as one with 0 and must hit the same cache line).
-func (s *SpecWire) normalise(mode rmt.Mode) {
-	s.Mode = mode.String()
-	if mode != rmt.Lockstep {
-		s.CheckerLatency = 0
-	}
-	if mode != rmt.Adaptive {
-		s.AdaptiveThreshold = 0
-	}
-	if mode != rmt.SRTR {
-		s.CheckpointInterval = 0
-	}
-}
-
-// toSpec converts the validated wire form to the facade's Spec.
-func (s *SpecWire) toSpec(mode rmt.Mode) rmt.Spec {
-	return rmt.Spec{
+	spec := rmt.Spec{
 		Mode:               mode,
 		Programs:           s.Programs,
 		PSR:                s.PSR,
@@ -89,7 +70,10 @@ func (s *SpecWire) toSpec(mode rmt.Mode) rmt.Spec {
 		CheckerLatency:     s.CheckerLatency,
 		AdaptiveThreshold:  s.AdaptiveThreshold,
 		CheckpointInterval: s.CheckpointInterval,
-	}
+	}.Canonical()
+	s.Mode = mode.String()
+	s.CheckerLatency, s.AdaptiveThreshold, s.CheckpointInterval = spec.CheckerLatency, spec.AdaptiveThreshold, spec.CheckpointInterval
+	return spec, nil
 }
 
 // RunRequest is the body of POST /run.
@@ -110,7 +94,7 @@ type SweepRequest struct {
 }
 
 // CampaignRequest is the body of POST /campaign: a deterministic
-// transient-fault injection campaign (internal/fault) against an RMT mode.
+// transient-fault injection campaign (rmt.Campaign) against a paired mode.
 type CampaignRequest struct {
 	SpecWire
 	// N is the number of injection trials; Seed draws the fault plan.
@@ -119,25 +103,6 @@ type CampaignRequest struct {
 	// Budget/Warmup as in RunRequest (0 = campaign defaults).
 	Budget uint64 `json:"budget"`
 	Warmup uint64 `json:"warmup"`
-}
-
-// CampaignResponse is the body served for POST /campaign. The field set
-// and order mirror rmt.CampaignSummary exactly — ClientContractBody pins
-// the two encodings together.
-type CampaignResponse struct {
-	Runs                int     `json:"runs"`
-	Detected            int     `json:"detected"`
-	Masked              int     `json:"masked"`
-	NotFired            int     `json:"not_fired"`
-	Recovered           int     `json:"recovered"`
-	UnprotectedSDC      int     `json:"unprotected_sdc"`
-	Coverage            float64 `json:"coverage"`
-	MeanDetectionCycles float64 `json:"mean_detection_cycles"`
-	MeanRecoveryCycles  float64 `json:"mean_recovery_cycles"`
-	TotalCycles         uint64  `json:"total_cycles"`
-	// Outcomes lists the per-trial classification in trial order —
-	// invariant to the server's campaign parallelism.
-	Outcomes []string `json:"outcomes"`
 }
 
 // resolveSizes maps (budget, warmup) with 0 meaning "default" to the
@@ -153,13 +118,8 @@ func resolveSizes(budget, warmup, defBudget, defWarmup uint64) (uint64, uint64) 
 	return budget, warmup
 }
 
-// Campaign sizing defaults, matching cmd/faultinject's full sizes.
-const (
-	defaultCampaignBudget uint64 = 20000
-	defaultCampaignWarmup uint64 = 5000
-	// maxCampaignTrials bounds one request's work.
-	maxCampaignTrials = 10000
-)
+// maxCampaignTrials bounds one request's work.
+const maxCampaignTrials = 10000
 
 // canonicalKey hashes the canonical encoding of a normalised request
 // under its endpoint name. The endpoint is part of the preimage so /run
@@ -194,18 +154,17 @@ func decodeStrict(body []byte, v any) error {
 
 // parseRun canonicalises a /run body: decoded, validated, normalised,
 // keyed.
-func parseRun(body []byte) (RunRequest, rmt.Mode, string, error) {
+func parseRun(body []byte) (RunRequest, rmt.Spec, string, error) {
 	var req RunRequest
 	if err := decodeStrict(body, &req); err != nil {
-		return req, 0, "", err
+		return req, rmt.Spec{}, "", err
 	}
-	mode, err := req.validate()
+	spec, err := req.canonicalise()
 	if err != nil {
-		return req, 0, "", err
+		return req, rmt.Spec{}, "", err
 	}
-	req.normalise(mode)
 	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, rmt.DefaultBudget, rmt.DefaultWarmup)
-	return req, mode, canonicalKey("run", req), nil
+	return req, spec, canonicalKey("run", req), nil
 }
 
 // parseSweep canonicalises a /sweep body.
@@ -219,38 +178,35 @@ func parseSweep(body []byte) (SweepRequest, []rmt.Spec, string, error) {
 	}
 	specs := make([]rmt.Spec, len(req.Specs))
 	for i := range req.Specs {
-		mode, err := req.Specs[i].validate()
+		spec, err := req.Specs[i].canonicalise()
 		if err != nil {
 			return req, nil, "", fmt.Errorf("spec %d: %w", i, err)
 		}
-		req.Specs[i].normalise(mode)
-		specs[i] = req.Specs[i].toSpec(mode)
+		specs[i] = spec
 	}
 	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, rmt.DefaultBudget, rmt.DefaultWarmup)
 	return req, specs, canonicalKey("sweep", req), nil
 }
 
-// parseCampaign canonicalises a /campaign body.
-func parseCampaign(body []byte) (CampaignRequest, rmt.Mode, string, error) {
+// parseCampaign canonicalises a /campaign body. Only a paired mode can be
+// campaigned: the fault engine strikes one copy of a leading/trailing pair.
+func parseCampaign(body []byte) (CampaignRequest, rmt.CampaignSpec, string, error) {
 	var req CampaignRequest
 	if err := decodeStrict(body, &req); err != nil {
-		return req, 0, "", err
+		return req, rmt.CampaignSpec{}, "", err
 	}
-	mode, err := req.validate()
+	spec, err := req.canonicalise()
 	if err != nil {
-		return req, 0, "", err
+		return req, rmt.CampaignSpec{}, "", err
 	}
-	switch mode {
-	case rmt.SRT, rmt.CRT, rmt.SRTR, rmt.Adaptive:
-	default:
-		return req, 0, "", fmt.Errorf("campaign requires an RMT mode (srt, crt, srtr or adaptive), got %s", mode)
+	if !spec.Mode.Paired() {
+		return req, rmt.CampaignSpec{}, "", fmt.Errorf("campaign requires a paired mode (one running each program as a leading/trailing pair), got %s", spec.Mode)
 	}
 	if req.N <= 0 || req.N > maxCampaignTrials {
-		return req, 0, "", fmt.Errorf("campaign n must be in 1..%d, got %d", maxCampaignTrials, req.N)
+		return req, rmt.CampaignSpec{}, "", fmt.Errorf("campaign n must be in 1..%d, got %d", maxCampaignTrials, req.N)
 	}
-	req.normalise(mode)
-	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, defaultCampaignBudget, defaultCampaignWarmup)
-	return req, mode, canonicalKey("campaign", req), nil
+	req.Budget, req.Warmup = resolveSizes(req.Budget, req.Warmup, rmt.DefaultCampaignBudget, rmt.DefaultCampaignWarmup)
+	return req, rmt.CampaignSpec{Spec: spec, N: req.N, Seed: req.Seed}, canonicalKey("campaign", req), nil
 }
 
 // EncodeResult renders one rmt.Result exactly as /run serves it: indented

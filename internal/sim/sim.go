@@ -16,72 +16,6 @@ import (
 	"repro/internal/vm"
 )
 
-// Mode selects the machine organisation.
-type Mode int
-
-// Machine organisations.
-const (
-	// ModeBase is the unprotected base SMT processor: one hardware thread
-	// per logical program.
-	ModeBase Mode = iota
-	// ModeBase2 runs two independent copies of each program as separate
-	// hardware threads with no input replication or output comparison
-	// (Figure 6's "Base2" reference point).
-	ModeBase2
-	// ModeSRT runs each program as a leading/trailing redundant pair on
-	// one core.
-	ModeSRT
-	// ModeLockstep models two cycle-synchronised cores with a central
-	// checker. Because the two lockstepped cores are cycle-identical by
-	// construction, the model simulates one core and charges the checker
-	// interposition penalties (cache-miss path and store-exit path); see
-	// DESIGN.md.
-	ModeLockstep
-	// ModeCRT runs leading and trailing copies on different cores of a
-	// two-way CMP, cross-coupled for multiprogram workloads (Figure 5).
-	ModeCRT
-	// ModeSRTR extends SRT with recovery (after Vijaykumar et al.'s SRTR):
-	// every retired register result is cross-checked through a register
-	// value queue, machine state is checkpointed at a fixed cycle interval,
-	// and a checkpoint becomes a valid rollback target once the trailing
-	// copy has validated everything it captured. On detection the machine
-	// rolls back and re-executes instead of halting.
-	ModeSRTR
-	// ModeAdaptive is SRT with partial redundancy: a static per-PC
-	// protection table derived from the ACE/liveness vulnerability profile
-	// gates which instructions enter the sphere of replication. Low-
-	// vulnerability regions run untagged (no LVQ/comparator traffic — the
-	// slack this buys is the point), trading detection coverage there.
-	ModeAdaptive
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeBase:
-		return "base"
-	case ModeBase2:
-		return "base2"
-	case ModeSRT:
-		return "srt"
-	case ModeLockstep:
-		return "lockstep"
-	case ModeCRT:
-		return "crt"
-	case ModeSRTR:
-		return "srtr"
-	case ModeAdaptive:
-		return "adaptive"
-	}
-	return "mode?"
-}
-
-// Modes returns every machine organisation, in declaration order. Seam
-// exhaustiveness tests (cliflags, rmtd wire contract, fault matrix) range
-// over this so a future mode cannot silently miss a layer.
-func Modes() []Mode {
-	return []Mode{ModeBase, ModeBase2, ModeSRT, ModeLockstep, ModeCRT, ModeSRTR, ModeAdaptive}
-}
-
 // Spec describes one simulation.
 type Spec struct {
 	Mode     Mode
@@ -265,7 +199,7 @@ func Build(spec Spec) (*Machine, error) {
 		core1.FinalizeQueues()
 
 	default:
-		return nil, fmt.Errorf("sim: unknown mode %v", spec.Mode)
+		return nil, fmt.Errorf("sim: unknown mode %d", int(spec.Mode))
 	}
 	// Attach one pseudo-device per logical program for uncached I/O.
 	for i := range m.Leads {

@@ -291,7 +291,6 @@ func (o *Overlay) Store(addr uint64, val uint64, size int, seq uint64) {
 	}
 }
 
-
 // Release commits the store identified by (addr, val, size, seq) to the
 // shared memory and drops overlay bytes that still belong to it. If commit
 // is false the bytes are dropped without being written (used for the

@@ -34,8 +34,9 @@ func NewClient(baseURL string) *Client {
 
 // specWire mirrors internal/server's SpecWire JSON contract (the packages
 // cannot share the type: the serving layer sits above this facade in the
-// import DAG). ClientContractBody in the server's e2e battery pins the
-// two encodings together.
+// import DAG). TestClientHelpersRoundTrip in internal/server pins the two
+// encodings together: for every mode, a Client request and the same
+// request in the server's own types must share one cache entry.
 type specWire struct {
 	Mode               string   `json:"mode"`
 	Programs           []string `json:"programs"`
@@ -60,9 +61,9 @@ func toWire(s Spec) specWire {
 	}
 }
 
-// CampaignSpec describes a /campaign request: a deterministic
-// transient-fault injection campaign on an RMT mode (SRT, CRT, SRTR or
-// Adaptive).
+// CampaignSpec describes a deterministic transient-fault injection
+// campaign. Its mode must be paired (Mode.Paired): the campaign strikes
+// one copy of each leading/trailing pair.
 type CampaignSpec struct {
 	Spec Spec
 	// N is the number of injection trials (negative is an error); Seed

@@ -26,7 +26,6 @@ package rmt
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -37,80 +36,47 @@ import (
 	"repro/internal/sim"
 )
 
-// Mode selects the machine organisation.
-type Mode int
+// Mode selects the machine organisation. It is internal/sim's mode type:
+// names, parsing and which knobs each mode reads come from the
+// simulator's one mode table. String spells a mode's name; Paired reports
+// whether it runs each program as a leading/trailing pair, which Campaign
+// requires.
+type Mode = sim.Mode
 
 // Machine organisations (see the package-level docs of internal/sim and
 // DESIGN.md for the microarchitectural detail).
 const (
 	// Base is the unprotected base SMT processor.
-	Base Mode = iota
+	Base = sim.ModeBase
 	// Base2 runs two independent copies of each program with no coupling
 	// (Figure 6's reference point).
-	Base2
+	Base2 = sim.ModeBase2
 	// SRT runs each program as a leading/trailing redundant pair on one
 	// core.
-	SRT
+	SRT = sim.ModeSRT
 	// Lockstep models two cycle-synchronised cores with a central
 	// checker; CheckerLatency selects Lock0 vs Lock8.
-	Lockstep
+	Lockstep = sim.ModeLockstep
 	// CRT runs leading and trailing copies on different cores of a
 	// two-way CMP, cross-coupled for multiprogram workloads.
-	CRT
+	CRT = sim.ModeCRT
 	// SRTR extends SRT with recovery: a register value queue cross-checks
 	// every retired result, validated checkpoints are kept on a fixed
 	// cycle grid, and a detected fault rolls the machine back instead of
 	// halting it.
-	SRTR
+	SRTR = sim.ModeSRTR
 	// Adaptive is SRT with partial redundancy: instructions whose static
 	// vulnerability falls below Spec.AdaptiveThreshold run outside the
 	// sphere of replication (untagged, uncompared).
-	Adaptive
+	Adaptive = sim.ModeAdaptive
 )
 
-func (m Mode) String() string {
-	im, err := m.internal()
-	if err != nil {
-		return "mode?"
-	}
-	return im.String()
-}
+// Modes lists every machine organisation, in mode-table order.
+func Modes() []Mode { return sim.Modes() }
 
-func (m Mode) internal() (sim.Mode, error) {
-	switch m {
-	case Base:
-		return sim.ModeBase, nil
-	case Base2:
-		return sim.ModeBase2, nil
-	case SRT:
-		return sim.ModeSRT, nil
-	case Lockstep:
-		return sim.ModeLockstep, nil
-	case CRT:
-		return sim.ModeCRT, nil
-	case SRTR:
-		return sim.ModeSRTR, nil
-	case Adaptive:
-		return sim.ModeAdaptive, nil
-	}
-	return 0, fmt.Errorf("rmt: unknown mode %d", int(m))
-}
-
-// Modes lists every machine organisation the facade exposes, in the same
-// order internal/sim enumerates them.
-func Modes() []Mode { return []Mode{Base, Base2, SRT, Lockstep, CRT, SRTR, Adaptive} }
-
-// ParseMode maps a mode name ("base", "base2", "srt", "lockstep", "crt",
-// "srtr", "adaptive") to its Mode — the inverse of Mode.String, shared by
-// the cmd/ tools.
-func ParseMode(s string) (Mode, error) {
-	for _, m := range Modes() {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("rmt: unknown mode %q (want base, base2, srt, lockstep, crt, srtr or adaptive)", s)
-}
+// ParseMode maps a mode name to its Mode — the inverse of Mode.String,
+// shared by the cmd/ tools and rmtd.
+func ParseMode(s string) (Mode, error) { return sim.ParseMode(s) }
 
 // Spec selects a machine organisation and workload. Sizing (budget,
 // warmup) and execution policy (parallelism) are supplied as Options, not
@@ -138,6 +104,33 @@ type Spec struct {
 	// CheckpointInterval is the SRTR checkpoint grid in cycles (0 = the
 	// engine default, 1024). Ignored outside SRTR mode.
 	CheckpointInterval uint64
+}
+
+// Canonical returns s with the knobs its mode does not read zeroed, as the
+// mode table says. Specs with equal canonical forms produce equal Results,
+// apart from the echoed Spec; rmtd keys its cache on this form.
+func (s Spec) Canonical() Spec {
+	c := s.toSim(0, 0).Canonical()
+	s.CheckerLatency, s.AdaptiveThreshold, s.CheckpointInterval = c.CheckerLatency, c.AdaptiveThreshold, c.CheckpointInterval
+	return s
+}
+
+// toSim converts s to the engine's spec for the default machine at the
+// given sizes. Run and Campaign both build their machines from it.
+func (s Spec) toSim(budget, warmup uint64) sim.Spec {
+	return sim.Spec{
+		Mode:               s.Mode,
+		Programs:           s.Programs,
+		Budget:             budget,
+		Warmup:             warmup,
+		Config:             pipeline.DefaultConfig(),
+		PSR:                s.PSR,
+		PerThreadSQ:        s.PerThreadSQ,
+		NoStoreComparison:  s.NoStoreComparison,
+		CheckerLatency:     s.CheckerLatency,
+		AdaptiveThreshold:  s.AdaptiveThreshold,
+		CheckpointInterval: s.CheckpointInterval,
+	}
 }
 
 // config collects the option-controlled execution parameters.
@@ -392,25 +385,9 @@ func Parallelism(n int) int {
 }
 
 func runOne(ctx context.Context, spec Spec, c config) (*Result, error) {
-	im, err := spec.Mode.internal()
-	if err != nil {
-		return nil, err
-	}
-	budget, warmup := c.sizes()
-	simSpec := sim.Spec{
-		Mode:               im,
-		Programs:           spec.Programs,
-		Budget:             budget,
-		Warmup:             warmup,
-		Config:             pipeline.DefaultConfig(),
-		PSR:                spec.PSR,
-		PerThreadSQ:        spec.PerThreadSQ,
-		NoStoreComparison:  spec.NoStoreComparison,
-		CheckerLatency:     spec.CheckerLatency,
-		AdaptiveThreshold:  spec.AdaptiveThreshold,
-		CheckpointInterval: spec.CheckpointInterval,
-	}
+	simSpec := spec.toSim(c.sizes())
 	var m *sim.Machine
+	var err error
 	if c.resume != nil {
 		m, err = sim.Restore(simSpec, c.resume)
 	} else {

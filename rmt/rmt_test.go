@@ -128,7 +128,7 @@ func TestBaseIPC(t *testing.T) {
 // TestModeRoundTrip: ParseMode inverts String for every mode, and bad
 // input errors.
 func TestModeRoundTrip(t *testing.T) {
-	for _, m := range []Mode{Base, Base2, SRT, Lockstep, CRT} {
+	for _, m := range Modes() {
 		got, err := ParseMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)

@@ -4,9 +4,7 @@ import (
 	"context"
 
 	"repro/internal/fault"
-	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // Runner abstracts where simulations execute: Local runs them in-process,
@@ -62,28 +60,12 @@ const (
 // request. Cancelling ctx aborts the campaign between trials.
 func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSummary, error) {
 	c := newConfig(opts)
-	im, err := cs.Spec.Mode.internal()
-	if err != nil {
-		return nil, err
-	}
 	budget, warmup := c.budget, c.warmup
 	if budget == 0 {
 		budget = DefaultCampaignBudget
 	}
 	if warmup == 0 {
 		warmup = DefaultCampaignWarmup
-	}
-	spec := sim.Spec{
-		Mode:               im,
-		Programs:           cs.Spec.Programs,
-		Budget:             budget,
-		Warmup:             warmup,
-		Config:             pipeline.DefaultConfig(),
-		PSR:                cs.Spec.PSR,
-		PerThreadSQ:        cs.Spec.PerThreadSQ,
-		NoStoreComparison:  cs.Spec.NoStoreComparison,
-		AdaptiveThreshold:  cs.Spec.AdaptiveThreshold,
-		CheckpointInterval: cs.Spec.CheckpointInterval,
 	}
 	fopts := fault.CampaignOptions{
 		Parallelism: c.parallelism,
@@ -94,7 +76,7 @@ func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSu
 		report := c.report
 		fopts.OnReport = func(r runner.Report) { report(fromRunnerReport(r)) }
 	}
-	sum, err := fault.Campaign(spec, cs.N, cs.Seed, fopts)
+	sum, err := fault.Campaign(cs.Spec.toSim(budget, warmup), cs.N, cs.Seed, fopts)
 	if err != nil {
 		return nil, err
 	}
