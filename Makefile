@@ -124,10 +124,11 @@ serve-smoke:
 # CI-sized performance gate: every benchmark must still run (one iteration
 # at -short sizes — this drives the batched campaign-replay and
 # characterisation paths), a warm simulator must allocate nothing per
-# cycle, and the batched hot loop must stay zero-alloc across pool reuse.
+# cycle and be cycle-identical with instruction recycling off, in every
+# mode, and the batched hot loop must stay zero-alloc across pool reuse.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x -short .
-	go test ./internal/sim/ -run TestSteadyStateAllocs -count=1
+	go test ./internal/sim/ -run 'TestSteadyStateAllocs|TestPoolDisabledIsCycleIdentical' -count=1
 	go test ./internal/vm/ -run 'TestBatchSteadyStateAllocs|TestBatchResetReuse' -count=1
 
 .PHONY: verify race lint crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-smoke serve-smoke

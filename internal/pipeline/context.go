@@ -110,13 +110,10 @@ type Context struct {
 	// iqOccupancy caches this thread's instruction-queue slot usage.
 	iqOccupancy int
 
-	// iq lists this thread's instruction-queue residents (dispatched, not
-	// yet issued) in age order. It mirrors the inIQ flag exactly — pushed
-	// at dispatch, removed at issue — so the scheduler scans only live
-	// candidates instead of walking the whole reorder buffer every cycle.
-	// Pure scan bookkeeping: the candidates and their visit order are
-	// identical to the full ROB walk's.
-	iq *ringq.Ring[*dynInst]
+	// readyHead heads the ready list: the instruction-queue residents
+	// whose operands reach the bypass network by register read, in age
+	// order, linked through wakeNext (wakeup.go).
+	readyHead *dynInst //rmtsnap:skip — derived from the IQ residents, rebuilt on restore
 
 	// nextInterruptAt is the next timer-interrupt cycle (0 = disabled or
 	// trailing role, which follows the pair's replicated schedule).

@@ -31,6 +31,11 @@ type Core struct {
 	// (false=lower, true=upper indexed as 0/1).
 	iqUsed [2]int
 
+	// wheel is the issue scheduler's timing wheel: slot c&wheelMask lists
+	// the instruction-queue residents whose operands become ready at cycle
+	// c (wakeup.go).
+	wheel []*dynInst //rmtsnap:skip — derived from the IQ residents, rebuilt on restore
+
 	// inFlight counts renamed, unretired instructions across all threads:
 	// the shared completion-unit / physical-register budget (512 physical
 	// minus 256 architectural registers = 256 renames in flight).
@@ -184,6 +189,9 @@ func (co *Core) FinalizeQueues() {
 		}
 		co.allocQueues(c)
 	}
+	if co.wheel == nil {
+		co.wheel = make([]*dynInst, wheelSlots)
+	}
 }
 
 // allocQueues sizes the context's ring buffers and recycling pool from the
@@ -197,7 +205,6 @@ func (co *Core) allocQueues(c *Context) {
 	}
 	c.rmb = ringq.New[*dynInst](co.cfg.RMBCap)
 	c.rob = ringq.New[*dynInst](co.cfg.InFlightCap)
-	c.iq = ringq.New[*dynInst](2 * co.cfg.IQHalfCap)
 	sq := max(c.sqCap, 1)
 	c.inFlightStores = ringq.New[*dynInst](sq)
 	c.retiredStores = ringq.New[*dynInst](sq)

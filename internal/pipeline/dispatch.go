@@ -40,7 +40,6 @@ func (co *Core) dispatchStage() {
 		d.earliestIssue = co.cycle + PBOXLatency + QBOXLatency
 		d.upperHalf = upper
 		d.inIQ = true
-		ctx.iq.Push(d)
 		co.iqUsed[halfIdx(upper)]++
 		ctx.iqOccupancy++
 		co.inFlight++
@@ -48,6 +47,7 @@ func (co *Core) dispatchStage() {
 
 		co.emit(ctx, d, StageDispatch, co.cycle)
 		co.renameSources(ctx, d)
+		co.place(ctx, d)
 		if d.isMem() {
 			co.dispatchMem(ctx, d)
 		}

@@ -118,6 +118,19 @@ type dynInst struct {
 	// references to a recycled instruction resolve to "gone" instead of
 	// aliasing whatever dynamic instruction reuses the storage.
 	gen uint64
+
+	// Issue wakeup (wakeup.go). An unissued instruction-queue resident is
+	// on exactly one list, linked through wakeNext: the consumers list of a
+	// producer that has not issued, a timing-wheel slot, or its context's
+	// ready list. Each link is cleared when the list gives the
+	// instruction up.
+	wakeNext *dynInst //rmtsnap:skip — wakeup list link, rebuilt on restore from the IQ residents
+	// consumers heads the IQ residents waiting for this instruction to
+	// issue.
+	consumers *dynInst //rmtsnap:skip — wakeup list head, rebuilt on restore from the IQ residents
+	// wakeAt is the cycle a timing-wheel entry's operands reach the bypass
+	// network.
+	wakeAt uint64 //rmtsnap:skip — derived from earliestIssue and the producers' doneCycle on restore
 }
 
 // instRef is a recycling-safe reference to a dynInst: the pointer plus the

@@ -7,56 +7,52 @@ import "repro/internal/rmt"
 // the MBOX port limits (at most three loads, two stores, four memory
 // operations per cycle).
 func (co *Core) issueStage() {
+	co.releaseWheel()
 	var issuedHalf [2]int
 	loads, storesN, mems, fps := 0, 0, 0, 0
 	n := len(co.ctxs)
 	start := int(co.cycle) % max(n, 1)
 	for i := 0; i < n; i++ {
 		ctx := co.ctxs[(start+i)%n]
-		iq := ctx.iq
-		// iq holds exactly the unissued IQ residents in age order, so this
-		// visits the same candidates, in the same order, as a full window
-		// scan — without re-skipping issued instructions every cycle. An
-		// issued candidate is removed in place, which slides the next
-		// candidate into index j.
-		for j := 0; j < iq.Len(); {
-			d := iq.At(j)
+		// The ready list holds, in age order, exactly the IQ residents
+		// whose operands reach the bypass network by register read: the
+		// candidates a scan of every resident would keep past its operand
+		// check, visited in the same order (wakeup.go). link is the
+		// pointer to the candidate d, so an issued d is unlinked in place.
+		for link := &ctx.readyHead; *link != nil; {
+			d := *link
 			if issuedHalf[0] >= co.cfg.IssuePerHalf && issuedHalf[1] >= co.cfg.IssuePerHalf {
 				return
 			}
 			if d.earliestIssue > co.cycle {
-				j++
+				link = &d.wakeNext
 				continue
 			}
 			h := halfIdx(d.upperHalf)
 			if issuedHalf[h] >= co.cfg.IssuePerHalf {
-				j++
-				continue
-			}
-			if !co.operandsReady(d) {
-				j++
+				link = &d.wakeNext
 				continue
 			}
 			isFP := d.kind == kindFPAdd || d.kind == kindFPMul || d.kind == kindFPDiv
 			if isFP && fps >= co.cfg.MaxFPPerCycle {
-				j++
+				link = &d.wakeNext
 				continue
 			}
 			if d.isMem() {
 				if mems >= co.cfg.MaxMemPerCycle {
-					j++
+					link = &d.wakeNext
 					continue
 				}
 				if d.isLoad() && loads >= co.cfg.MaxLoadsPerCycle {
-					j++
+					link = &d.wakeNext
 					continue
 				}
 				if d.isStore() && storesN >= co.cfg.MaxStoresPerCycle {
-					j++
+					link = &d.wakeNext
 					continue
 				}
 				if !co.memReady(ctx, d) {
-					j++
+					link = &d.wakeNext
 					continue
 				}
 			}
@@ -64,7 +60,6 @@ func (co *Core) issueStage() {
 			// Issue.
 			d.issued = true
 			d.inIQ = false
-			iq.RemoveAt(j)
 			co.iqUsed[h]--
 			ctx.iqOccupancy--
 			d.issueCycle = co.cycle
@@ -82,28 +77,12 @@ func (co *Core) issueStage() {
 				fps++
 			}
 			co.execute(ctx, d)
+			// execute's wakeups link in behind d, so d is unlinked only
+			// now.
+			*link = d.wakeNext
+			d.wakeNext = nil
 		}
 	}
-}
-
-// operandsReady reports whether all register operands will be available at
-// the bypass network by register read. Stores issue on their address
-// operand alone: the data value follows the address into the store queue
-// (§3.4), so a store need not wait for its data producer to issue.
-func (co *Core) operandsReady(d *dynInst) bool {
-	ready := func(r instRef) bool {
-		// A recycled producer was retired before recycling, so the stale
-		// reference resolving to nil gives the same answer as before.
-		p := r.get()
-		if p == nil || p.retired {
-			return true
-		}
-		return p.issued && p.doneCycle <= co.cycle+RBOXLatency
-	}
-	if d.isStore() {
-		return ready(d.srcA)
-	}
-	return ready(d.srcA) && ready(d.srcB) && ready(d.srcD)
 }
 
 // memReady applies memory-ordering constraints before a load or store may
@@ -197,6 +176,8 @@ func (co *Core) execute(ctx *Context, d *dynInst) {
 		d.doneCycle = base + ctx.latOf(&co.cfg, d)
 	}
 
+	co.wake(ctx, d)
+
 	if ctx.Role == RoleTrailing && d.hasLeadInfo {
 		ctx.Pair.ObserveSpaceRedundancy(d.leadUpper, d.upperHalf, int(d.leadFU), int(d.fu))
 	}
@@ -250,11 +231,4 @@ func (co *Core) executeLoad(ctx *Context, d *dynInst, base uint64) uint64 {
 		co.storeSets.Violation(co.iAddr(ctx, d.out.PC), co.iAddr(ctx, dep.out.PC))
 	}
 	return done
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

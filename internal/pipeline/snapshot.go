@@ -52,9 +52,9 @@ func (sc *snapCtx) add(d *dynInst) {
 }
 
 // enumerate walks every structure that can hold a live *dynInst in a fixed
-// order, assigning first-encounter indices. Aliasing (the IQ holds a subset
-// of the ROB; store lists overlap the ROB) is preserved because an already
-// seen pointer keeps its first index.
+// order, assigning first-encounter indices. Aliasing (store lists overlap
+// the ROB) is preserved because an already seen pointer keeps its first
+// index.
 func (c *Context) enumerate() *snapCtx {
 	sc := &snapCtx{index: make(map[*dynInst]int, 64)}
 	for _, q := range c.instQueues() {
@@ -70,9 +70,83 @@ func (c *Context) enumerate() *snapCtx {
 }
 
 // instQueues returns the context's dynInst rings in serialization order.
+// The instruction-queue section follows the window's (writeIQ).
 func (c *Context) instQueues() []*ringq.Ring[*dynInst] {
 	return []*ringq.Ring[*dynInst]{
-		c.rmb, c.rob, c.iq, c.inFlightStores, c.retiredStores, c.trailRetiredStores,
+		c.rmb, c.rob, c.inFlightStores, c.retiredStores, c.trailRetiredStores,
+	}
+}
+
+// writeIQ writes the instruction-queue section: the indices of the
+// window's IQ residents in age order. The section is derived from the inIQ
+// flags; restore checks it against them (readIQ) and rebuilds the wakeup
+// lists from the same residents (rebuildWakeup).
+func (c *Context) writeIQ(w *snap.Writer, sc *snapCtx) {
+	n := 0
+	for i := 0; i < c.rob.Len(); i++ {
+		if c.rob.At(i).inIQ {
+			n++
+		}
+	}
+	w.Int(n)
+	for i := 0; i < c.rob.Len(); i++ {
+		if d := c.rob.At(i); d.inIQ {
+			w.Int(sc.index[d])
+		}
+	}
+}
+
+// readIQ reads the instruction-queue section and rejects one that
+// disagrees with the restored window: it must list exactly the window's
+// inIQ residents, in strictly increasing age, each unissued and owned by
+// this context, as many as iqOccupancy counts.
+func (c *Context) readIQ(r *snap.Reader, rc *restCtx) {
+	n := r.Int()
+	if r.Err() != nil {
+		return
+	}
+	if n != c.iqOccupancy {
+		r.Failf("instruction queue lists %d entries, occupancy is %d", n, c.iqOccupancy)
+		return
+	}
+	j := 0 // window cursor
+	var prev *dynInst
+	for i := 0; i < n; i++ {
+		idx := r.Int()
+		if r.Err() != nil {
+			return
+		}
+		if idx < 0 || idx >= len(rc.insts) {
+			r.Failf("instruction queue index %d out of range", idx)
+			return
+		}
+		d := rc.insts[idx]
+		for j < c.rob.Len() && !c.rob.At(j).inIQ {
+			j++
+		}
+		if j == c.rob.Len() || c.rob.At(j) != d {
+			r.Failf("instruction queue entry %d is not the window's next IQ resident", i)
+			return
+		}
+		j++
+		switch {
+		case d.issued || d.retired:
+			r.Failf("instruction queue entry %d has issued", i)
+			return
+		case d.tid != c.TID:
+			r.Failf("instruction queue entry %d belongs to thread %d, not %d", i, d.tid, c.TID)
+			return
+		case prev != nil && d.out.Seq <= prev.out.Seq:
+			r.Failf("instruction queue entry %d is out of age order", i)
+			return
+		}
+		prev = d
+	}
+	for ; j < c.rob.Len(); j++ {
+		if c.rob.At(j).inIQ {
+			r.Failf("window IQ resident missing from the instruction queue")
+			return
+		}
 	}
 }
 
@@ -302,6 +376,9 @@ func (c *Context) snapshotContext(w *snap.Writer) {
 		for i := 0; i < q.Len(); i++ {
 			w.Int(sc.index[q.At(i)])
 		}
+		if q == c.rob {
+			c.writeIQ(w, sc)
+		}
 	}
 	if c.pendingBranch == nil {
 		w.Int(-1)
@@ -369,6 +446,9 @@ func (c *Context) restoreContext(r *snap.Reader) {
 				return
 			}
 			q.Push(rc.insts[idx])
+		}
+		if q == c.rob {
+			c.readIQ(r, rc)
 		}
 	}
 	if idx := r.Int(); idx < 0 {
@@ -467,6 +547,7 @@ func (co *Core) restoreCore(r *snap.Reader) {
 			return
 		}
 	}
+	co.rebuildWakeup()
 }
 
 // sharedMemories returns the distinct committed memory images across all

@@ -90,31 +90,6 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[(r.head+i)&r.mask]
 }
 
-// RemoveAt deletes the i-th element from the front, preserving the order of
-// the remaining elements. Whichever side of i holds fewer elements is the
-// side that shifts, so removals near the front (the pipeline scheduler's
-// common case: the oldest ready instruction issues first) move almost
-// nothing.
-func (r *Ring[T]) RemoveAt(i int) {
-	if uint(i) >= uint(r.n) {
-		panic("ringq: remove index out of range")
-	}
-	var zero T
-	if i <= r.n-1-i {
-		for j := i; j > 0; j-- {
-			r.buf[(r.head+j)&r.mask] = r.buf[(r.head+j-1)&r.mask]
-		}
-		r.buf[r.head] = zero
-		r.head = (r.head + 1) & r.mask
-	} else {
-		for j := i; j < r.n-1; j++ {
-			r.buf[(r.head+j)&r.mask] = r.buf[(r.head+j+1)&r.mask]
-		}
-		r.buf[(r.head+r.n-1)&r.mask] = zero
-	}
-	r.n--
-}
-
 // Remove deletes the first element equal to v, preserving the order of the
 // remaining elements, and reports whether it was found. Removal at the front
 // is O(1); elsewhere the elements behind it are shifted forward (the

@@ -87,41 +87,6 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestRemoveAt(t *testing.T) {
-	// Every (occupancy, index) combination on a wrapped ring, checked
-	// against a reference slice: both shift directions, both boundaries.
-	for n := 1; n <= 6; n++ {
-		for i := 0; i < n; i++ {
-			r := New[int](6)
-			// Cycle the head to force wrapped indices.
-			for k := 0; k < 5; k++ {
-				r.Push(-1)
-				r.Pop()
-			}
-			var want []int
-			for k := 0; k < n; k++ {
-				r.Push(k * 10)
-				want = append(want, k*10)
-			}
-			r.RemoveAt(i)
-			want = append(want[:i], want[i+1:]...)
-			if r.Len() != len(want) {
-				t.Fatalf("n=%d i=%d: len = %d, want %d", n, i, r.Len(), len(want))
-			}
-			for k, w := range want {
-				if got := r.At(k); got != w {
-					t.Fatalf("n=%d i=%d: At(%d) = %d, want %d", n, i, k, got, w)
-				}
-			}
-			// The vacated slot must be usable again without overflow.
-			r.Push(999)
-			if got := r.At(r.Len() - 1); got != 999 {
-				t.Fatalf("n=%d i=%d: push after remove = %d, want 999", n, i, got)
-			}
-		}
-	}
-}
-
 // TestFullEmptyRefillWraparound cycles every capacity (power-of-two and
 // not) through fill-to-exact-capacity → drain-to-empty → refill, enough
 // times that the head crosses the backing array's wrap point at every

@@ -7,35 +7,43 @@ import (
 	"repro/internal/program"
 )
 
+// gateSpec is the machine the pool and zero-alloc gates build for mode:
+// gcc, joined by ijpeg in CRT so that each cross-coupled core carries a
+// leading and a trailing copy, and θ = 0.5 in adaptive mode so the
+// protection table leaves some instructions unreplicated.
+func gateSpec(mode Mode, budget, warmup uint64, cfg pipeline.Config) Spec {
+	spec := Spec{
+		Mode:     mode,
+		Programs: []string{"gcc"},
+		Budget:   budget,
+		Warmup:   warmup,
+		Config:   cfg,
+		PSR:      true,
+	}
+	switch mode {
+	case ModeCRT:
+		spec.Programs = []string{"gcc", "ijpeg"}
+	case ModeAdaptive:
+		spec.AdaptiveThreshold = 0.5
+	}
+	return spec
+}
+
 // TestPoolDisabledIsCycleIdentical diffs full simulations with instruction
-// recycling on and off, in every redundancy mode: the pool is pure
+// recycling on and off, in every machine organisation: the pool is pure
 // mechanics, so cycle counts and logical IPC must match exactly, and the
 // pooled machine's architectural state must still match a functional replay
 // (the metamorphic oracle).
 func TestPoolDisabledIsCycleIdentical(t *testing.T) {
-	cases := []struct {
-		mode  Mode
-		progs []string
-	}{
-		{ModeBase, []string{"gcc"}},
-		{ModeSRT, []string{"gcc"}},
-		{ModeCRT, []string{"gcc", "ijpeg"}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.mode.String(), func(t *testing.T) {
+	for _, mode := range Modes() {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
+			spec := gateSpec(mode, 1500, 500, pipeline.DefaultConfig())
 			run := func(disablePool bool) *Machine {
-				cfg := pipeline.DefaultConfig()
-				cfg.DisableInstPool = disablePool
-				m, err := Build(Spec{
-					Mode:     tc.mode,
-					Programs: tc.progs,
-					Budget:   1500,
-					Warmup:   500,
-					Config:   cfg,
-					PSR:      true,
-				})
+				s := spec
+				s.Config.DisableInstPool = disablePool
+				m, err := Build(s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,9 +64,9 @@ func TestPoolDisabledIsCycleIdentical(t *testing.T) {
 				if p.Arch.Seq != u.Arch.Seq {
 					t.Errorf("lead %d seq: pooled %d, unpooled %d", i, p.Arch.Seq, u.Arch.Seq)
 				}
-				checkCopyAgainstReference(t, tc.mode.String()+"/pooled", tc.progs[i], p)
+				checkCopyAgainstReference(t, mode.String()+"/pooled", spec.Programs[i], p)
 			}
-			checkPairsClean(t, tc.mode.String()+"/pooled", pooled)
+			checkPairsClean(t, mode.String()+"/pooled", pooled)
 		})
 	}
 }
@@ -71,25 +79,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if program.MustBuild("gcc") == nil {
 		t.Fatal("gcc kernel missing")
 	}
-	cases := []struct {
-		name  string
-		mode  Mode
-		progs []string
-	}{
-		{"base", ModeBase, []string{"gcc"}},
-		{"srt", ModeSRT, []string{"gcc"}},
-		{"crt", ModeCRT, []string{"gcc", "ijpeg"}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := Build(Spec{
-				Mode:     tc.mode,
-				Programs: tc.progs,
-				Budget:   50_000_000, // far beyond the measured window: fetch never halts
-				Config:   pipeline.DefaultConfig(),
-				PSR:      true,
-			})
+	for _, mode := range Modes() {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			// The budget lies far beyond the measured window: fetch never
+			// halts.
+			m, err := Build(gateSpec(mode, 50_000_000, 0, pipeline.DefaultConfig()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +102,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s: %.2f allocations per simulated cycle after warmup, want 0", tc.name, allocs)
+				t.Errorf("%s: %.2f allocations per simulated cycle after warmup, want 0", mode, allocs)
 			}
 		})
 	}

@@ -10,8 +10,10 @@ import (
 	"repro/internal/pipeline"
 )
 
+// snapSpec is the machine the snapshot tests build. Lockstep and adaptive
+// set their knobs (Lock8, θ = 0.5) so they do not repeat base and SRT.
 func snapSpec(mode Mode, progs ...string) Spec {
-	return Spec{
+	spec := Spec{
 		Mode:     mode,
 		Programs: progs,
 		Budget:   4000,
@@ -19,6 +21,13 @@ func snapSpec(mode Mode, progs ...string) Spec {
 		Config:   pipeline.DefaultConfig(),
 		PSR:      mode != ModeBase,
 	}
+	switch mode {
+	case ModeLockstep:
+		spec.CheckerLatency = 8
+	case ModeAdaptive:
+		spec.AdaptiveThreshold = 0.5
+	}
+	return spec
 }
 
 // runToCycle builds a machine for spec, snapshots it at the top of
@@ -49,16 +58,18 @@ func runToCycle(t testing.TB, spec Spec, k uint64) (snapshot []byte, m *Machine)
 // TestRestoredRunCycleIdentical is the tentpole invariant: a machine
 // restored from a mid-run snapshot and run to completion produces
 // cycle-identical stats and a byte-identical final snapshot to the
-// uninterrupted run, for every machine organisation.
+// uninterrupted run, for every machine organisation, with one program and
+// with two.
 func TestRestoredRunCycleIdentical(t *testing.T) {
-	cases := []struct {
+	type restoreCase struct {
 		name string
 		spec Spec
-	}{
-		{"base", snapSpec(ModeBase, "compress")},
-		{"srt", snapSpec(ModeSRT, "compress")},
-		{"srt two programs", snapSpec(ModeSRT, "gcc", "swim")},
-		{"crt", snapSpec(ModeCRT, "gcc")},
+	}
+	var cases []restoreCase
+	for _, mode := range Modes() {
+		cases = append(cases,
+			restoreCase{mode.String(), snapSpec(mode, "compress")},
+			restoreCase{mode.String() + " two programs", snapSpec(mode, "gcc", "swim")})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
