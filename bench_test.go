@@ -205,7 +205,7 @@ func BenchmarkCorpusBatchReplay(b *testing.B) {
 
 // BenchmarkProgenCharacterize measures corpus characterisation — the full
 // functional replay behind every generated kernel's profile — on the
-// batched engine (progen.Characterize, a single-lane vm.Batch). Executed
+// scalar engine (progen.Characterize, one vm.Thread per kernel). Executed
 // instructions are reported as simcycles and KIPS as in
 // BenchmarkFunctionalCampaignReplay.
 func BenchmarkProgenCharacterize(b *testing.B) {

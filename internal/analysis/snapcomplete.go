@@ -8,53 +8,63 @@ import (
 
 // Snapcomplete guards the snapshot layer's completeness: a struct that
 // participates in machine-state serialization must account for every one of
-// its fields in both directions, or a field added later silently breaks the
-// restored-run byte-identity invariant (the restored machine carries a
-// stale value the snapshot never saw). The analyzer:
+// its fields, or a field added later silently breaks the restored-run
+// byte-identity invariant (the restored machine carries a stale value the
+// snapshot never saw). Each structure's format is one function over a
+// *snap.Stream that both encodes and decodes, so one field list is the
+// whole contract. The analyzer:
 //
 //  1. finds the package's serialization entry points — functions with a
-//     *snap.Writer (encode) or *snap.Reader (decode) parameter, or that
-//     construct one via snap.NewWriter/snap.NewReader;
-//  2. closes each side over the package-local call graph, so helpers like
-//     writeInst or instQueues contribute their field accesses;
+//     *snap.Stream parameter (a function that builds its own Stream, such
+//     as a digest over part of the state, is not one);
+//  2. closes them over the package-local call graph, so helpers like
+//     enumerate or instQueues contribute their field accesses;
 //  3. takes as subjects the package-local structs appearing as a receiver
-//     or parameter of an entry point on BOTH sides (encode-only or
-//     decode-only structs have no round-trip contract to check);
-//  4. requires every subject field to be referenced somewhere on each
-//     side, or to carry a //rmtsnap:skip directive on or above the field
+//     or parameter of an entry point;
+//  4. requires every subject field to be referenced somewhere in that
+//     closure, or to carry a //rmtsnap:skip directive on or above the field
 //     declaring it deliberately outside the snapshot (hooks, config
-//     pointers, scratch state reset on restore).
+//     pointers, scratch state).
 //
 // The check is syntactic and one-sided: a referenced field is not proven
 // serialized, but an unreferenced one is proven forgotten — which is
 // exactly the added-field hazard. Structs serialized from another package
-// (e.g. vm.Outcome encoded by pipeline's writeOutcome) are outside the
-// contract: the analyzer sees one package at a time.
+// (e.g. stats.ThreadStats visited by pipeline's snapThreadStats) are
+// outside the contract: the analyzer sees one package at a time.
 var Snapcomplete = &Analyzer{
 	Name: "snapcomplete",
-	Doc:  "every snapshotted struct accounts for all its fields in both encode and decode, or skips them explicitly",
+	Doc:  "every struct a snapshot function visits accounts for all its fields, or skips them explicitly",
 	Run:  runSnapcomplete,
 }
 
-func runSnapcomplete(p *Pass) []Diagnostic {
-	if p.Pkg == nil || p.Info == nil {
-		return nil
+// snapEntry reports whether the function takes a *snap.Stream: a
+// structure's one snapshot function, encoding and decoding alike.
+func snapEntry(fn types.Object) bool {
+	if fn == nil {
+		return false
 	}
-	snapPath := ModPath + "/internal/snap"
-	if p.Path == snapPath {
-		return nil // the substrate itself has no snapshot contract
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
 	}
-
-	isSnapType := func(t types.Type, name string) bool {
-		if pt, ok := t.(*types.Pointer); ok {
-			t = pt.Elem()
-		}
-		named, ok := t.(*types.Named)
+	for i := 0; i < sig.Params().Len(); i++ {
+		pt, ok := sig.Params().At(i).Type().(*types.Pointer)
 		if !ok {
-			return false
+			continue
 		}
-		obj := named.Obj()
-		return obj.Pkg() != nil && obj.Pkg().Path() == snapPath && obj.Name() == name
+		if named, ok := pt.Elem().(*types.Named); ok {
+			obj := named.Obj()
+			if obj.Pkg() != nil && obj.Pkg().Path() == ModPath+"/internal/snap" && obj.Name() == "Stream" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func runSnapcomplete(p *Pass) []Diagnostic {
+	if p.Pkg == nil || p.Info == nil || p.Path == ModPath+"/internal/snap" {
+		return nil // the substrate itself has no snapshot contract
 	}
 	// localStruct resolves t (through one pointer) to a package-local named
 	// struct's TypeName, or nil.
@@ -63,20 +73,16 @@ func runSnapcomplete(p *Pass) []Diagnostic {
 			t = pt.Elem()
 		}
 		named, ok := t.(*types.Named)
-		if !ok {
-			return nil
-		}
-		obj := named.Obj()
-		if obj.Pkg() != p.Pkg {
+		if !ok || named.Obj().Pkg() != p.Pkg {
 			return nil
 		}
 		if _, ok := named.Underlying().(*types.Struct); !ok {
 			return nil
 		}
-		return obj
+		return named.Obj()
 	}
 
-	// Pass 1 over every function: classify entry points, record the
+	// Pass 1 over every function: find entry points, record the
 	// package-local call graph and per-function field references.
 	fns := make(map[types.Object]*ast.FuncDecl)
 	for _, f := range p.Files {
@@ -88,23 +94,12 @@ func runSnapcomplete(p *Pass) []Diagnostic {
 			}
 		}
 	}
-	var encSeeds, decSeeds []types.Object
+	var seeds []types.Object
 	calls := make(map[types.Object][]types.Object)
 	fieldRefs := make(map[types.Object][]*types.Var)
 	for obj, fd := range fns {
-		sig, ok := obj.Type().(*types.Signature)
-		if !ok {
-			continue
-		}
-		enc, dec := false, false
-		for i := 0; i < sig.Params().Len(); i++ {
-			t := sig.Params().At(i).Type()
-			if isSnapType(t, "Writer") {
-				enc = true
-			}
-			if isSnapType(t, "Reader") {
-				dec = true
-			}
+		if snapEntry(obj) {
+			seeds = append(seeds, obj)
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
@@ -117,81 +112,51 @@ func runSnapcomplete(p *Pass) []Diagnostic {
 					fieldRefs[obj] = append(fieldRefs[obj], o)
 				}
 			case *types.Func:
-				if o.Pkg() == p.Pkg {
-					if _, local := fns[o]; local {
-						calls[obj] = append(calls[obj], o)
-					}
-				} else if o.Pkg() != nil && o.Pkg().Path() == snapPath {
-					// Entry points that build their own codec (e.g.
-					// Machine.Snapshot over snap.NewWriter).
-					switch o.Name() {
-					case "NewWriter":
-						enc = true
-					case "NewReader":
-						dec = true
-					}
+				if _, local := fns[o]; local {
+					calls[obj] = append(calls[obj], o)
 				}
 			}
 			return true
 		})
-		if enc {
-			encSeeds = append(encSeeds, obj)
-		}
-		if dec {
-			decSeeds = append(decSeeds, obj)
-		}
 	}
 
-	closure := func(seeds []types.Object) map[types.Object]bool {
-		seen := make(map[types.Object]bool)
-		stack := append([]types.Object(nil), seeds...)
-		for len(stack) > 0 {
-			fn := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[fn] {
-				continue
-			}
-			seen[fn] = true
-			stack = append(stack, calls[fn]...)
+	// Coverage: every field referenced anywhere in the entry points'
+	// closure.
+	covered := make(map[*types.Var]bool)
+	seen := make(map[types.Object]bool)
+	for stack := append([]types.Object(nil), seeds...); len(stack) > 0; {
+		fn := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[fn] {
+			continue
 		}
-		return seen
-	}
-	coverage := func(reach map[types.Object]bool) map[*types.Var]bool {
-		cov := make(map[*types.Var]bool)
-		for fn := range reach {
-			for _, v := range fieldRefs[fn] {
-				cov[v] = true
-			}
+		seen[fn] = true
+		for _, v := range fieldRefs[fn] {
+			covered[v] = true
 		}
-		return cov
+		stack = append(stack, calls[fn]...)
 	}
-	encReach, decReach := closure(encSeeds), closure(decSeeds)
-	encCov, decCov := coverage(encReach), coverage(decReach)
 
-	// Subjects: package-local structs a seed serializes directly, via its
-	// receiver or a parameter — on both sides.
-	subjectsOf := func(seeds []types.Object) map[*types.TypeName]bool {
-		subj := make(map[*types.TypeName]bool)
-		for _, fn := range seeds {
-			sig := fn.Type().(*types.Signature)
-			if recv := sig.Recv(); recv != nil {
-				if tn := localStruct(recv.Type()); tn != nil {
-					subj[tn] = true
-				}
-			}
-			for i := 0; i < sig.Params().Len(); i++ {
-				if tn := localStruct(sig.Params().At(i).Type()); tn != nil {
-					subj[tn] = true
-				}
+	// Subjects: package-local structs an entry point visits directly, via
+	// its receiver or a parameter.
+	subject := make(map[*types.TypeName]bool)
+	for _, fn := range seeds {
+		sig := fn.Type().(*types.Signature)
+		if recv := sig.Recv(); recv != nil {
+			if tn := localStruct(recv.Type()); tn != nil {
+				subject[tn] = true
 			}
 		}
-		return subj
+		for i := 0; i < sig.Params().Len(); i++ {
+			if tn := localStruct(sig.Params().At(i).Type()); tn != nil {
+				subject[tn] = true
+			}
+		}
 	}
-	encSubj, decSubj := subjectsOf(encSeeds), subjectsOf(decSeeds)
 
 	// Walk struct declarations in source order (not subject-map order) so
 	// findings emerge deterministically.
-	var subjects []*types.TypeName
+	var out []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -204,48 +169,27 @@ func runSnapcomplete(p *Pass) []Diagnostic {
 					continue
 				}
 				tn, ok := p.Info.Defs[ts.Name].(*types.TypeName)
-				if !ok {
+				if !ok || !subject[tn] {
 					continue
 				}
-				if encSubj[tn] && decSubj[tn] {
-					subjects = append(subjects, tn)
+				st := tn.Type().Underlying().(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					field := st.Field(i)
+					if field.Name() == "_" || covered[field] {
+						continue
+					}
+					pos := p.Fset.Position(field.Pos())
+					if p.snapSkipped(pos) {
+						continue
+					}
+					out = append(out, Diagnostic{
+						Pos:   pos,
+						Check: "snapcomplete",
+						Message: fmt.Sprintf("field %s.%s is not referenced by the snapshot functions: visit it or mark it //rmtsnap:skip",
+							tn.Name(), field.Name()),
+					})
 				}
 			}
-		}
-	}
-
-	var out []Diagnostic
-	for _, tn := range subjects {
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			field := st.Field(i)
-			if field.Name() == "_" {
-				continue
-			}
-			encMiss, decMiss := !encCov[field], !decCov[field]
-			if !encMiss && !decMiss {
-				continue
-			}
-			pos := p.Fset.Position(field.Pos())
-			if p.snapSkipped(pos) {
-				continue
-			}
-			side := "encode/decode paths"
-			switch {
-			case encMiss && !decMiss:
-				side = "encode path"
-			case decMiss && !encMiss:
-				side = "decode path"
-			}
-			out = append(out, Diagnostic{
-				Pos:   pos,
-				Check: "snapcomplete",
-				Message: fmt.Sprintf("field %s.%s is not referenced on the snapshot %s: serialize it or mark it //rmtsnap:skip",
-					tn.Name(), field.Name(), side),
-			})
 		}
 	}
 	return out

@@ -16,24 +16,14 @@ import (
 // the same machine state always serializes to the same bytes, because
 // fork-on-fault campaigns, the restored-run byte-identity tests and rmtd's
 // content-addressed cache all compare snapshots bytewise. Go map iteration
-// order is randomized, so any `range` over a map inside a
-// Snapshot/SnapshotTo/Restore/RestoreFrom/RestoreState function is flagged
-// unless it is the collect-keys idiom (append every key to a slice, which
-// is then sorted before emission).
+// order is randomized, so any `range` over a map inside a snapshot
+// function — one with a *snap.Stream parameter, whatever its name — is
+// flagged unless it is the collect-keys idiom (append every key to a
+// slice, which is then sorted before emission).
 var Snapshot = &Analyzer{
 	Name: "snapshot",
 	Doc:  "keep the snapshot substrate stdlib-only and snapshot encoding map-order-independent",
 	Run:  runSnapshot,
-}
-
-// snapshotFuncs names the serialization entry points the map-order check
-// applies to.
-var snapshotFuncs = map[string]bool{
-	"Snapshot":     true,
-	"SnapshotTo":   true,
-	"Restore":      true,
-	"RestoreFrom":  true,
-	"RestoreState": true,
 }
 
 func runSnapshot(p *Pass) []Diagnostic {
@@ -61,7 +51,7 @@ func runSnapshot(p *Pass) []Diagnostic {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !snapshotFuncs[fn.Name.Name] {
+			if !ok || fn.Body == nil || p.Info == nil || !snapEntry(p.Info.Defs[fn.Name]) {
 				continue
 			}
 			name := fn.Name.Name

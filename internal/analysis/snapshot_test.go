@@ -6,13 +6,14 @@ func TestSnapshotFlagsMapRangeInEncoder(t *testing.T) {
 	diags := runOn(t, "repro/internal/vm", `
 package vm
 
-import "fmt"
+import "repro/internal/snap"
 
-type M struct{ pages map[uint64][]byte }
+type M struct{ pages map[uint64]uint64 }
 
-func (m *M) SnapshotTo() {
+func (m *M) encodePages(s *snap.Stream) {
 	for pn, pg := range m.pages {
-		fmt.Println(pn, pg) //rmtlint:allow determinism — fixture
+		s.U64(&pn)
+		s.U64(&pg)
 	}
 }
 `)
@@ -25,17 +26,25 @@ func TestSnapshotAllowsKeyCollectIdiom(t *testing.T) {
 	diags := runOn(t, "repro/internal/vm", `
 package vm
 
-import "sort"
+import (
+	"sort"
 
-type M struct{ pages map[uint64][]byte }
+	"repro/internal/snap"
+)
 
-func (m *M) SnapshotTo() []uint64 {
+type M struct{ pages map[uint64]uint64 }
+
+func (m *M) Snap(s *snap.Stream) {
 	keys := make([]uint64, 0, len(m.pages))
 	for pn := range m.pages {
 		keys = append(keys, pn)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	for _, pn := range keys {
+		pg := m.pages[pn]
+		s.U64(&pn)
+		s.U64(&pg)
+	}
 }
 `)
 	if hasDiag(diags, "snapshot", "map order") {

@@ -727,10 +727,3 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 	summary["simcycles"] = simCycles
 	return t, summary, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

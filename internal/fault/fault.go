@@ -864,10 +864,3 @@ func runArmed(m *sim.Machine, f Transient, golden *[32]byte) (Result, error) {
 	}
 	return res, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -47,7 +47,7 @@ type line struct {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	name      string //rmtsnap:skip — construction-time config
+	name      string // construction-time config
 	nsets     uint64
 	blockBits uint //rmtsnap:skip — construction-time config
 	ways      int

@@ -1,13 +1,10 @@
 package mem
 
-import (
-	"repro/internal/snap"
-	"repro/internal/stats"
-)
+import "repro/internal/snap"
 
 // Snapshot support for the memory hierarchy. Geometry (set counts, ways,
 // block size, latencies) is configuration and is validated rather than
-// restored: RestoreFrom targets a cache freshly built from the same Config,
+// restored: decoding targets a cache freshly built from the same Config,
 // so only the replacement state, in-flight fills, and counters travel. Way
 // order within a set IS the MRU order, so serializing a set way-by-way
 // reproduces replacement behavior exactly.
@@ -18,113 +15,79 @@ import (
 // Cache.sets), so k and the prefix determine the whole set, and a stream's
 // size tracks the lines a run has touched rather than the cache's capacity.
 
-// SnapshotTo writes the cache's mutable state.
-func (c *Cache) SnapshotTo(w *snap.Writer) {
-	w.U64(c.nsets)
-	w.Int(c.ways)
+// Snap visits the cache's mutable state: the count of non-empty sets,
+// then each one's index, valid-line count k and k (tag, fill cycle) pairs.
+// Decoding clears every set first and latches an error on a geometry
+// mismatch or on a set list that is not in canonical form: set indices
+// strictly ascending and below the set count, each with 1 to ways valid
+// lines.
+func (c *Cache) Snap(s *snap.Stream) {
+	if !s.Len(int(c.nsets), "cache %q geometry mismatch", c.name) || !s.Len(c.ways, "cache %q geometry mismatch", c.name) {
+		return
+	}
 	live := 0
 	for _, set := range c.sets {
 		if set[0].valid {
 			live++
+			if s.Decoding() {
+				clear(set) // an empty set is already all-zero
+			}
 		}
 	}
-	w.Int(live)
-	for s, set := range c.sets {
-		k := 0
-		for k < len(set) && set[k].valid {
-			k++
-		}
-		if k == 0 {
-			continue
-		}
-		w.Int(s)
-		w.Int(k)
-		for _, l := range set[:k] {
-			w.U64(l.tag)
-			w.U64(l.readyAt)
-		}
-	}
-	w.U64(c.Hits.Value())
-	w.U64(c.Misses.Value())
-	w.U64(c.WayMispredicts.Value())
-}
-
-// RestoreFrom reads state written by SnapshotTo into an identically
-// configured cache, latching a reader error on geometry mismatch or on a
-// set list that is not in canonical form: set indices strictly ascending
-// and below the set count, each with 1 to ways valid lines.
-func (c *Cache) RestoreFrom(r *snap.Reader) {
-	if r.U64() != c.nsets || r.Int() != c.ways {
-		r.Failf("cache %q geometry mismatch", c.name)
-		return
-	}
-	live := r.Count(4 * 8) // index, k and at least one line's two words
-	for _, set := range c.sets {
-		if set[0].valid { // an empty set is already all-zero
-			clear(set)
-		}
-	}
-	next := uint64(0) // lowest index the next set may carry
+	s.Count(&live, 4*8) // index, k and at least one line's two words
+	next := uint64(0)   // lowest index the next set may carry
 	for ; live > 0; live-- {
-		s, k := r.U64(), r.U64()
+		i, k := next, uint64(0)
+		if !s.Decoding() {
+			for !c.sets[i][0].valid {
+				i++
+			}
+			for k < uint64(c.ways) && c.sets[i][k].valid {
+				k++
+			}
+		}
+		s.U64(&i)
+		s.U64(&k)
 		switch {
-		case r.Err() != nil:
+		case s.Err() != nil:
 			return
-		case s < next || s >= c.nsets:
-			r.Failf("cache %q set %d out of order or range", c.name, s)
+		case i < next || i >= c.nsets:
+			s.Failf("cache %q set %d out of order or range", c.name, i)
 			return
 		case k == 0 || k > uint64(c.ways):
-			r.Failf("cache %q set %d holds %d valid lines of %d ways", c.name, s, k, c.ways)
+			s.Failf("cache %q set %d holds %d valid lines of %d ways", c.name, i, k, c.ways)
 			return
 		}
-		set := c.sets[s]
-		for i := range set[:k] {
-			set[i] = line{tag: r.U64(), valid: true, readyAt: r.U64()}
+		for j := range c.sets[i][:k] {
+			l := &c.sets[i][j]
+			l.valid = true // already so when encoding
+			s.U64(&l.tag)
+			s.U64(&l.readyAt)
 		}
-		next = s + 1
+		next = i + 1
 	}
-	c.Hits = stats.Counter(r.U64())
-	c.Misses = stats.Counter(r.U64())
-	c.WayMispredicts = stats.Counter(r.U64())
+	snap.Word(s, &c.Hits)
+	snap.Word(s, &c.Misses)
+	snap.Word(s, &c.WayMispredicts)
 }
 
-// SnapshotTo writes the flat memory's access counter.
-func (m *FlatMemory) SnapshotTo(w *snap.Writer) {
-	w.U64(m.Accesses.Value())
+// Snap visits the flat memory's access counter.
+func (m *FlatMemory) Snap(s *snap.Stream) {
+	snap.Word(s, &m.Accesses)
 }
 
-// RestoreFrom reads state written by SnapshotTo.
-func (m *FlatMemory) RestoreFrom(r *snap.Reader) {
-	m.Accesses = stats.Counter(r.U64())
-}
-
-// SnapshotTo writes the merge buffer's slots (slot identity matters: Accept
+// Snap visits the merge buffer's slots (slot identity matters: Accept
 // fills the first invalid slot, so position is behavior) and counters.
-func (m *MergeBuffer) SnapshotTo(w *snap.Writer) {
-	w.Int(len(m.slots))
-	for _, s := range m.slots {
-		w.U64(s.block)
-		w.U64(s.done)
-		w.Bool(s.valid)
-	}
-	w.Int(m.n)
-	w.U64(m.Coalesced.Value())
-	w.U64(m.Writes.Value())
-}
-
-// RestoreFrom reads state written by SnapshotTo into an identically sized
-// merge buffer.
-func (m *MergeBuffer) RestoreFrom(r *snap.Reader) {
-	if r.Int() != len(m.slots) {
-		r.Failf("merge buffer capacity mismatch")
+func (m *MergeBuffer) Snap(s *snap.Stream) {
+	if !s.Len(len(m.slots), "merge buffer capacity mismatch") {
 		return
 	}
 	for i := range m.slots {
-		m.slots[i].block = r.U64()
-		m.slots[i].done = r.U64()
-		m.slots[i].valid = r.Bool()
+		s.U64(&m.slots[i].block)
+		s.U64(&m.slots[i].done)
+		s.Bool(&m.slots[i].valid)
 	}
-	m.n = r.Int()
-	m.Coalesced = stats.Counter(r.U64())
-	m.Writes = stats.Counter(r.U64())
+	s.Int(&m.n)
+	snap.Word(s, &m.Coalesced)
+	snap.Word(s, &m.Writes)
 }

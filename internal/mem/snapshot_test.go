@@ -37,18 +37,18 @@ func drive(c *Cache, rng *rand.Rand, n int, now uint64) uint64 {
 }
 
 func snapshotOf(c *Cache) []byte {
-	w := snap.NewWriter()
-	c.SnapshotTo(w)
-	return w.Finish()
+	s := snap.NewEncoder(0)
+	c.Snap(s)
+	return s.Finish()
 }
 
 func restoreInto(c *Cache, data []byte) error {
-	r, err := snap.NewReader(data)
+	s, err := snap.NewDecoder(data)
 	if err != nil {
 		return err
 	}
-	c.RestoreFrom(r)
-	return r.Done()
+	c.Snap(s)
+	return s.Done()
 }
 
 // checkValidPrefix asserts the invariant the sparse encoding rests on: in
@@ -115,16 +115,13 @@ func TestCacheSparseSnapshot(t *testing.T) {
 func TestCacheRestoreRejectsBadSets(t *testing.T) {
 	const nsets, ways = 6144, 8
 	stream := func(entries ...uint64) []byte {
-		w := snap.NewWriter()
-		w.U64(nsets)
-		w.U64(ways)
-		for _, v := range entries {
-			w.U64(v)
+		s := snap.NewEncoder(0)
+		words := append([]uint64{nsets, ways}, entries...)
+		words = append(words, 0, 0, 0) // hits, misses, way mispredicts
+		for i := range words {
+			s.U64(&words[i])
 		}
-		w.U64(0) // hits, misses, way mispredicts
-		w.U64(0)
-		w.U64(0)
-		return w.Finish()
+		return s.Finish()
 	}
 	// Each live set: index, k, then k (tag, readyAt) pairs.
 	cases := []struct {

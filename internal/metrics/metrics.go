@@ -148,7 +148,7 @@ type Snapshot struct {
 // registration order: values are sorted by name then canonical labels.
 func (r *Registry) Snapshot(cycle uint64) *Snapshot {
 	s := &Snapshot{Cycle: cycle, Metrics: make([]Value, 0, len(r.byKey))}
-	for _, ins := range r.byKey { //rmtlint:allow snapshot — values are collected then sorted by key below; order-independent
+	for _, ins := range r.byKey { // values are collected then sorted by key below; order-independent
 		v := Value{Name: ins.name, Labels: ins.labels, Kind: ins.kind}
 		switch ins.kind {
 		case KindCounter:

@@ -14,7 +14,7 @@ const neverUnblock = math.MaxUint64
 
 // Context is one hardware thread context on a core.
 type Context struct {
-	TID  int  //rmtsnap:skip — identity fixed at AddContext
+	TID  int  // identity fixed at AddContext
 	Role Role //rmtsnap:skip — identity fixed at AddContext
 	// Pair is the redundant pair this context belongs to (nil for
 	// RoleSingle).
@@ -113,7 +113,7 @@ type Context struct {
 	// readyHead heads the ready list: the instruction-queue residents
 	// whose operands reach the bypass network by register read, in age
 	// order, linked through wakeNext (wakeup.go).
-	readyHead *dynInst //rmtsnap:skip — derived from the IQ residents, rebuilt on restore
+	readyHead *dynInst // derived from the IQ residents, rebuilt on restore
 
 	// nextInterruptAt is the next timer-interrupt cycle (0 = disabled or
 	// trailing role, which follows the pair's replicated schedule).

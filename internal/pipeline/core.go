@@ -12,7 +12,7 @@ import (
 // Core is one SMT processor core: shared fetch/rename/issue/retire hardware
 // multiplexed over up to four hardware thread contexts.
 type Core struct {
-	ID  int    //rmtsnap:skip — identity fixed at construction
+	ID  int    // identity fixed at construction
 	cfg Config //rmtsnap:skip — construction-time config
 
 	cycle uint64
@@ -34,7 +34,7 @@ type Core struct {
 	// wheel is the issue scheduler's timing wheel: slot c&wheelMask lists
 	// the instruction-queue residents whose operands become ready at cycle
 	// c (wakeup.go).
-	wheel []*dynInst //rmtsnap:skip — derived from the IQ residents, rebuilt on restore
+	wheel []*dynInst // derived from the IQ residents, rebuilt on restore
 
 	// inFlight counts renamed, unretired instructions across all threads:
 	// the shared completion-unit / physical-register budget (512 physical

@@ -124,13 +124,13 @@ type dynInst struct {
 	// producer that has not issued, a timing-wheel slot, or its context's
 	// ready list. Each link is cleared when the list gives the
 	// instruction up.
-	wakeNext *dynInst //rmtsnap:skip — wakeup list link, rebuilt on restore from the IQ residents
+	wakeNext *dynInst // wakeup list link, rebuilt on restore from the IQ residents
 	// consumers heads the IQ residents waiting for this instruction to
 	// issue.
-	consumers *dynInst //rmtsnap:skip — wakeup list head, rebuilt on restore from the IQ residents
+	consumers *dynInst // wakeup list head, rebuilt on restore from the IQ residents
 	// wakeAt is the cycle a timing-wheel entry's operands reach the bypass
 	// network.
-	wakeAt uint64 //rmtsnap:skip — derived from earliestIssue and the producers' doneCycle on restore
+	wakeAt uint64 // derived from earliestIssue and the producers' doneCycle on restore
 }
 
 // instRef is a recycling-safe reference to a dynInst: the pointer plus the

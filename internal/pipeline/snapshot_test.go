@@ -7,7 +7,26 @@ import (
 	"testing"
 
 	"repro/internal/program"
+	"repro/internal/snap"
 )
+
+// Snapshot encodes the machine's state as a standalone stream.
+func (m *Machine) Snapshot() []byte {
+	s := snap.NewEncoder(0)
+	m.Snap(s)
+	return s.Finish()
+}
+
+// Restore overlays a stream produced by Snapshot onto an identically built
+// machine.
+func (m *Machine) Restore(data []byte) error {
+	s, err := snap.NewDecoder(data)
+	if err != nil {
+		return err
+	}
+	m.Snap(s)
+	return s.Done()
+}
 
 // midRunSRT runs an SRT pair on gcc to the top of cycle 1500 and returns
 // it with its leading context, mid-flight: the window holds both issued

@@ -9,18 +9,18 @@ import (
 )
 
 func storeSetsSnapshot(s *StoreSets) []byte {
-	w := snap.NewWriter()
-	s.SnapshotTo(w)
-	return w.Finish()
+	st := snap.NewEncoder(0)
+	s.Snap(st)
+	return st.Finish()
 }
 
 func restoreStoreSets(s *StoreSets, data []byte) error {
-	r, err := snap.NewReader(data)
+	st, err := snap.NewDecoder(data)
 	if err != nil {
 		return err
 	}
-	s.RestoreFrom(r)
-	return r.Done()
+	s.Snap(st)
+	return st.Done()
 }
 
 // TestStoreSetsSnapshotRoundTrip: the SSIT's -1 default and trained set

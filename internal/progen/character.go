@@ -48,9 +48,7 @@ type Profile struct {
 const characterizeCap = 4 << 20
 
 // profiler accumulates one kernel's profile from its committed outcome
-// stream. The measurement is a pure function of the outcome sequence,
-// which the vm battery holds bit-equal between batched and scalar
-// execution.
+// stream. The measurement is a pure function of the outcome sequence.
 type profiler struct {
 	loads, stores, branches, fp stats.Counter
 	taken                       stats.Mean
@@ -134,30 +132,29 @@ func (p *profiler) finish(k *Kernel, dyn uint64) *Profile {
 	return prof
 }
 
-// Characterize replays the kernel functionally to its HALT on the batched
-// engine (a single-lane vm.Batch — predecode amortised, outcomes observed
-// in place) and measures the profile. An error means the kernel overran
-// its declared bound — the generator's halt guarantee failed. The tests
-// hold it byte-identical to the same measurement over a scalar vm.Thread.
+// Characterize replays the kernel functionally to its HALT on a scalar
+// vm.Thread and measures the profile. An error means the kernel overran
+// its declared bound — the generator's halt guarantee failed.
 func Characterize(k *Kernel) (*Profile, error) {
 	memImg := vm.NewMemory()
 	vm.Load(k.Prog, memImg)
-	b := vm.NewBatch(k.Prog, memImg, 1)
+	th := vm.NewThread(0, k.Prog, memImg)
 	p := newProfiler()
-	b.Observer = func(_ int, out *vm.Outcome) { p.step(out) }
 
-	for !b.Halted[0] {
-		if b.Seq[0] >= characterizeCap {
+	var out vm.Outcome
+	for !th.Halted {
+		if th.Seq >= characterizeCap {
 			return nil, fmt.Errorf("progen: %s did not halt within %d instructions (declared bound %d)",
 				k.Prog.Name, uint64(characterizeCap), k.MaxDynInstr)
 		}
-		b.Step()
+		th.StepInto(&out)
+		p.step(&out)
 	}
-	if b.Seq[0] > k.MaxDynInstr {
+	if th.Seq > k.MaxDynInstr {
 		return nil, fmt.Errorf("progen: %s halted at %d dynamic instructions, beyond its declared bound %d",
-			k.Prog.Name, b.Seq[0], k.MaxDynInstr)
+			k.Prog.Name, th.Seq, k.MaxDynInstr)
 	}
-	return p.finish(k, b.Seq[0]), nil
+	return p.finish(k, th.Seq), nil
 }
 
 // isFPOp reports whether the op executes in the FP classes.

@@ -1,9 +1,6 @@
 package rmt
 
-import (
-	"repro/internal/snap"
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // RVQEntry is one retired leading-copy register result waiting for its
 // trailing-copy counterpart.
@@ -78,39 +75,4 @@ func (q *RVQ) Pop() {
 	}
 	q.head = (q.head + 1) % len(q.entries)
 	q.n--
-}
-
-// SnapshotTo writes the ring slot-for-slot plus head/occupancy and the
-// statistics counters.
-func (q *RVQ) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(q.entries)))
-	for _, e := range q.entries {
-		w.U64(e.PC)
-		w.U64(e.Val)
-		w.U64(e.ReadyAt)
-	}
-	w.Int(q.head)
-	w.Int(q.n)
-	w.U64(q.Pushes.Value())
-	w.U64(q.FullStalls.Value())
-	w.U64(q.Waits.Value())
-	w.U64(q.Mismatches.Value())
-}
-
-// RestoreFrom reads state written by SnapshotTo into an RVQ of the same
-// capacity.
-func (q *RVQ) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(q.entries) {
-		r.Failf("RVQ capacity mismatch")
-		return
-	}
-	for i := range q.entries {
-		q.entries[i] = RVQEntry{PC: r.U64(), Val: r.U64(), ReadyAt: r.U64()}
-	}
-	q.head = r.Int()
-	q.n = r.Int()
-	q.Pushes = stats.Counter(r.U64())
-	q.FullStalls = stats.Counter(r.U64())
-	q.Waits = stats.Counter(r.U64())
-	q.Mismatches = stats.Counter(r.U64())
 }

@@ -1,264 +1,167 @@
 package rmt
 
-import (
-	"repro/internal/snap"
-	"repro/internal/stats"
-)
+import "repro/internal/snap"
 
 // Snapshot support for the redundant-pair structures. Slot positions are
 // behavior here — LVQ.Push fills the first free slot, the store comparator
 // grows to a high-water mark and reuses slots — so every array is restored
 // slot-for-slot at its snapshotted length, not repacked.
 
-func writeChunk(w *snap.Writer, c *Chunk) {
-	w.U64(c.StartPC)
-	w.Int(c.Count)
-	for _, b := range c.UpperHalf {
-		w.Bool(b)
-	}
-	for _, f := range c.FUs {
-		w.U64(uint64(f))
-	}
-	w.U64(c.ReadyAt)
-	for _, t := range c.LoadTags {
-		w.U64(t)
-	}
-	for _, t := range c.StoreTags {
-		w.U64(t)
-	}
-}
-
-func readChunk(r *snap.Reader, c *Chunk) {
-	c.StartPC = r.U64()
-	c.Count = r.Int()
+func (c *Chunk) snap(s *snap.Stream) {
+	s.U64(&c.StartPC)
+	s.Int(&c.Count)
 	for i := range c.UpperHalf {
-		c.UpperHalf[i] = r.Bool()
+		s.Bool(&c.UpperHalf[i])
 	}
 	for i := range c.FUs {
-		c.FUs[i] = uint8(r.U64())
+		snap.Word(s, &c.FUs[i])
 	}
-	c.ReadyAt = r.U64()
+	s.U64(&c.ReadyAt)
 	for i := range c.LoadTags {
-		c.LoadTags[i] = r.U64()
+		s.U64(&c.LoadTags[i])
 	}
 	for i := range c.StoreTags {
-		c.StoreTags[i] = r.U64()
+		s.U64(&c.StoreTags[i])
 	}
 }
 
-func writeStoreRecords(w *snap.Writer, slots []StoreRecord) {
-	w.U64(uint64(len(slots)))
-	for _, s := range slots {
-		w.U64(s.Tag)
-		w.U64(s.Addr)
-		w.Int(s.Size)
-		w.U64(s.Value)
-		w.U64(s.ReadyAt)
+func (r *StoreRecord) snap(s *snap.Stream) {
+	s.U64(&r.Tag)
+	s.U64(&r.Addr)
+	s.Int(&r.Size)
+	s.U64(&r.Value)
+	s.U64(&r.ReadyAt)
+}
+
+// snapStoreRecords visits one comparator side: its length, then each slot.
+func snapStoreRecords(s *snap.Stream, slots *[]StoreRecord) {
+	snap.Slice(s, slots, 40)
+	for i := range *slots {
+		(*slots)[i].snap(s)
 	}
 }
 
-func readStoreRecords(r *snap.Reader) []StoreRecord {
-	n := r.Count(40)
-	if n == 0 {
-		return nil
-	}
-	slots := make([]StoreRecord, n)
-	for i := range slots {
-		slots[i] = StoreRecord{
-			Tag:     r.U64(),
-			Addr:    r.U64(),
-			Size:    r.Int(),
-			Value:   r.U64(),
-			ReadyAt: r.U64(),
-		}
-	}
-	return slots
+func (e *LVQEntry) snap(s *snap.Stream) {
+	s.U64(&e.Tag)
+	s.U64(&e.Addr)
+	s.Int(&e.Size)
+	s.U64(&e.Value)
+	s.U64(&e.ReadyAt)
 }
 
-// SnapshotTo writes the LVQ's slot array (slot-for-slot) and counters.
-func (q *LVQ) SnapshotTo(w *snap.Writer) {
-	w.U64(uint64(len(q.entries)))
-	for _, e := range q.entries {
-		w.U64(e.Tag)
-		w.U64(e.Addr)
-		w.Int(e.Size)
-		w.U64(e.Value)
-		w.U64(e.ReadyAt)
-	}
-	w.Int(q.n)
-	w.U64(q.lastPushed)
-	w.U64(q.Pushes.Value())
-	w.U64(q.FullStalls.Value())
-	w.U64(q.Waits.Value())
-	w.U64(q.AddrMismatches.Value())
-}
-
-// RestoreFrom reads state written by SnapshotTo into an LVQ of the same
-// capacity.
-func (q *LVQ) RestoreFrom(r *snap.Reader) {
-	if int(r.U64()) != len(q.entries) {
-		r.Failf("LVQ capacity mismatch")
+// Snap visits the LVQ's slot array (slot-for-slot) and counters. Decoding
+// targets an LVQ of the same capacity.
+func (q *LVQ) Snap(s *snap.Stream) {
+	if !s.Len(len(q.entries), "LVQ capacity mismatch") {
 		return
 	}
 	for i := range q.entries {
-		q.entries[i] = LVQEntry{
-			Tag:     r.U64(),
-			Addr:    r.U64(),
-			Size:    r.Int(),
-			Value:   r.U64(),
-			ReadyAt: r.U64(),
-		}
+		q.entries[i].snap(s)
 	}
-	q.n = r.Int()
-	q.lastPushed = r.U64()
-	q.Pushes = stats.Counter(r.U64())
-	q.FullStalls = stats.Counter(r.U64())
-	q.Waits = stats.Counter(r.U64())
-	q.AddrMismatches = stats.Counter(r.U64())
+	s.Int(&q.n)
+	s.U64(&q.lastPushed)
+	snap.Word(s, &q.Pushes)
+	snap.Word(s, &q.FullStalls)
+	snap.Word(s, &q.Waits)
+	snap.Word(s, &q.AddrMismatches)
 }
 
-// SnapshotTo writes the LPQ ring contents and head/tail state.
-func (q *LPQ) SnapshotTo(w *snap.Writer) {
-	w.Int(q.capacity)
-	for i := range q.buf {
-		writeChunk(w, &q.buf[i])
-	}
-	w.Int(q.head)
-	w.Int(q.active)
-	w.Int(q.tail)
-	w.Int(q.n)
-	w.U64(q.Pushes.Value())
-	w.U64(q.Rollbacks.Value())
-	w.U64(q.FullStalls.Value())
-}
-
-// RestoreFrom reads state written by SnapshotTo into an LPQ of the same
-// capacity.
-func (q *LPQ) RestoreFrom(r *snap.Reader) {
-	if r.Int() != q.capacity {
-		r.Failf("LPQ capacity mismatch")
+// Snap visits the LPQ ring contents and head/tail state. Decoding targets
+// an LPQ of the same capacity.
+func (q *LPQ) Snap(s *snap.Stream) {
+	if !s.Len(q.capacity, "LPQ capacity mismatch") {
 		return
 	}
 	for i := range q.buf {
-		readChunk(r, &q.buf[i])
+		q.buf[i].snap(s)
 	}
-	q.head = r.Int()
-	q.active = r.Int()
-	q.tail = r.Int()
-	q.n = r.Int()
-	q.Pushes = stats.Counter(r.U64())
-	q.Rollbacks = stats.Counter(r.U64())
-	q.FullStalls = stats.Counter(r.U64())
+	s.Int(&q.head)
+	s.Int(&q.active)
+	s.Int(&q.tail)
+	s.Int(&q.n)
+	snap.Word(s, &q.Pushes)
+	snap.Word(s, &q.Rollbacks)
+	snap.Word(s, &q.FullStalls)
 }
 
-// SnapshotTo writes the aggregator's in-progress chunk. The LPQ link is
-// wiring and stays with the rebuilt machine.
-func (a *Aggregator) SnapshotTo(w *snap.Writer) {
-	writeChunk(w, &a.cur)
-	w.Bool(a.started)
-	w.U64(a.nextPC)
-	w.U64(a.ForcedTerminations.Value())
+// Snap visits the aggregator's in-progress chunk. The LPQ link is wiring
+// and stays with the rebuilt machine.
+func (a *Aggregator) Snap(s *snap.Stream) {
+	a.cur.snap(s)
+	s.Bool(&a.started)
+	s.U64(&a.nextPC)
+	snap.Word(s, &a.ForcedTerminations)
 }
 
-// RestoreFrom reads state written by SnapshotTo.
-func (a *Aggregator) RestoreFrom(r *snap.Reader) {
-	readChunk(r, &a.cur)
-	a.started = r.Bool()
-	a.nextPC = r.U64()
-	a.ForcedTerminations = stats.Counter(r.U64())
-}
-
-// SnapshotTo writes both comparator sides slot-for-slot (the arrays have
-// grown to their high-water marks; repacking would change future slot
+// Snap visits both comparator sides slot-for-slot (the arrays have grown
+// to their high-water marks; repacking would change future slot
 // assignment) and the counters.
-func (c *StoreComparator) SnapshotTo(w *snap.Writer) {
-	writeStoreRecords(w, c.lead)
-	writeStoreRecords(w, c.trail)
-	w.Int(c.nLead)
-	w.Int(c.nTrail)
-	w.U64(c.Comparisons.Value())
-	w.U64(c.Mismatches.Value())
+func (c *StoreComparator) Snap(s *snap.Stream) {
+	snapStoreRecords(s, &c.lead)
+	snapStoreRecords(s, &c.trail)
+	s.Int(&c.nLead)
+	s.Int(&c.nTrail)
+	snap.Word(s, &c.Comparisons)
+	snap.Word(s, &c.Mismatches)
 }
 
-// RestoreFrom reads state written by SnapshotTo.
-func (c *StoreComparator) RestoreFrom(r *snap.Reader) {
-	c.lead = readStoreRecords(r)
-	c.trail = readStoreRecords(r)
-	c.nLead = r.Int()
-	c.nTrail = r.Int()
-	c.Comparisons = stats.Counter(r.U64())
-	c.Mismatches = stats.Counter(r.U64())
+// Snap visits the ring slot-for-slot plus head/occupancy and the
+// statistics counters. Decoding targets an RVQ of the same capacity.
+func (q *RVQ) Snap(s *snap.Stream) {
+	if !s.Len(len(q.entries), "RVQ capacity mismatch") {
+		return
+	}
+	for i := range q.entries {
+		e := &q.entries[i]
+		s.U64(&e.PC)
+		s.U64(&e.Val)
+		s.U64(&e.ReadyAt)
+	}
+	s.Int(&q.head)
+	s.Int(&q.n)
+	snap.Word(s, &q.Pushes)
+	snap.Word(s, &q.FullStalls)
+	snap.Word(s, &q.Waits)
+	snap.Word(s, &q.Mismatches)
 }
 
-// SnapshotTo writes the pair's mutable coupling state: tag counters, the
-// interrupt replication schedule, detections, statistics, and the four
-// owned queue structures. Identity and latency fields are configuration.
-func (p *Pair) SnapshotTo(w *snap.Writer) {
-	w.U64(p.LeadCommitted)
-	w.U64(uint64(len(p.InterruptSchedule)))
-	for _, v := range p.InterruptSchedule {
-		w.U64(v)
+// Snap visits the pair's mutable coupling state: tag counters, the
+// interrupt replication schedule, detections, statistics, and the owned
+// queue structures. Identity and latency fields are configuration, and
+// decoding targets an identically configured pair.
+func (p *Pair) Snap(s *snap.Stream) {
+	s.U64(&p.LeadCommitted)
+	snap.Slice(s, &p.InterruptSchedule, 8)
+	for i := range p.InterruptSchedule {
+		s.U64(&p.InterruptSchedule[i])
 	}
-	w.Int(p.TrailInterruptIdx)
-	w.U64(p.leadLoadTag)
-	w.U64(p.trailLoadTag)
-	w.U64(p.leadStoreTag)
-	w.U64(p.trailStoreTag)
-	w.U64(p.PairsObserved.Value())
-	w.U64(p.SameHalf.Value())
-	w.U64(p.SameFU.Value())
-	w.U64(uint64(len(p.Detected)))
-	for _, m := range p.Detected {
-		w.U64(m.Tag)
-		w.U64(m.LeadAddr)
-		w.U64(m.TrailAddr)
-		w.U64(m.LeadValue)
-		w.U64(m.TrailValue)
+	s.Int(&p.TrailInterruptIdx)
+	s.U64(&p.leadLoadTag)
+	s.U64(&p.trailLoadTag)
+	s.U64(&p.leadStoreTag)
+	s.U64(&p.trailStoreTag)
+	snap.Word(s, &p.PairsObserved)
+	snap.Word(s, &p.SameHalf)
+	snap.Word(s, &p.SameFU)
+	snap.Slice(s, &p.Detected, 40)
+	for i, m := range p.Detected {
+		if s.Decoding() {
+			m = new(Mismatch)
+			p.Detected[i] = m
+		}
+		s.U64(&m.Tag)
+		s.U64(&m.LeadAddr)
+		s.U64(&m.TrailAddr)
+		s.U64(&m.LeadValue)
+		s.U64(&m.TrailValue)
 	}
-	w.U64(p.LeadStoresRetired)
-	w.U64(p.StoresVerified)
-	p.LVQ.SnapshotTo(w)
-	p.LPQ.SnapshotTo(w)
-	p.Agg.SnapshotTo(w)
-	p.Cmp.SnapshotTo(w)
+	s.U64(&p.LeadStoresRetired)
+	s.U64(&p.StoresVerified)
+	p.LVQ.Snap(s)
+	p.LPQ.Snap(s)
+	p.Agg.Snap(s)
+	p.Cmp.Snap(s)
 	if p.RVQ != nil {
-		p.RVQ.SnapshotTo(w)
-	}
-}
-
-// RestoreFrom reads state written by SnapshotTo into an identically
-// configured pair.
-func (p *Pair) RestoreFrom(r *snap.Reader) {
-	p.LeadCommitted = r.U64()
-	n := r.Count(8)
-	p.InterruptSchedule = p.InterruptSchedule[:0]
-	for i := 0; i < n; i++ {
-		p.InterruptSchedule = append(p.InterruptSchedule, r.U64())
-	}
-	p.TrailInterruptIdx = r.Int()
-	p.leadLoadTag = r.U64()
-	p.trailLoadTag = r.U64()
-	p.leadStoreTag = r.U64()
-	p.trailStoreTag = r.U64()
-	p.PairsObserved = stats.Counter(r.U64())
-	p.SameHalf = stats.Counter(r.U64())
-	p.SameFU = stats.Counter(r.U64())
-	nd := r.Count(40)
-	p.Detected = p.Detected[:0]
-	for i := 0; i < nd; i++ {
-		p.Detected = append(p.Detected, &Mismatch{
-			Tag:      r.U64(),
-			LeadAddr: r.U64(), TrailAddr: r.U64(),
-			LeadValue: r.U64(), TrailValue: r.U64(),
-		})
-	}
-	p.LeadStoresRetired = r.U64()
-	p.StoresVerified = r.U64()
-	p.LVQ.RestoreFrom(r)
-	p.LPQ.RestoreFrom(r)
-	p.Agg.RestoreFrom(r)
-	p.Cmp.RestoreFrom(r)
-	if p.RVQ != nil {
-		p.RVQ.RestoreFrom(r)
+		p.RVQ.Snap(s)
 	}
 }

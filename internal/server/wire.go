@@ -28,19 +28,14 @@ import (
 // mode fits in a few KB, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
-// SpecWire is the JSON form of one simulation spec: rmt.Spec with the mode
-// spelled by name. rmt.Client sends its own copy of this struct;
-// TestClientHelpersRoundTrip keeps the two in step.
-type SpecWire struct {
-	Mode               string   `json:"mode"`
-	Programs           []string `json:"programs"`
-	PSR                bool     `json:"psr"`
-	PerThreadSQ        bool     `json:"per_thread_sq"`
-	NoStoreComparison  bool     `json:"no_store_comparison"`
-	CheckerLatency     uint64   `json:"checker_latency"`
-	AdaptiveThreshold  float64  `json:"adaptive_threshold"`
-	CheckpointInterval uint64   `json:"checkpoint_interval"`
-}
+// The request schema is defined once, in the facade: rmt.Client sends
+// these very types.
+type (
+	SpecWire        = rmt.SpecWire
+	RunRequest      = rmt.RunRequest
+	SweepRequest    = rmt.SweepRequest
+	CampaignRequest = rmt.CampaignRequest
+)
 
 // canonicalise validates the spec, rewrites it into its canonical form and
 // returns the facade spec it names. The mode name becomes the parsed
@@ -48,61 +43,13 @@ type SpecWire struct {
 // the mode does not read are zeroed (rmt.Spec.Canonical): an SRT spec with
 // CheckerLatency 8 is the same experiment as one with 0 and must hit the
 // same cache line.
-func (s *SpecWire) canonicalise() (rmt.Spec, error) {
-	mode, err := rmt.ParseMode(s.Mode)
+func canonicalise(w *SpecWire) (rmt.Spec, error) {
+	spec, err := w.Spec()
 	if err != nil {
 		return rmt.Spec{}, err
 	}
-	if len(s.Programs) == 0 {
-		return rmt.Spec{}, fmt.Errorf("spec has no programs")
-	}
-	for _, p := range s.Programs {
-		if !rmt.KnownKernel(p) {
-			return rmt.Spec{}, fmt.Errorf("unknown kernel %q (see rmt.Kernels() for the registry; generated kernels are \"gen:<seed>\")", p)
-		}
-	}
-	spec := rmt.Spec{
-		Mode:               mode,
-		Programs:           s.Programs,
-		PSR:                s.PSR,
-		PerThreadSQ:        s.PerThreadSQ,
-		NoStoreComparison:  s.NoStoreComparison,
-		CheckerLatency:     s.CheckerLatency,
-		AdaptiveThreshold:  s.AdaptiveThreshold,
-		CheckpointInterval: s.CheckpointInterval,
-	}.Canonical()
-	s.Mode = mode.String()
-	s.CheckerLatency, s.AdaptiveThreshold, s.CheckpointInterval = spec.CheckerLatency, spec.AdaptiveThreshold, spec.CheckpointInterval
+	*w = spec.Wire()
 	return spec, nil
-}
-
-// RunRequest is the body of POST /run.
-type RunRequest struct {
-	SpecWire
-	// Budget/Warmup are instruction counts; 0 selects the rmt defaults
-	// and is resolved to the concrete value before keying.
-	Budget uint64 `json:"budget"`
-	Warmup uint64 `json:"warmup"`
-}
-
-// SweepRequest is the body of POST /sweep: independent specs sharing one
-// sizing, exactly like rmt.Sweep.
-type SweepRequest struct {
-	Specs  []SpecWire `json:"specs"`
-	Budget uint64     `json:"budget"`
-	Warmup uint64     `json:"warmup"`
-}
-
-// CampaignRequest is the body of POST /campaign: a deterministic
-// transient-fault injection campaign (rmt.Campaign) against a paired mode.
-type CampaignRequest struct {
-	SpecWire
-	// N is the number of injection trials; Seed draws the fault plan.
-	N    int    `json:"n"`
-	Seed uint64 `json:"seed"`
-	// Budget/Warmup as in RunRequest (0 = campaign defaults).
-	Budget uint64 `json:"budget"`
-	Warmup uint64 `json:"warmup"`
 }
 
 // resolveSizes maps (budget, warmup) with 0 meaning "default" to the
@@ -159,7 +106,7 @@ func parseRun(body []byte) (RunRequest, rmt.Spec, string, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return req, rmt.Spec{}, "", err
 	}
-	spec, err := req.canonicalise()
+	spec, err := canonicalise(&req.SpecWire)
 	if err != nil {
 		return req, rmt.Spec{}, "", err
 	}
@@ -178,7 +125,7 @@ func parseSweep(body []byte) (SweepRequest, []rmt.Spec, string, error) {
 	}
 	specs := make([]rmt.Spec, len(req.Specs))
 	for i := range req.Specs {
-		spec, err := req.Specs[i].canonicalise()
+		spec, err := canonicalise(&req.Specs[i])
 		if err != nil {
 			return req, nil, "", fmt.Errorf("spec %d: %w", i, err)
 		}
@@ -195,7 +142,7 @@ func parseCampaign(body []byte) (CampaignRequest, rmt.CampaignSpec, string, erro
 	if err := decodeStrict(body, &req); err != nil {
 		return req, rmt.CampaignSpec{}, "", err
 	}
-	spec, err := req.canonicalise()
+	spec, err := canonicalise(&req.SpecWire)
 	if err != nil {
 		return req, rmt.CampaignSpec{}, "", err
 	}

@@ -49,23 +49,19 @@ func adaptiveTable(name string, threshold float64) ([]bool, error) {
 // committed memory or a device is not architecturally observable, which is
 // exactly the masked/SDC boundary the adaptive campaigns classify against.
 func (m *Machine) ArchDigest() [32]byte {
-	// NewWriterSize, not NewWriter: the writer here is a canonical byte
-	// encoder feeding a hash, not a snapshot entry point — ArchDigest
-	// deliberately covers only the architecturally observable subset, so
-	// it must stay outside the snapcomplete round-trip contract.
-	w := snap.NewWriterSize(1 << 16)
+	s := snap.NewEncoder(1 << 16)
 	seen := make(map[*vm.Memory]bool, len(m.Leads))
 	for _, lead := range m.Leads {
-		w.Bool(lead.Arch.Halted)
-		w.Bool(lead.Arch.Trapped)
+		s.Bool(&lead.Arch.Halted)
+		s.Bool(&lead.Arch.Trapped)
 		mem := lead.Arch.Mem.Backing()
 		if !seen[mem] {
 			seen[mem] = true
-			mem.SnapshotTo(w)
+			mem.Snap(s)
 		}
 	}
 	for _, dev := range m.Devices {
-		dev.SnapshotTo(w)
+		dev.Snap(s)
 	}
-	return sha256.Sum256(w.Finish())
+	return sha256.Sum256(s.Finish())
 }

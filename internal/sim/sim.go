@@ -67,22 +67,22 @@ type Spec struct {
 // Machine is an assembled simulation ready to run.
 type Machine struct {
 	*pipeline.Machine
-	Spec Spec
+	Spec Spec //rmtsnap:skip — the build recipe; Restore takes it beside the stream
 	// Leads holds, per logical program, the measured copy's context.
-	Leads []*pipeline.Context
+	Leads []*pipeline.Context //rmtsnap:skip — wiring into the pipeline, which snapshots the contexts
 	// Trails holds the trailing contexts (nil entries for non-redundant
 	// modes).
-	Trails []*pipeline.Context
+	Trails []*pipeline.Context //rmtsnap:skip — wiring into the pipeline, which snapshots the contexts
 	// Devices holds each logical program's memory-mapped pseudo-device
 	// (uncached LDIO/STIO traffic), indexed like Leads.
 	Devices []*vm.PseudoDevice
 
 	// Metrics, when non-nil, is the observability registry built by
 	// EnableMetrics.
-	Metrics *metrics.Registry
+	Metrics *metrics.Registry //rmtsnap:skip — observer attachment, outside simulated state
 	// Events, when non-nil, is the structured event log attached by
 	// EnableTrace.
-	Events *trace.EventLog
+	Events *trace.EventLog //rmtsnap:skip — observer attachment, outside simulated state
 
 	// bridges holds each logical program's uncached-load replication bridge
 	// (nil entries for non-redundant modes), indexed like Leads. Snapshots
@@ -92,7 +92,7 @@ type Machine struct {
 	// snapHint remembers the last snapshot's (or restored stream's) encoded
 	// size so the next snapshot preallocates its buffer instead of growing
 	// into it.
-	snapHint int
+	snapHint int //rmtsnap:skip — encoder sizing hint, not machine state
 
 	// Recoveries and RecoveryCycles account SRTR rollbacks: how many the
 	// run performed and the total cycles re-executed (trigger cycle minus
@@ -100,8 +100,8 @@ type Machine struct {
 	// deliberately outside snapshots: a rolled-back machine is
 	// byte-identical to the fault-free one, and these fields are the only
 	// record that a recovery happened.
-	Recoveries     int
-	RecoveryCycles uint64
+	Recoveries     int    //rmtsnap:skip — run accounting, outside snapshots (above)
+	RecoveryCycles uint64 //rmtsnap:skip — run accounting, outside snapshots (above)
 }
 
 // Build assembles the machine described by spec.

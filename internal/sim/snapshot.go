@@ -21,30 +21,9 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	// The encoding grows by a few percent per checkpoint interval as the run
 	// touches new cache lines and predictor entries; the slack keeps the next
 	// snapshot inside one allocation.
-	w := snap.NewWriterSize(m.snapHint + m.snapHint/16 + 4096)
-	w.U64(snapshotVersion)
-	m.Machine.SnapshotTo(w)
-	w.Int(len(m.Devices))
-	for _, d := range m.Devices {
-		d.SnapshotTo(w)
-	}
-	w.Int(len(m.bridges))
-	for _, br := range m.bridges {
-		if br == nil {
-			w.Bool(false)
-			continue
-		}
-		w.Bool(true)
-		w.U64(uint64(len(br.addrs)))
-		for _, a := range br.addrs {
-			w.U64(a)
-		}
-		w.U64(uint64(len(br.vals)))
-		for _, v := range br.vals {
-			w.U64(v)
-		}
-	}
-	out := w.Finish()
+	s := snap.NewEncoder(m.snapHint + m.snapHint/16 + 4096)
+	m.snap(s)
+	out := s.Finish()
 	m.snapHint = len(out)
 	return out, nil
 }
@@ -61,52 +40,57 @@ func (m *Machine) RestoreState(data []byte) (err error) {
 			err = fmt.Errorf("sim: restore: %v", p)
 		}
 	}()
-	r, nerr := snap.NewReader(data)
-	if nerr != nil {
-		return nerr
-	}
-	if v := r.U64(); v != snapshotVersion {
-		return fmt.Errorf("sim: snapshot version %d, want %d", v, snapshotVersion)
-	}
-	if err := m.Machine.RestoreFrom(r); err != nil {
+	s, err := snap.NewDecoder(data)
+	if err != nil {
 		return err
 	}
-	if r.Int() != len(m.Devices) {
-		r.Failf("device count mismatch")
-		return r.Err()
+	m.snap(s)
+	m.snapHint = len(data)
+	return s.Done()
+}
+
+// snap visits the version word, the pipeline state, then each device and
+// each redundant program's I/O bridge.
+func (m *Machine) snap(s *snap.Stream) {
+	v := uint64(snapshotVersion)
+	s.U64(&v)
+	if v != snapshotVersion {
+		s.Failf("snapshot version %d, want %d", v, snapshotVersion)
+		return
+	}
+	m.Machine.Snap(s)
+	if !s.Len(len(m.Devices), "device count mismatch") {
+		return
 	}
 	for _, d := range m.Devices {
-		d.RestoreFrom(r)
+		d.Snap(s)
 	}
-	if r.Int() != len(m.bridges) {
-		r.Failf("bridge count mismatch")
-		return r.Err()
+	if !s.Len(len(m.bridges), "bridge count mismatch") {
+		return
 	}
 	for i, br := range m.bridges {
-		has := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
+		has := br != nil
+		s.Bool(&has)
 		if has != (br != nil) {
-			r.Failf("bridge %d presence mismatch", i)
-			return r.Err()
+			s.Failf("bridge %d presence mismatch", i)
+			return
 		}
-		if br == nil {
-			continue
-		}
-		na := r.Count(8)
-		br.addrs = br.addrs[:0]
-		for j := 0; j < na; j++ {
-			br.addrs = append(br.addrs, r.U64())
-		}
-		nv := r.Count(8)
-		br.vals = br.vals[:0]
-		for j := 0; j < nv; j++ {
-			br.vals = append(br.vals, r.U64())
+		if br != nil {
+			br.snap(s)
 		}
 	}
-	m.snapHint = len(data)
-	return r.Done()
+}
+
+// snap visits the bridge's queued (addr, value) stream.
+func (br *ioBridge) snap(s *snap.Stream) {
+	snap.Slice(s, &br.addrs, 8)
+	for i := range br.addrs {
+		s.U64(&br.addrs[i])
+	}
+	snap.Slice(s, &br.vals, 8)
+	for i := range br.vals {
+		s.U64(&br.vals[i])
+	}
 }
 
 // Restore builds a fresh machine from spec and overlays the snapshot onto

@@ -1,21 +1,27 @@
 // Package snap is the deterministic binary serialization substrate under
-// the machine-state snapshot layer: a length-checked little-endian
-// writer/reader pair over plain byte slices, standard library only.
+// the machine-state snapshot layer: a length-checked little-endian codec
+// over plain byte slices, standard library only.
 //
 // The encoding is deliberately primitive — fixed-width 64-bit words,
 // length-prefixed byte strings and sparse (index, word) tables behind an
 // 8-byte magic header — because the snapshot contract is byte-identity: the
 // same machine state must always encode to the same bytes. There is no
 // reflection, no map iteration, and no varint ambiguity; every composite
-// structure above this layer writes its fields in a fixed order and
+// structure above this layer visits its fields in a fixed order and
 // serializes map-backed state in sorted key order. Sparse tables have one
-// canonical form, and the reader rejects any other, so restoring a stream
+// canonical form, and the decoder rejects any other, so restoring a stream
 // and re-encoding it reproduces the stream.
 //
-// The Reader is total: malformed input can never panic it. Errors are
-// sticky — after the first failure every subsequent read returns the zero
-// value — so decoders can be written as straight-line field reads with one
-// error check at the end.
+// A structure states its format once, as one function over a *Stream that
+// visits every field by pointer. The same function encodes (the Stream
+// reads each field and appends it) and decodes (the Stream overwrites each
+// field from the input), so the two directions cannot drift apart. The few
+// steps that genuinely differ by direction sit under Decoding().
+//
+// Decoding is total: malformed input can never panic the Stream. Errors
+// are sticky — after the first failure every later field decodes as the
+// zero value — so a visit function runs straight through with one error
+// check at the end.
 package snap
 
 import (
@@ -28,195 +34,259 @@ import (
 // magic identifies a snapshot stream and pins the framing version.
 const magic = "RMTSNAP1"
 
-// Writer appends fixed-width fields to a growing buffer.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns a writer primed with the stream header.
-func NewWriter() *Writer {
-	return NewWriterSize(4096)
-}
-
-// NewWriterSize returns a writer primed with the stream header and buffer
-// capacity for a stream whose encoded size is roughly known in advance. A
-// machine snapshot re-encodes to within a few kilobytes of its previous
-// size, and preallocating skips the doubling-growth copies of a buffer that
-// otherwise grows from 4 KB to the hundreds of kilobytes a mid-run machine
-// encodes to.
-func NewWriterSize(capacity int) *Writer {
-	if capacity < 4096 {
-		capacity = 4096
-	}
-	return &Writer{buf: append(make([]byte, 0, capacity), magic...)}
-}
-
-// U64 writes one little-endian 64-bit word.
-func (w *Writer) U64(v uint64) {
-	w.buf = append(w.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// Int writes a signed integer as its two's-complement 64-bit image.
-func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
-
-// I64 writes a signed 64-bit integer.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Bool writes a boolean as one word (0 or 1).
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U64(1)
-	} else {
-		w.U64(0)
-	}
-}
-
-// F64 writes a float64 by its IEEE-754 bit image.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bytes writes a length-prefixed byte string.
-func (w *Writer) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// Finish returns the encoded stream. The writer may not be reused after.
-func (w *Writer) Finish() []byte { return w.buf }
-
-// Word is the element type of a sparse table.
-type Word interface{ ~uint64 | ~int32 }
-
-// WriteSparse writes a fixed-length table whose entries mostly hold the
-// default value def: the table length, the count of entries that differ
-// from def, then each such entry's index and word in ascending index order.
-// An entry's word is v-def, so the default is the zero word and is never
-// written (a table defaulting to -1 stores v+1).
-func WriteSparse[T Word](w *Writer, table []T, def T) {
-	w.U64(uint64(len(table)))
-	at := len(w.buf)
-	w.U64(0) // the count, patched once the entries are written
-	var k uint64
-	for i, v := range table {
-		if v != def {
-			w.U64(uint64(i))
-			w.U64(uint64(v - def))
-			k++
-		}
-	}
-	binary.LittleEndian.PutUint64(w.buf[at:], k)
-}
-
 // ErrMalformed reports a structurally invalid snapshot stream.
 var ErrMalformed = errors.New("snap: malformed snapshot")
 
-// Reader consumes a stream produced by Writer. All methods are safe on
+// writer appends fixed-width fields to a growing buffer.
+type writer struct {
+	buf []byte
+}
+
+// reader consumes a stream produced by writer. Decoding is safe on
 // malformed input: the first structural violation latches an error and
 // every later read returns zero values.
-type Reader struct {
+type reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-// NewReader validates the stream header and returns a reader positioned at
-// the first field.
-func NewReader(data []byte) (*Reader, error) {
+// fail latches the first error. It also cuts the input at the current
+// offset, so every later read comes up short and returns zero.
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+		r.data = r.data[:r.off]
+	}
+}
+
+// Stream is one pass over a snapshot stream: it decodes through r when r
+// is set, and otherwise encodes into w.
+type Stream struct {
+	w writer
+	r *reader
+}
+
+// NewEncoder returns an encoding Stream primed with the stream header. A
+// machine snapshot re-encodes to within a few kilobytes of its previous
+// size, so a caller that knows that size passes it as sizeHint and the
+// buffer never regrows; the capacity is at least 4 KB.
+func NewEncoder(sizeHint int) *Stream {
+	return &Stream{w: writer{buf: append(make([]byte, 0, max(sizeHint, 4096)), magic...)}}
+}
+
+// NewDecoder validates the stream header and returns a decoding Stream
+// positioned at the first field.
+func NewDecoder(data []byte) (*Stream, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad header", ErrMalformed)
 	}
-	return &Reader{data: data, off: len(magic)}, nil
+	return &Stream{r: &reader{data: data, off: len(magic)}}, nil
 }
 
-// fail latches the first error.
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+// Decoding reports whether the Stream overwrites the fields it visits
+// (restore) rather than recording them (snapshot).
+func (s *Stream) Decoding() bool { return s.r != nil }
+
+// U64, Int, I64 and Word are small enough to inline: encoding a field
+// appends in place, and decoding one costs a single call to read.
+
+// U64 visits one 64-bit word, little-endian.
+func (s *Stream) U64(v *uint64) {
+	if s.r == nil {
+		s.w.buf = binary.LittleEndian.AppendUint64(s.w.buf, *v)
+	} else {
+		*v = s.read()
 	}
 }
 
-// U64 reads one little-endian 64-bit word.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
+// Int visits a signed integer as its two's-complement 64-bit image.
+func (s *Stream) Int(v *int) {
+	if s.r == nil {
+		s.w.buf = binary.LittleEndian.AppendUint64(s.w.buf, uint64(*v))
+	} else {
+		*v = int(s.read())
 	}
-	if r.off+8 > len(r.data) {
-		r.fail("truncated at offset %d", r.off)
-		return 0
-	}
-	b := r.data[r.off:]
-	r.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// Int reads a signed integer written by Writer.Int.
-func (r *Reader) Int() int { return int(int64(r.U64())) }
+// I64 visits a signed 64-bit integer.
+func (s *Stream) I64(v *int64) {
+	if s.r == nil {
+		s.w.buf = binary.LittleEndian.AppendUint64(s.w.buf, uint64(*v))
+	} else {
+		*v = int64(s.read())
+	}
+}
 
-// I64 reads a signed 64-bit integer.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// F64 visits a float64 by its IEEE-754 bit image.
+func (s *Stream) F64(v *float64) {
+	if s.r == nil {
+		s.w.buf = binary.LittleEndian.AppendUint64(s.w.buf, math.Float64bits(*v))
+	} else {
+		*v = math.Float64frombits(s.read())
+	}
+}
 
-// Bool reads a boolean, rejecting encodings other than 0 and 1.
-func (r *Reader) Bool() bool {
-	switch r.U64() {
-	case 0:
-		return false
-	case 1:
-		return true
+// Word visits a value of a named word type — a statistics counter, an
+// opcode, a register number, a functional-unit index — as one 64-bit
+// word. Decoding converts the word to T, as the type conversion would.
+func Word[T ~uint8 | ~uint64](s *Stream, v *T) {
+	if s.r == nil {
+		s.w.buf = binary.LittleEndian.AppendUint64(s.w.buf, uint64(*v))
+	} else {
+		*v = T(s.read())
+	}
+}
+
+// Bool visits a boolean as one word, 0 or 1; decoding rejects any other.
+// It is too large to inline, so encoding appends the word's bytes
+// directly rather than converting the bool first.
+func (s *Stream) Bool(v *bool) {
+	switch {
+	case s.r != nil:
+		u := s.read()
+		*v = u == 1
+		if u > 1 {
+			s.r.fail("bad bool at offset %d", s.r.off-8)
+		}
+	case *v:
+		s.w.buf = append(s.w.buf, 1, 0, 0, 0, 0, 0, 0, 0)
 	default:
-		r.fail("bad bool at offset %d", r.off-8)
-		return false
+		s.w.buf = append(s.w.buf, 0, 0, 0, 0, 0, 0, 0, 0)
 	}
 }
 
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bytes reads a length-prefixed byte string. The returned slice aliases the
-// reader's backing array; callers that retain it must copy.
-func (r *Reader) Bytes() []byte {
-	n := r.U64()
-	if r.err != nil {
-		return nil
+// read returns a decoding stream's next word, or zero once an error is
+// latched.
+func (s *Stream) read() uint64 {
+	r := s.r
+	if len(r.data)-r.off < 8 {
+		if r.err == nil {
+			r.fail("truncated at offset %d", r.off)
+		}
+		return 0
 	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail("byte string of %d exceeds remaining %d", n, len(r.data)-r.off)
-		return nil
-	}
-	b := r.data[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
+	v := binary.LittleEndian.Uint64(r.data[r.off:])
+	r.off += 8
+	return v
 }
 
-// Count reads an element count and bounds it against the bytes remaining in
-// the stream, assuming each element occupies at least minBytes — the guard
-// that keeps a corrupted count from driving a huge allocation.
-func (r *Reader) Count(minBytes int) int {
-	n := r.U64()
+// count reads an element count and bounds it against the bytes remaining,
+// assuming each element occupies at least minBytes.
+func (s *Stream) count(minBytes int) int {
+	n := s.read()
+	r := s.r
 	if r.err != nil {
 		return 0
 	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if n > uint64((len(r.data)-r.off)/minBytes) {
+	if n > uint64((len(r.data)-r.off)/max(minBytes, 1)) {
 		r.fail("count %d exceeds remaining stream", n)
 		return 0
 	}
 	return int(n)
 }
 
-// ReadSparse reads a table written by WriteSparse into table, which must
-// have the stream's length, and sets every entry the stream does not list
-// to def. Only the canonical form is accepted — strictly ascending indices
-// below the table length, no explicit default, and words that are the image
-// of a T — so an accepted stream re-encodes to exactly its own bytes.
-func ReadSparse[T Word](r *Reader, table []T, def T) {
-	if n := r.U64(); r.err == nil && n != uint64(len(table)) {
+// Len visits a fixed geometry: a table size or element count that the
+// live structure already has from its configuration. Encoding writes n;
+// decoding fails with the formatted message unless the stream carries n.
+// Len reports whether the stream is still sound.
+func (s *Stream) Len(n int, format string, args ...any) bool {
+	v := uint64(n)
+	s.U64(&v)
+	if s.r == nil {
+		return true
+	}
+	if s.r.err == nil && v != uint64(n) {
+		s.r.fail(format, args...)
+	}
+	return s.r.err == nil
+}
+
+// Count visits a variable length. Decoding bounds it against the bytes
+// left in the stream, taking each element to occupy at least minBytes —
+// the guard that keeps a corrupted count from driving a huge allocation.
+func (s *Stream) Count(n *int, minBytes int) {
+	if s.r != nil {
+		*n = s.count(minBytes)
+		return
+	}
+	s.Int(n)
+}
+
+// Slice visits the length of a variable-length slice through Count.
+// Decoding replaces *p with a fresh slice of the stream's length (nil when
+// empty) whose elements the caller then visits.
+func Slice[T any](s *Stream, p *[]T, minBytes int) {
+	n := len(*p)
+	s.Count(&n, minBytes)
+	if s.r != nil {
+		*p = nil
+		if n > 0 {
+			*p = make([]T, n)
+		}
+	}
+}
+
+// Bytes visits a fixed-size byte table as a length-prefixed byte string.
+// Decoding fails unless the stream's string is exactly len(b) bytes long,
+// and copies it into b.
+func (s *Stream) Bytes(b []byte) {
+	n := uint64(len(b))
+	s.U64(&n)
+	if s.r == nil {
+		s.w.buf = append(s.w.buf, b...)
+		return
+	}
+	r := s.r
+	switch {
+	case r.err != nil:
+	case n > uint64(len(r.data)-r.off):
+		r.fail("byte string of %d exceeds remaining %d", n, len(r.data)-r.off)
+	case n != uint64(len(b)):
+		r.fail("byte table of %d bytes, want %d", n, len(b))
+	default:
+		r.off += copy(b, r.data[r.off:])
+	}
+}
+
+// Entry is the element type of a sparse table.
+type Entry interface{ ~uint64 | ~int32 }
+
+// Sparse visits a fixed-length table whose entries mostly hold the default
+// value def: the table length, the count of entries that differ from def,
+// then each such entry's index and word in ascending index order. An
+// entry's word is v-def, so the default is the zero word and is never
+// written (a table defaulting to -1 stores v+1).
+//
+// Decoding requires the live table's length and sets every entry the
+// stream does not list to def. Only the canonical form is accepted —
+// strictly ascending indices below the table length, no explicit default,
+// and words that are the image of a T — so an accepted stream re-encodes to
+// exactly its own bytes.
+func Sparse[T Entry](s *Stream, table []T, def T) {
+	if s.r == nil {
+		w := &s.w
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(len(table)))
+		at := len(w.buf)
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, 0) // the count, patched once the entries are written
+		var k uint64
+		for i, v := range table {
+			if v != def {
+				w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(i))
+				w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v-def))
+				k++
+			}
+		}
+		binary.LittleEndian.PutUint64(w.buf[at:], k)
+		return
+	}
+	r := s.r
+	n := uint64(len(table))
+	s.U64(&n)
+	if r.err == nil && n != uint64(len(table)) {
 		r.fail("sparse table of %d entries, want %d", n, len(table))
 	}
-	k := r.Count(16)
+	k := s.count(16)
 	if r.err != nil {
 		return
 	}
@@ -229,7 +299,9 @@ func ReadSparse[T Word](r *Reader, table []T, def T) {
 	}
 	next := uint64(0) // lowest index the next entry may carry
 	for ; k > 0; k-- {
-		i, word := r.U64(), r.U64()
+		var i, word uint64
+		s.U64(&i)
+		s.U64(&word)
 		switch {
 		case r.err != nil:
 			return
@@ -248,25 +320,37 @@ func ReadSparse[T Word](r *Reader, table []T, def T) {
 	}
 }
 
-// Failf lets a decoder latch a domain error of its own — a geometry
-// mismatch between the stream and the machine being restored, say — with
-// the same sticky semantics as structural failures.
-func (r *Reader) Failf(format string, args ...any) {
-	r.fail(format, args...)
+// Failf latches a domain error of the decoder's own — a restored value
+// that contradicts the live structure, say — with the same sticky
+// semantics as structural failures. Encoding never fails, so on an
+// encoding Stream it does nothing.
+func (s *Stream) Failf(format string, args ...any) {
+	if s.r != nil {
+		s.r.fail(format, args...)
+	}
 }
 
-// Err returns the latched error, nil if the stream has decoded cleanly so
-// far.
-func (r *Reader) Err() error { return r.err }
-
-// Done returns the latched error, or an error if decoding stopped short of
-// the end of the stream (trailing garbage).
-func (r *Reader) Done() error {
-	if r.err != nil {
-		return r.err
+// Err returns the latched decoding error, nil if the stream has decoded
+// cleanly so far (and always nil when encoding).
+func (s *Stream) Err() error {
+	if s.r == nil {
+		return nil
 	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.data)-r.off)
+	return s.r.err
+}
+
+// Done finishes a decoding pass: it returns the latched error, or an error
+// if decoding stopped short of the end of the stream (trailing garbage).
+func (s *Stream) Done() error {
+	if err := s.Err(); err != nil || s.r == nil {
+		return err
+	}
+	if s.r.off != len(s.r.data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(s.r.data)-s.r.off)
 	}
 	return nil
 }
+
+// Finish returns an encoding pass's stream. The Stream may not be reused
+// after.
+func (s *Stream) Finish() []byte { return s.w.buf }

@@ -88,9 +88,9 @@ func testCorrupt(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
 }
 
 func snapshotBytes(t *vm.Thread) []byte {
-	w := snap.NewWriter()
-	t.SnapshotTo(w)
-	return w.Finish()
+	s := snap.NewEncoder(0)
+	t.Snap(s)
+	return s.Finish()
 }
 
 func newDiffThread(prog *isa.Program, corrupt vm.CorruptFunc) *vm.Thread {
@@ -226,13 +226,16 @@ func TestTrapSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("setup: thread did not trap")
 	}
 	b := snapshotBytes(th)
-	r, err := snap.NewReader(b)
+	s, err := snap.NewDecoder(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem2 := vm.NewMemory()
 	th2 := vm.NewThread(0, prog, mem2)
-	th2.RestoreFrom(r)
+	th2.Snap(s)
+	if err := s.Done(); err != nil {
+		t.Fatal(err)
+	}
 	if !th2.Trapped {
 		t.Fatal("Trapped lost across snapshot/restore")
 	}

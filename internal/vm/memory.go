@@ -31,7 +31,7 @@ type Memory struct {
 	// working sets span a few pages, so most accesses skip the map probe.
 	// Pure cache over pages — nothing to snapshot.
 	cachePN [16]uint64 //rmtsnap:skip — derived cache
-	cacheP  [16]*page  //rmtsnap:skip — derived cache
+	cacheP  [16]*page  // derived cache
 }
 
 // NewMemory returns an empty memory image.
@@ -165,16 +165,16 @@ type Overlay struct {
 	// clear bit proves the word was never stored, letting loads from
 	// never-stored addresses skip the map probe entirely (the common case —
 	// kernels read far more addresses than they write). Conservative: bits
-	// are set on store and only cleared wholesale on Reset/RestoreFrom, so
+	// are set on store and only cleared wholesale on Reset/restore, so
 	// a released byte may leave a stale bit, which costs one redundant map
 	// probe and nothing else.
-	filter uint64 //rmtsnap:skip — derived presence summary, rebuilt from words on restore
+	filter uint64 // derived presence summary, rebuilt from words on restore
 
 	// Direct-mapped word cache (indexed by low word-address bits): kernels
 	// bang on a handful of STQ/LDQ targets, so most accesses hit here and
 	// skip the map probe. Pure cache over words — nothing to snapshot.
-	cacheWA [8]uint64       //rmtsnap:skip — derived cache
-	cacheW  [8]*overlayWord //rmtsnap:skip — derived cache
+	cacheWA [8]uint64       // derived cache
+	cacheW  [8]*overlayWord // derived cache
 }
 
 func filterBit(wa uint64) uint64 { return 1 << ((wa * 0x9E3779B97F4A7C15) >> 58) }

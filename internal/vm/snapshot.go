@@ -1,144 +1,131 @@
 package vm
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/snap"
 )
 
-// Snapshot support for the functional substrate. Each method writes the
-// receiver's mutable state to a snap.Writer in a fixed field order (map-backed
-// state in sorted key order, so identical machine state always encodes to
-// identical bytes) and the matching RestoreFrom reads it back. Wiring —
-// the Overlay→Memory link, a Thread's Corrupt/IORead hooks, its Prog — is
-// not serialized: restore targets a freshly built machine that already has
+// Snapshot support for the functional substrate. Each Snap method visits
+// the receiver's mutable state through a snap.Stream in a fixed field order
+// (map-backed state in sorted key order, so identical machine state always
+// encodes to identical bytes); the same method restores it. Wiring — the
+// Overlay→Memory link, a Thread's Corrupt/IORead hooks, its Prog — is not
+// serialized: restore targets a freshly built machine that already has
 // the static structure in place.
 
-// SnapshotTo writes the committed memory image: resident pages in ascending
-// page-number order.
-func (m *Memory) SnapshotTo(w *snap.Writer) {
-	nums := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		nums = append(nums, pn)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	w.U64(uint64(len(nums)))
-	for _, pn := range nums {
-		w.U64(pn)
-		w.Bytes(m.pages[pn][:])
-	}
-}
-
-// RestoreFrom replaces the memory image with the snapshot's pages.
-func (m *Memory) RestoreFrom(r *snap.Reader) {
-	n := r.Count(16)
-	m.pages = make(map[uint64]*page, n)
-	m.cacheP = [16]*page{} // cached pointers target the replaced map's entries
-	for i := 0; i < n; i++ {
-		pn := r.U64()
-		b := r.Bytes()
-		if len(b) != pageSize {
-			continue // sticky reader error already latched on truncation
+// Snap visits the committed memory image: resident pages in ascending
+// page-number order. Decoding replaces the image with the stream's pages.
+func (m *Memory) Snap(s *snap.Stream) {
+	var nums []uint64
+	if !s.Decoding() {
+		nums = make([]uint64, 0, len(m.pages))
+		for pn := range m.pages {
+			nums = append(nums, pn)
 		}
-		p := new(page)
-		copy(p[:], b)
-		m.pages[pn] = p
+		slices.Sort(nums)
+	}
+	snap.Slice(s, &nums, 16)
+	if s.Decoding() {
+		m.pages = make(map[uint64]*page, len(nums))
+		m.cacheP = [16]*page{} // cached pointers target the replaced map's entries
+	}
+	for _, pn := range nums {
+		s.U64(&pn)
+		p := m.pages[pn]
+		if s.Decoding() {
+			p = new(page)
+			m.pages[pn] = p
+		}
+		s.Bytes(p[:])
 	}
 }
 
-// SnapshotTo writes the overlay's pending store bytes in ascending address
-// order. The backing Memory is shared between threads and serialized once
-// by the machine layer, not here.
-func (o *Overlay) SnapshotTo(w *snap.Writer) {
+// Snap visits the overlay's pending store bytes in ascending address
+// order, each as its address, value and sequence number. Decoding replaces
+// the pending byte set, leaving the backing Memory link untouched; that
+// Memory is shared between threads and serialized once by the machine
+// layer, not here.
+func (o *Overlay) Snap(s *snap.Stream) {
+	n := o.n
+	s.Count(&n, 24)
+	if s.Decoding() {
+		o.words = make(map[uint64]*overlayWord, (n+7)/8)
+		o.n = 0
+		o.filter = 0
+		o.cacheW = [8]*overlayWord{} // cached pointers target the replaced map's entries
+		for i := 0; i < n; i++ {
+			var a, val, seq uint64
+			s.U64(&a)
+			s.U64(&val)
+			s.U64(&seq)
+			o.storeByte(a, byte(val), seq)
+		}
+		return
+	}
 	was := make([]uint64, 0, len(o.words))
 	for wa := range o.words {
 		was = append(was, wa)
 	}
-	sort.Slice(was, func(i, j int) bool { return was[i] < was[j] })
-	w.U64(uint64(o.n))
+	slices.Sort(was)
 	for _, wa := range was {
 		ow := o.words[wa]
-		if ow.mask == 0 {
-			continue // tombstone kept for pool reuse, nothing pending
-		}
 		for i := uint64(0); i < 8; i++ {
 			if ow.mask&(1<<i) != 0 {
-				w.U64(wa<<3 | i)
-				w.U64(uint64(byte(ow.val >> (8 * i))))
-				w.U64(ow.seq[i])
+				a, val := wa<<3|i, uint64(byte(ow.val>>(8*i)))
+				s.U64(&a)
+				s.U64(&val)
+				s.U64(&ow.seq[i])
 			}
 		}
 	}
 }
 
-// RestoreFrom replaces the pending byte set, leaving the backing Memory
-// link untouched.
-func (o *Overlay) RestoreFrom(r *snap.Reader) {
-	n := r.Count(24)
-	o.words = make(map[uint64]*overlayWord, (n+7)/8)
-	o.n = 0
-	o.filter = 0
-	o.cacheW = [8]*overlayWord{} // cached pointers target the replaced map's entries
-	for i := 0; i < n; i++ {
-		a := r.U64()
-		val := byte(r.U64())
-		seq := r.U64()
-		o.storeByte(a, val, seq)
-	}
-}
-
-// SnapshotTo writes the thread's architectural state and its overlay's
-// pending bytes. Prog, Corrupt, and IORead are wiring and stay with the
-// rebuilt machine.
-func (t *Thread) SnapshotTo(w *snap.Writer) {
-	w.U64(t.PC)
-	for _, v := range t.IntReg {
-		w.U64(v)
-	}
-	for _, v := range t.FPReg {
-		w.U64(v)
-	}
-	w.U64(t.Seq)
-	w.Bool(t.Halted)
-	w.Bool(t.Tolerant)
-	w.Bool(t.Trapped)
-	t.Mem.SnapshotTo(w)
-}
-
-// RestoreFrom reads state written by SnapshotTo.
-func (t *Thread) RestoreFrom(r *snap.Reader) {
-	t.PC = r.U64()
+// Snap visits the thread's architectural state and its overlay's pending
+// bytes. Prog, Corrupt, and IORead are wiring and stay with the rebuilt
+// machine.
+func (t *Thread) Snap(s *snap.Stream) {
+	s.U64(&t.PC)
 	for i := range t.IntReg {
-		t.IntReg[i] = r.U64()
+		s.U64(&t.IntReg[i])
 	}
 	for i := range t.FPReg {
-		t.FPReg[i] = r.U64()
+		s.U64(&t.FPReg[i])
 	}
-	t.Seq = r.U64()
-	t.Halted = r.Bool()
-	t.Tolerant = r.Bool()
-	t.Trapped = r.Bool()
-	t.Mem.RestoreFrom(r)
+	s.U64(&t.Seq)
+	s.Bool(&t.Halted)
+	s.Bool(&t.Tolerant)
+	s.Bool(&t.Trapped)
+	t.Mem.Snap(s)
 }
 
-// SnapshotTo writes the device's counter state and write log.
-func (d *PseudoDevice) SnapshotTo(w *snap.Writer) {
-	w.U64(d.state)
-	w.U64(d.Reads)
-	w.U64(uint64(len(d.WriteLog)))
-	for _, rec := range d.WriteLog {
-		w.U64(rec.Addr)
-		w.U64(rec.Val)
-	}
+// Snap visits one committed-instruction record, as the timing model keeps
+// it for each instruction in flight.
+func (o *Outcome) Snap(s *snap.Stream) {
+	s.U64(&o.Seq)
+	s.U64(&o.PC)
+	snap.Word(s, &o.Instr.Op)
+	snap.Word(s, &o.Instr.Rd)
+	snap.Word(s, &o.Instr.Ra)
+	snap.Word(s, &o.Instr.Rb)
+	s.I64(&o.Instr.Imm)
+	s.U64(&o.NextPC)
+	s.Bool(&o.Taken)
+	s.U64(&o.Addr)
+	s.Int(&o.Size)
+	s.U64(&o.Value)
+	s.U64(&o.DestVal)
+	s.Bool(&o.Halted)
+	s.Bool(&o.Trap)
 }
 
-// RestoreFrom reads state written by SnapshotTo.
-func (d *PseudoDevice) RestoreFrom(r *snap.Reader) {
-	d.state = r.U64()
-	d.Reads = r.U64()
-	n := r.Count(16)
-	d.WriteLog = make([]IOWriteRecord, n)
-	for i := 0; i < n; i++ {
-		d.WriteLog[i] = IOWriteRecord{Addr: r.U64(), Val: r.U64()}
+// Snap visits the device's counter state and write log.
+func (d *PseudoDevice) Snap(s *snap.Stream) {
+	s.U64(&d.state)
+	s.U64(&d.Reads)
+	snap.Slice(s, &d.WriteLog, 16)
+	for i := range d.WriteLog {
+		s.U64(&d.WriteLog[i].Addr)
+		s.U64(&d.WriteLog[i].Val)
 	}
 }

@@ -32,12 +32,12 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
-// specWire mirrors internal/server's SpecWire JSON contract (the packages
-// cannot share the type: the serving layer sits above this facade in the
-// import DAG). TestClientHelpersRoundTrip in internal/server pins the two
-// encodings together: for every mode, a Client request and the same
-// request in the server's own types must share one cache entry.
-type specWire struct {
+// SpecWire is the JSON form of one simulation spec on rmtd's HTTP API:
+// Spec with the mode spelled by name. It and the three request bodies
+// below are the one definition of the wire schema; Client sends them and
+// internal/server decodes them. Field order and tags are part of the
+// daemon's cache keys.
+type SpecWire struct {
 	Mode               string   `json:"mode"`
 	Programs           []string `json:"programs"`
 	PSR                bool     `json:"psr"`
@@ -48,8 +48,9 @@ type specWire struct {
 	CheckpointInterval uint64   `json:"checkpoint_interval"`
 }
 
-func toWire(s Spec) specWire {
-	return specWire{
+// Wire returns the spec's wire form.
+func (s Spec) Wire() SpecWire {
+	return SpecWire{
 		Mode:               s.Mode.String(),
 		Programs:           s.Programs,
 		PSR:                s.PSR,
@@ -59,6 +60,62 @@ func toWire(s Spec) specWire {
 		AdaptiveThreshold:  s.AdaptiveThreshold,
 		CheckpointInterval: s.CheckpointInterval,
 	}
+}
+
+// Spec parses and validates the wire form: a known mode and a non-empty
+// list of known kernels. The spec it returns is canonical (Spec.Canonical).
+func (w SpecWire) Spec() (Spec, error) {
+	mode, err := ParseMode(w.Mode)
+	if err != nil {
+		return Spec{}, err
+	}
+	if len(w.Programs) == 0 {
+		return Spec{}, fmt.Errorf("spec has no programs")
+	}
+	for _, p := range w.Programs {
+		if !KnownKernel(p) {
+			return Spec{}, fmt.Errorf("unknown kernel %q (see rmt.Kernels() for the registry; generated kernels are \"gen:<seed>\")", p)
+		}
+	}
+	return Spec{
+		Mode:               mode,
+		Programs:           w.Programs,
+		PSR:                w.PSR,
+		PerThreadSQ:        w.PerThreadSQ,
+		NoStoreComparison:  w.NoStoreComparison,
+		CheckerLatency:     w.CheckerLatency,
+		AdaptiveThreshold:  w.AdaptiveThreshold,
+		CheckpointInterval: w.CheckpointInterval,
+	}.Canonical(), nil
+}
+
+// RunRequest is the body of POST /run.
+type RunRequest struct {
+	SpecWire
+	// Budget/Warmup are instruction counts; 0 selects the rmt defaults
+	// and is resolved to the concrete value before keying.
+	Budget uint64 `json:"budget"`
+	Warmup uint64 `json:"warmup"`
+}
+
+// SweepRequest is the body of POST /sweep: independent specs sharing one
+// sizing, exactly like Sweep.
+type SweepRequest struct {
+	Specs  []SpecWire `json:"specs"`
+	Budget uint64     `json:"budget"`
+	Warmup uint64     `json:"warmup"`
+}
+
+// CampaignRequest is the body of POST /campaign: a deterministic
+// transient-fault injection campaign (Campaign) against a paired mode.
+type CampaignRequest struct {
+	SpecWire
+	// N is the number of injection trials; Seed draws the fault plan.
+	N    int    `json:"n"`
+	Seed uint64 `json:"seed"`
+	// Budget/Warmup as in RunRequest (0 = campaign defaults).
+	Budget uint64 `json:"budget"`
+	Warmup uint64 `json:"warmup"`
 }
 
 // CampaignSpec describes a deterministic transient-fault injection
@@ -100,11 +157,7 @@ type CampaignSummary struct {
 func (c *Client) Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 	cfg := newConfig(opts)
 	budget, warmup := cfg.sizes()
-	body := struct {
-		specWire
-		Budget uint64 `json:"budget"`
-		Warmup uint64 `json:"warmup"`
-	}{toWire(spec), budget, warmup}
+	body := RunRequest{SpecWire: spec.Wire(), Budget: budget, Warmup: warmup}
 	var res Result
 	if err := c.post(ctx, "/run", body, &res); err != nil {
 		return nil, err
@@ -117,15 +170,10 @@ func (c *Client) Run(ctx context.Context, spec Spec, opts ...Option) (*Result, e
 func (c *Client) Sweep(ctx context.Context, specs []Spec, opts ...Option) ([]*Result, error) {
 	cfg := newConfig(opts)
 	budget, warmup := cfg.sizes()
-	wires := make([]specWire, len(specs))
+	body := SweepRequest{Specs: make([]SpecWire, len(specs)), Budget: budget, Warmup: warmup}
 	for i, s := range specs {
-		wires[i] = toWire(s)
+		body.Specs[i] = s.Wire()
 	}
-	body := struct {
-		Specs  []specWire `json:"specs"`
-		Budget uint64     `json:"budget"`
-		Warmup uint64     `json:"warmup"`
-	}{wires, budget, warmup}
 	var results []*Result
 	if err := c.post(ctx, "/sweep", body, &results); err != nil {
 		return nil, err
@@ -137,13 +185,7 @@ func (c *Client) Sweep(ctx context.Context, specs []Spec, opts ...Option) ([]*Re
 func (c *Client) Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSummary, error) {
 	cfg := newConfig(opts)
 	budget, warmup := cfg.budget, cfg.warmup // 0 = daemon campaign defaults
-	body := struct {
-		specWire
-		N      int    `json:"n"`
-		Seed   uint64 `json:"seed"`
-		Budget uint64 `json:"budget"`
-		Warmup uint64 `json:"warmup"`
-	}{toWire(cs.Spec), cs.N, cs.Seed, budget, warmup}
+	body := CampaignRequest{SpecWire: cs.Spec.Wire(), N: cs.N, Seed: cs.Seed, Budget: budget, Warmup: warmup}
 	var sum CampaignSummary
 	if err := c.post(ctx, "/campaign", body, &sum); err != nil {
 		return nil, err

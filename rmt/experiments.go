@@ -45,16 +45,7 @@ type Experiment struct {
 // identical at any parallelism.
 func (e Experiment) Run(opts ...Option) (*Table, map[string]float64, error) {
 	c := newConfig(opts)
-	p := exp.Full()
-	if c.quick {
-		p = exp.Quick()
-	}
-	if c.budget > 0 {
-		p.Budget = c.budget
-	}
-	if c.warmup > 0 {
-		p.Warmup = c.warmup
-	}
+	p := c.expParams()
 	p.Parallelism = c.parallelism
 	p.Progress = c.progress
 	if c.report != nil {
@@ -71,7 +62,14 @@ func (e Experiment) Run(opts ...Option) (*Table, map[string]float64, error) {
 // Experiment.Run with these options will use (full sizes by default,
 // WithQuick's cut-down ones, explicit WithBudget/WithWarmup winning).
 func ExperimentSizes(opts ...Option) (budget, warmup uint64) {
-	c := newConfig(opts)
+	p := newConfig(opts).expParams()
+	return p.Budget, p.Warmup
+}
+
+// expParams resolves the experiment sizes the options select: full sizes
+// by default, WithQuick's cut-down ones, explicit WithBudget/WithWarmup
+// winning.
+func (c config) expParams() exp.Params {
 	p := exp.Full()
 	if c.quick {
 		p = exp.Quick()
@@ -82,7 +80,7 @@ func ExperimentSizes(opts ...Option) (budget, warmup uint64) {
 	if c.warmup > 0 {
 		p.Warmup = c.warmup
 	}
-	return p.Budget, p.Warmup
+	return p
 }
 
 // Experiments returns the paper's evaluation in presentation order: one
