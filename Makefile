@@ -8,15 +8,18 @@ verify:
 race:
 	go test -race ./...
 
-# Static analysis: gofmt (fails listing every unformatted file), go vet,
-# then rmtlint (determinism/layering/shared-state/snapshot/
-# snapshot-completeness analyzers and stale-directive detection over every
-# package of the module — internal/, cmd/ and examples/ alike — then the
-# program verifier over every registered kernel).
+# Static analysis: gofmt (fails listing every unformatted file), go vet
+# over the root module and over the benchmark's nested cmd/rmtperf module
+# (the root ./... does not reach it), then rmtlint
+# (determinism/layering/shared-state/snapshot/snapshot-completeness
+# analyzers and stale-directive detection over every package of the
+# module — internal/, cmd/ and examples/ alike — then the program verifier
+# over every registered kernel).
 lint:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || \
 		{ echo "gofmt -l: these files are not gofmt-clean:"; echo "$$unformatted"; exit 1; }
 	go vet ./...
+	go -C cmd/rmtperf vet ./...
 	go run ./cmd/rmtlint ./...
 
 # Acceptance gate for the static ACE analysis: every statically-masked

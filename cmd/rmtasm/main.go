@@ -39,6 +39,8 @@ type profileData struct {
 	n                         uint64
 	counts                    map[string]uint64
 	loads, stores, brs, taken uint64
+	// trap says where the thread left the code image, if it did.
+	trap string
 }
 
 func main() {
@@ -181,18 +183,25 @@ func main() {
 }
 
 // runProfile functionally executes the kernel, skipping warmup
-// instructions, then profiles budget instructions.
+// instructions, then profiles up to budget instructions. The thread is
+// tolerant: a program that runs off its code image (a loaded image need
+// not end in HALT) stops with a trap instead of panicking.
 func runProfile(info program.Info, warmup, budget uint64) profileData {
 	p := info.Build()
 	memImg := vm.NewMemory()
 	vm.Load(p, memImg)
 	th := vm.NewThread(0, p, memImg)
+	th.Tolerant = true
 	for i := uint64(0); i < warmup && !th.Halted; i++ {
 		th.Step()
 	}
-	d := profileData{n: budget, counts: map[string]uint64{}}
-	for i := uint64(0); i < budget && !th.Halted; i++ {
+	d := profileData{counts: map[string]uint64{}}
+	for d.n < budget && !th.Halted {
 		out := th.Step()
+		if out.Trap {
+			break
+		}
+		d.n++
 		d.counts[out.Instr.Op.String()]++
 		switch {
 		case out.Instr.IsLoad():
@@ -206,6 +215,9 @@ func runProfile(info program.Info, warmup, budget uint64) profileData {
 			}
 		}
 	}
+	if th.Trapped {
+		d.trap = fmt.Sprintf("pc %d outside %q code (len %d)", th.PC, p.Name, len(p.Code))
+	}
 	return d
 }
 
@@ -213,6 +225,9 @@ func printProfile(d profileData) {
 	fmt.Printf("\ndynamic profile over %d instructions:\n", d.n)
 	fmt.Printf("  loads %.1f%%  stores %.1f%%  branches %.1f%% (%.1f%% taken)\n",
 		pct(d.loads, d.n), pct(d.stores, d.n), pct(d.brs, d.n), pct(d.taken, d.brs))
+	if d.trap != "" {
+		fmt.Printf("  trap: %s\n", d.trap)
+	}
 	type kv struct {
 		op string
 		n  uint64

@@ -139,7 +139,8 @@ func AnalyzeProgram(p *isa.Program) (*VulnerabilityProfile, error) {
 	for pc, ins := range p.Code {
 		if reach[pc] {
 			prof.Reachable++
-			everRead |= useBits(ins)
+			use, _ := useDef(ins)
+			everRead |= use
 		}
 	}
 
@@ -162,11 +163,10 @@ func AnalyzeProgram(p *isa.Program) (*VulnerabilityProfile, error) {
 		}
 		prof.RegSites++
 		name := fmt.Sprintf("r%d", ins.Rd)
-		bit := intBit << ins.Rd
 		if ins.DestIsFP() {
 			name = fmt.Sprintf("f%d", ins.Rd)
-			bit = fpBit << ins.Rd
 		}
+		bit := regBit(ins.Rd, ins.DestIsFP())
 		mask := func(reason string) {
 			prof.MaskedSites = append(prof.MaskedSites, MaskedSite{
 				PC: pc, Reg: name, Reason: reason, Instr: ins.String(),

@@ -67,8 +67,7 @@ func computeLiveness(p *isa.Program, cfg *progCFG) *Liveness {
 	use := make([]regBits, n)
 	def := make([]regBits, n)
 	for pc, ins := range p.Code {
-		use[pc] = useBits(ins)
-		def[pc] = defBit(ins)
+		use[pc], def[pc] = useDef(ins)
 	}
 	preds := make([][]int, n)
 	for pc, ss := range cfg.succs {
@@ -113,25 +112,6 @@ func computeLiveness(p *isa.Program, cfg *progCFG) *Liveness {
 		lv.Out[pc] = RegSet(out[pc])
 	}
 	return lv
-}
-
-// useBits folds readRegs into a bitset, excluding the hardwired-zero
-// registers: a read of R31/F31 observes the architectural constant, so it
-// keeps no stored value alive.
-func useBits(ins isa.Instr) regBits {
-	var b regBits
-	ints, fps := readRegs(ins)
-	for _, r := range ints {
-		if r != isa.ZeroReg {
-			b |= intBit << r
-		}
-	}
-	for _, r := range fps {
-		if r != isa.ZeroReg {
-			b |= fpBit << r
-		}
-	}
-	return b
 }
 
 // MemLiveness is the result of the const-prop-bounded memory liveness

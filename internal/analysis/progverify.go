@@ -83,7 +83,7 @@ func VerifyProgram(p *isa.Program) []ProgramIssue {
 			add("encode", pc, "%v", err)
 			continue
 		}
-		if ins.Op == isa.BR || ins.IsCondBranch() || ins.Op == isa.JSR {
+		if ins.Flow()&isa.Direct != 0 {
 			if t := ins.BranchTarget(uint64(pc)); t >= uint64(n) {
 				add("branch-bounds", pc, "%v: target %d outside code (len %d)", ins, t, n)
 			}
@@ -105,9 +105,10 @@ func VerifyProgram(p *isa.Program) []ProgramIssue {
 	return issues
 }
 
-// cfg holds per-instruction successor lists. Indirect jumps (JMP) get the
-// program's statically-visible indirect target set: link values captured by
-// JSR/JMP and code-range words in the initial data image (jump tables).
+// cfg holds per-instruction successor lists, built from each opcode's
+// control flow in the isa opcode table. Indirect jumps get the program's
+// statically-visible indirect target set: captured link values and
+// code-range words in the initial data image (jump tables).
 type progCFG struct {
 	succs    [][]int
 	indirect []int
@@ -116,51 +117,41 @@ type progCFG struct {
 func buildCFG(p *isa.Program) *progCFG {
 	n := len(p.Code)
 	cfg := &progCFG{succs: make([][]int, n)}
-	hasJMP := false
 	for _, ins := range p.Code {
-		if ins.Op == isa.JMP {
-			hasJMP = true
+		if ins.Flow()&isa.Indirect != 0 {
+			cfg.indirect = indirectTargets(p)
 			break
 		}
 	}
-	if hasJMP {
-		cfg.indirect = indirectTargets(p)
-	}
 	for pc, ins := range p.Code {
-		switch {
-		case ins.Op == isa.HALT:
-		case ins.Op == isa.BR:
-			cfg.succs[pc] = []int{int(ins.BranchTarget(uint64(pc)))}
-		case ins.IsCondBranch():
-			cfg.succs[pc] = appendFall([]int{int(ins.BranchTarget(uint64(pc)))}, pc, n)
-		case ins.Op == isa.JSR:
-			cfg.succs[pc] = appendFall([]int{int(ins.BranchTarget(uint64(pc)))}, pc, n)
-		case ins.Op == isa.JMP:
-			cfg.succs[pc] = cfg.indirect
-		default:
-			cfg.succs[pc] = appendFall(nil, pc, n)
+		f := ins.Flow()
+		var succs []int
+		if f&isa.Direct != 0 {
+			succs = []int{int(ins.BranchTarget(uint64(pc)))}
 		}
+		switch {
+		case f&isa.Indirect != 0:
+			succs = cfg.indirect
+		case f&isa.FallsThrough != 0 || f&isa.Link != 0: // a call returns to pc+1
+			if pc+1 < n {
+				succs = append(succs, pc+1)
+			}
+		}
+		cfg.succs[pc] = succs
 	}
 	return cfg
 }
 
-func appendFall(s []int, pc, n int) []int {
-	if pc+1 < n {
-		return append(s, pc+1)
-	}
-	return s
-}
-
-// indirectTargets over-approximates where a JMP can land: every captured
-// link value (JSR/JMP writes pc+1) plus every aligned 64-bit word in the
-// initial data image whose value indexes the code (jump tables land here;
-// small data constants are included too, which errs on the side of
-// reachability).
+// indirectTargets over-approximates where an indirect jump can land: every
+// captured link value (pc+1 of a linking instruction) plus every aligned
+// 64-bit word in the initial data image whose value indexes the code (jump
+// tables land here; small data constants are included too, which errs on
+// the side of reachability).
 func indirectTargets(p *isa.Program) []int {
 	n := len(p.Code)
 	set := map[int]bool{}
 	for pc, ins := range p.Code {
-		if (ins.Op == isa.JSR || ins.Op == isa.JMP) && ins.Rd != isa.ZeroReg && pc+1 < n {
+		if ins.Flow()&isa.Link != 0 && ins.Rd != isa.ZeroReg && pc+1 < n {
 			set[pc+1] = true
 		}
 	}
@@ -183,19 +174,15 @@ func indirectTargets(p *isa.Program) []int {
 }
 
 // checkFallthrough flags instructions whose execution can step past the end
-// of the code image: only HALT and unconditional transfers may be last.
+// of the code image: only HALT and unconditional transfers may be last (a
+// call's link may never return there).
 func checkFallthrough(p *isa.Program) []ProgramIssue {
-	var issues []ProgramIssue
 	last := len(p.Code) - 1
-	ins := p.Code[last]
-	switch {
-	case ins.Op == isa.HALT, ins.Op == isa.BR, ins.Op == isa.JMP:
-	case ins.Op == isa.JSR: // unconditional transfer; the link may never return here
-	default:
-		issues = append(issues, ProgramIssue{Check: "fallthrough", PC: last,
-			Msg: fmt.Sprintf("%v: execution falls off the end of the code image", ins)})
+	if ins := p.Code[last]; ins.Flow()&isa.FallsThrough != 0 {
+		return []ProgramIssue{{Check: "fallthrough", PC: last,
+			Msg: fmt.Sprintf("%v: execution falls off the end of the code image", ins)}}
 	}
-	return issues
+	return nil
 }
 
 func roots(p *isa.Program) []int {
@@ -244,54 +231,31 @@ func reportUnreachable(p *isa.Program, reach []bool) []ProgramIssue {
 type regBits uint64
 
 const (
-	intBit = regBits(1)
-	fpBit  = regBits(1) << 32
-	// zeroDefined marks the hardwired-zero registers, always readable.
-	zeroDefined = intBit<<isa.ZeroReg | fpBit<<isa.ZeroReg
-	allDefined  = ^regBits(0)
+	intBit     = regBits(1)
+	fpBit      = regBits(1) << 32
+	allDefined = ^regBits(0)
 )
 
-// readRegs returns the integer and FP registers an instruction reads.
-func readRegs(ins isa.Instr) (ints, fps []isa.Reg) {
-	switch ins.Op {
-	case isa.NOP, isa.MB, isa.HALT, isa.BR, isa.LDI, isa.JSR:
-		return nil, nil
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR, isa.XOR,
-		isa.SLL, isa.SRL, isa.SRA, isa.CMPEQ, isa.CMPLT, isa.CMPLE, isa.CMPULT:
-		return []isa.Reg{ins.Ra, ins.Rb}, nil
-	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI,
-		isa.SRAI, isa.CMPEQI, isa.CMPLTI:
-		return []isa.Reg{ins.Ra}, nil
-	case isa.LDQ, isa.LDB, isa.LDIO, isa.FLDQ:
-		return []isa.Reg{ins.Ra}, nil
-	case isa.STQ, isa.STB, isa.STIO:
-		return []isa.Reg{ins.Ra, ins.Rd}, nil
-	case isa.FSTQ:
-		return []isa.Reg{ins.Ra}, []isa.Reg{ins.Rd}
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FCMPEQ, isa.FCMPLT, isa.FCMPLE:
-		return nil, []isa.Reg{ins.Ra, ins.Rb}
-	case isa.FSQRT, isa.FNEG:
-		return nil, []isa.Reg{ins.Ra}
-	case isa.CVTQF, isa.ITOF:
-		return []isa.Reg{ins.Ra}, nil
-	case isa.CVTFQ, isa.FTOI:
-		return nil, []isa.Reg{ins.Ra}
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BGT, isa.BLE:
-		return []isa.Reg{ins.Ra}, nil
-	case isa.JMP:
-		return []isa.Reg{ins.Ra}, nil
+func regBit(r isa.Reg, fp bool) regBits {
+	if fp {
+		return fpBit << r
 	}
-	return nil, nil
+	return intBit << r
 }
 
-func defBit(ins isa.Instr) regBits {
-	if !ins.HasDest() || ins.Rd == isa.ZeroReg {
-		return 0
+// useDef folds an instruction's operands, as the isa opcode table gives
+// them, into the registers it reads (use) and the register it writes
+// (def). The hardwired-zero registers are never members: a read of R31/F31
+// observes the architectural constant, and a write to them is dropped.
+func useDef(ins isa.Instr) (use, def regBits) {
+	srcs, n := ins.Sources()
+	for _, s := range srcs[:n] {
+		use |= regBit(s.Reg, s.FP)
 	}
-	if ins.DestIsFP() {
-		return fpBit << ins.Rd
+	if ins.HasDest() && ins.Rd != isa.ZeroReg {
+		def = regBit(ins.Rd, ins.DestIsFP())
 	}
-	return intBit << ins.Rd
+	return use, def
 }
 
 // checkDefUse runs a may-defined forward dataflow from the entry (registers
@@ -312,7 +276,7 @@ func checkDefUse(p *isa.Program, cfg *progCFG, reach []bool) []ProgramIssue {
 			work = append(work, pc)
 		}
 	}
-	push(int(p.Entry), zeroDefined)
+	push(int(p.Entry), 0)
 	if p.InterruptHandler != 0 {
 		// The handler interrupts arbitrary code: every register may hold
 		// live interrupted state (R30 carries the return link).
@@ -321,7 +285,8 @@ func checkDefUse(p *isa.Program, cfg *progCFG, reach []bool) []ProgramIssue {
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := in[pc] | defBit(p.Code[pc])
+		_, def := useDef(p.Code[pc])
+		out := in[pc] | def
 		for _, s := range cfg.succs[pc] {
 			push(s, out)
 		}
@@ -331,32 +296,27 @@ func checkDefUse(p *isa.Program, cfg *progCFG, reach []bool) []ProgramIssue {
 		if !reach[pc] || !seen[pc] {
 			continue
 		}
-		ints, fps := readRegs(ins)
-		for _, r := range ints {
-			if in[pc]&(intBit<<r) == 0 {
+		srcs, n := ins.Sources()
+		for _, s := range srcs[:n] {
+			if in[pc]&regBit(s.Reg, s.FP) == 0 {
+				file := "r"
+				if s.FP {
+					file = "f"
+				}
 				issues = append(issues, ProgramIssue{Check: "use-before-def", PC: pc,
-					Msg: fmt.Sprintf("%v: reads r%d, which no path into this instruction ever writes", ins, r)})
-			}
-		}
-		for _, r := range fps {
-			if in[pc]&(fpBit<<r) == 0 {
-				issues = append(issues, ProgramIssue{Check: "use-before-def", PC: pc,
-					Msg: fmt.Sprintf("%v: reads f%d, which no path into this instruction ever writes", ins, r)})
+					Msg: fmt.Sprintf("%v: reads %s%d, which no path into this instruction ever writes", ins, file, s.Reg)})
 			}
 		}
 	}
 	return issues
 }
 
-// checkZeroWrites flags writes to the hardwired-zero registers. JSR/JMP are
-// exempt: discarding the link through R31 is the return idiom.
+// checkZeroWrites flags writes to the hardwired-zero registers. Linking
+// jumps are exempt: discarding the link through R31 is the return idiom.
 func checkZeroWrites(p *isa.Program, reach []bool) []ProgramIssue {
 	var issues []ProgramIssue
 	for pc, ins := range p.Code {
-		if !reach[pc] || !ins.DestDiscarded() {
-			continue
-		}
-		if ins.Op == isa.JSR || ins.Op == isa.JMP {
+		if !reach[pc] || !ins.DestDiscarded() || ins.Flow()&isa.Link != 0 {
 			continue
 		}
 		name := "r31"

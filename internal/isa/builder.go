@@ -31,14 +31,15 @@ func (p *Program) DataFootprint() int {
 	return n
 }
 
-// Validate checks that every direct branch lands inside the code image and
-// that all instructions encode.
+// Validate checks that all instructions encode and that every direct
+// branch, the entry point and the interrupt handler land inside the code
+// image.
 func (p *Program) Validate() error {
 	for pc, ins := range p.Code {
 		if _, err := Encode(ins); err != nil {
 			return fmt.Errorf("isa: %s pc=%d %v: %w", p.Name, pc, ins, err)
 		}
-		if ins.Op == BR || ins.IsCondBranch() || ins.Op == JSR {
+		if ins.Flow()&Direct != 0 {
 			t := ins.BranchTarget(uint64(pc))
 			if t >= uint64(len(p.Code)) {
 				return fmt.Errorf("isa: %s pc=%d %v: branch target %d outside code (len %d)",
@@ -48,6 +49,10 @@ func (p *Program) Validate() error {
 	}
 	if p.Entry >= uint64(len(p.Code)) {
 		return fmt.Errorf("isa: %s entry %d outside code (len %d)", p.Name, p.Entry, len(p.Code))
+	}
+	if p.InterruptHandler >= uint64(len(p.Code)) {
+		return fmt.Errorf("isa: %s interrupt handler %d outside code (len %d)",
+			p.Name, p.InterruptHandler, len(p.Code))
 	}
 	return nil
 }

@@ -72,6 +72,9 @@ func FuzzLoadImage(f *testing.F) {
 		if uint64(len(p.Code)) > 1<<24 {
 			t.Fatalf("accepted implausible code length %d", len(p.Code))
 		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted an image that fails Validate: %v", err)
+		}
 		var rt bytes.Buffer
 		if err := isa.WriteImage(&rt, p); err != nil {
 			t.Fatalf("accepted image did not re-serialise: %v", err)

@@ -72,9 +72,11 @@ func WriteImage(w io.Writer, p *Program) error {
 	return nil
 }
 
-// ReadImage deserialises a program image. Words that do not decode are an
-// error — images are verified-on-load so a truncated or bit-flipped file
-// cannot smuggle undefined instructions into the simulator.
+// ReadImage deserialises a program image. Words that do not decode and
+// images that fail Program.Validate are errors — images are verified on
+// load, so a truncated or bit-flipped file cannot smuggle undefined
+// instructions or an out-of-image entry, handler or branch target into the
+// simulator.
 func ReadImage(r io.Reader, name string) (*Program, error) {
 	var hdr [40]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -123,6 +125,9 @@ func ReadImage(r io.Reader, name string) (*Program, error) {
 			return nil, fmt.Errorf("isa: %s: short data blob at %#x: %w", name, addr, err)
 		}
 		p.Data[addr] = blob
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

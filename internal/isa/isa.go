@@ -192,80 +192,10 @@ const (
 // NumOps is the number of defined opcodes.
 const NumOps = int(numOps)
 
-//rmtlint:allow sharedstate — read-only mnemonic table, written by no one
-var opNames = [...]string{
-	NOP: "nop",
-
-	ADD:    "add",
-	SUB:    "sub",
-	MUL:    "mul",
-	DIV:    "div",
-	MOD:    "mod",
-	AND:    "and",
-	OR:     "or",
-	XOR:    "xor",
-	SLL:    "sll",
-	SRL:    "srl",
-	SRA:    "sra",
-	CMPEQ:  "cmpeq",
-	CMPLT:  "cmplt",
-	CMPLE:  "cmple",
-	CMPULT: "cmpult",
-
-	ADDI:   "addi",
-	MULI:   "muli",
-	ANDI:   "andi",
-	ORI:    "ori",
-	XORI:   "xori",
-	SLLI:   "slli",
-	SRLI:   "srli",
-	SRAI:   "srai",
-	CMPEQI: "cmpeqi",
-	CMPLTI: "cmplti",
-	LDI:    "ldi",
-
-	LDQ: "ldq",
-	STQ: "stq",
-	LDB: "ldb",
-	STB: "stb",
-
-	FADD:   "fadd",
-	FSUB:   "fsub",
-	FMUL:   "fmul",
-	FDIV:   "fdiv",
-	FSQRT:  "fsqrt",
-	FNEG:   "fneg",
-	FCMPEQ: "fcmpeq",
-	FCMPLT: "fcmplt",
-	FCMPLE: "fcmple",
-	CVTQF:  "cvtqf",
-	CVTFQ:  "cvtfq",
-	ITOF:   "itof",
-	FTOI:   "ftoi",
-	FLDQ:   "fldq",
-	FSTQ:   "fstq",
-
-	BR:  "br",
-	BEQ: "beq",
-	BNE: "bne",
-	BLT: "blt",
-	BGE: "bge",
-	BGT: "bgt",
-	BLE: "ble",
-	JSR: "jsr",
-	JMP: "jmp",
-
-	LDIO: "ldio",
-	STIO: "stio",
-
-	MB:   "mb",
-	HALT: "halt",
-}
-
 // String returns the mnemonic for the opcode.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if name := opTable[o].Name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -293,51 +223,139 @@ const (
 	ClassHalt
 )
 
-//rmtlint:allow sharedstate — read-only opcode-class table, written by no one
-var opClasses = [...]Class{
-	NOP: ClassNop,
+// Role is what one register field of an instruction (Rd, Ra or Rb) means
+// to its opcode.
+type Role uint8
 
-	ADD: ClassIntALU, SUB: ClassIntALU, AND: ClassIntALU, OR: ClassIntALU,
-	XOR: ClassIntALU, SLL: ClassIntALU, SRL: ClassIntALU, SRA: ClassIntALU,
-	CMPEQ: ClassIntALU, CMPLT: ClassIntALU, CMPLE: ClassIntALU, CMPULT: ClassIntALU,
-	MUL: ClassIntMul, DIV: ClassIntDiv, MOD: ClassIntDiv,
+// Register-field roles.
+const (
+	Unused Role = iota // the field is ignored
+	IntSrc             // read from the integer file
+	FPSrc              // read from the FP file
+	IntDst             // written in the integer file
+	FPDst              // written in the FP file
+)
 
-	ADDI: ClassIntALU, ANDI: ClassIntALU, ORI: ClassIntALU, XORI: ClassIntALU,
-	SLLI: ClassIntALU, SRLI: ClassIntALU, SRAI: ClassIntALU,
-	CMPEQI: ClassIntALU, CMPLTI: ClassIntALU, LDI: ClassIntALU,
-	MULI: ClassIntMul,
+// Reads reports whether the field is a source.
+func (r Role) Reads() bool { return r == IntSrc || r == FPSrc }
 
-	LDQ: ClassLoad, LDB: ClassLoad, FLDQ: ClassLoad,
-	STQ: ClassStore, STB: ClassStore, FSTQ: ClassStore,
+// Writes reports whether the field is the destination.
+func (r Role) Writes() bool { return r == IntDst || r == FPDst }
 
-	FADD: ClassFPAdd, FSUB: ClassFPAdd, FNEG: ClassFPAdd,
-	FCMPEQ: ClassFPAdd, FCMPLT: ClassFPAdd, FCMPLE: ClassFPAdd,
-	CVTQF: ClassFPAdd, CVTFQ: ClassFPAdd, ITOF: ClassFPAdd, FTOI: ClassFPAdd,
-	FMUL: ClassFPMul,
-	FDIV: ClassFPDiv, FSQRT: ClassFPDiv,
+// Flow is the set of places control can go after an instruction. HALT's
+// is empty: nothing follows it.
+type Flow uint8
 
-	BR: ClassBranch, BEQ: ClassBranch, BNE: ClassBranch, BLT: ClassBranch,
-	BGE: ClassBranch, BGT: ClassBranch, BLE: ClassBranch,
-	JSR: ClassJump, JMP: ClassJump,
+// Control-flow facts.
+const (
+	// FallsThrough: execution can continue at pc+1.
+	FallsThrough Flow = 1 << iota
+	// Direct: control can transfer to BranchTarget(pc).
+	Direct
+	// Indirect: control transfers to the address held in Ra.
+	Indirect
+	// Link: the instruction writes its return address, pc+1, to Rd.
+	Link
+)
 
-	LDIO: ClassLoad,
-	STIO: ClassStore,
-
-	MB:   ClassBarrier,
-	HALT: ClassHalt,
+// OpInfo is one row of the opcode table: everything the simulator knows
+// about an opcode apart from the value it computes, which package vm
+// defines. Rename, issue wakeup, LVQ/RVQ replication, the program
+// verifier, the ACE liveness analysis, the workload characteriser and the
+// disassembler all read the operands and control flow from here.
+type OpInfo struct {
+	Name  string // mnemonic
+	Class Class
+	// Rd, Ra and Rb are the roles of the three register fields.
+	Rd, Ra, Rb Role
+	// Imm reports whether the immediate is an operand.
+	Imm bool
+	// Mem is the data access width in bytes, 0 for non-memory opcodes.
+	Mem  uint8
+	Flow Flow
 }
 
-// ClassOf returns the resource class of an opcode.
-func ClassOf(o Op) Class {
-	if int(o) < len(opClasses) {
-		return opClasses[o]
-	}
-	return ClassNop
+// opTable is the one definition of every opcode, indexed by the whole
+// uint8 range so that an undefined opcode reads the zero row: no name,
+// ClassNop, no operands, no successor.
+//
+//rmtlint:allow sharedstate — read-only opcode table, written by no one
+var opTable = [1 << 8]OpInfo{
+	// mnemonic, class, Rd, Ra, Rb, imm, mem, flow
+	NOP: {"nop", ClassNop, Unused, Unused, Unused, false, 0, FallsThrough},
+
+	ADD:    {"add", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	SUB:    {"sub", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	MUL:    {"mul", ClassIntMul, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	DIV:    {"div", ClassIntDiv, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	MOD:    {"mod", ClassIntDiv, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	AND:    {"and", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	OR:     {"or", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	XOR:    {"xor", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	SLL:    {"sll", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	SRL:    {"srl", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	SRA:    {"sra", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	CMPEQ:  {"cmpeq", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	CMPLT:  {"cmplt", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	CMPLE:  {"cmple", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+	CMPULT: {"cmpult", ClassIntALU, IntDst, IntSrc, IntSrc, false, 0, FallsThrough},
+
+	ADDI:   {"addi", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	MULI:   {"muli", ClassIntMul, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	ANDI:   {"andi", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	ORI:    {"ori", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	XORI:   {"xori", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	SLLI:   {"slli", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	SRLI:   {"srli", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	SRAI:   {"srai", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	CMPEQI: {"cmpeqi", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	CMPLTI: {"cmplti", ClassIntALU, IntDst, IntSrc, Unused, true, 0, FallsThrough},
+	LDI:    {"ldi", ClassIntALU, IntDst, Unused, Unused, true, 0, FallsThrough},
+
+	// A store's Rd is its data source.
+	LDQ: {"ldq", ClassLoad, IntDst, IntSrc, Unused, true, 8, FallsThrough},
+	STQ: {"stq", ClassStore, IntSrc, IntSrc, Unused, true, 8, FallsThrough},
+	LDB: {"ldb", ClassLoad, IntDst, IntSrc, Unused, true, 1, FallsThrough},
+	STB: {"stb", ClassStore, IntSrc, IntSrc, Unused, true, 1, FallsThrough},
+
+	FADD:   {"fadd", ClassFPAdd, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	FSUB:   {"fsub", ClassFPAdd, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	FMUL:   {"fmul", ClassFPMul, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	FDIV:   {"fdiv", ClassFPDiv, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	FSQRT:  {"fsqrt", ClassFPDiv, FPDst, FPSrc, Unused, false, 0, FallsThrough},
+	FNEG:   {"fneg", ClassFPAdd, FPDst, FPSrc, Unused, false, 0, FallsThrough},
+	FCMPEQ: {"fcmpeq", ClassFPAdd, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	FCMPLT: {"fcmplt", ClassFPAdd, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	FCMPLE: {"fcmple", ClassFPAdd, FPDst, FPSrc, FPSrc, false, 0, FallsThrough},
+	CVTQF:  {"cvtqf", ClassFPAdd, FPDst, IntSrc, Unused, false, 0, FallsThrough},
+	CVTFQ:  {"cvtfq", ClassFPAdd, IntDst, FPSrc, Unused, false, 0, FallsThrough},
+	ITOF:   {"itof", ClassFPAdd, FPDst, IntSrc, Unused, false, 0, FallsThrough},
+	FTOI:   {"ftoi", ClassFPAdd, IntDst, FPSrc, Unused, false, 0, FallsThrough},
+	FLDQ:   {"fldq", ClassLoad, FPDst, IntSrc, Unused, true, 8, FallsThrough},
+	FSTQ:   {"fstq", ClassStore, FPSrc, IntSrc, Unused, true, 8, FallsThrough},
+
+	BR:  {"br", ClassBranch, Unused, Unused, Unused, true, 0, Direct},
+	BEQ: {"beq", ClassBranch, Unused, IntSrc, Unused, true, 0, FallsThrough | Direct},
+	BNE: {"bne", ClassBranch, Unused, IntSrc, Unused, true, 0, FallsThrough | Direct},
+	BLT: {"blt", ClassBranch, Unused, IntSrc, Unused, true, 0, FallsThrough | Direct},
+	BGE: {"bge", ClassBranch, Unused, IntSrc, Unused, true, 0, FallsThrough | Direct},
+	BGT: {"bgt", ClassBranch, Unused, IntSrc, Unused, true, 0, FallsThrough | Direct},
+	BLE: {"ble", ClassBranch, Unused, IntSrc, Unused, true, 0, FallsThrough | Direct},
+	JSR: {"jsr", ClassJump, IntDst, Unused, Unused, true, 0, Direct | Link},
+	JMP: {"jmp", ClassJump, IntDst, IntSrc, Unused, false, 0, Indirect | Link},
+
+	LDIO: {"ldio", ClassLoad, IntDst, IntSrc, Unused, true, 8, FallsThrough},
+	STIO: {"stio", ClassStore, IntSrc, IntSrc, Unused, true, 8, FallsThrough},
+
+	MB:   {"mb", ClassBarrier, Unused, Unused, Unused, false, 0, FallsThrough},
+	HALT: {"halt", ClassHalt, Unused, Unused, Unused, false, 0, 0},
 }
 
-// Instr is one decoded instruction. Rd is the destination (or the store data
-// source for STQ/STB/FSTQ), Ra and Rb are sources, Imm is the immediate /
-// displacement.
+// Info returns the opcode's row of the opcode table.
+func (o Op) Info() OpInfo { return opTable[o] }
+
+// Instr is one decoded instruction. Its opcode's table row says which of
+// Rd, Ra and Rb it reads or writes; Imm is the immediate / displacement.
 type Instr struct {
 	Op  Op
 	Rd  Reg
@@ -346,58 +364,68 @@ type Instr struct {
 	Imm int64
 }
 
+// Operand is one register an instruction reads.
+type Operand struct {
+	Reg Reg
+	FP  bool // in the FP file
+}
+
+// Sources lists the registers the instruction reads, in field order Ra,
+// Rb, Rd: srcs[:n]. The list is a fixed array, so listing does not
+// allocate. The hardwired-zero registers are left out: reading R31 or F31
+// observes the constant zero, not a value any instruction wrote.
+func (i Instr) Sources() (srcs [3]Operand, n int) {
+	row := &opTable[i.Op]
+	for _, f := range [...]struct {
+		reg  Reg
+		role Role
+	}{{i.Ra, row.Ra}, {i.Rb, row.Rb}, {i.Rd, row.Rd}} {
+		if f.role.Reads() && f.reg != ZeroReg {
+			srcs[n] = Operand{Reg: f.reg, FP: f.role == FPSrc}
+			n++
+		}
+	}
+	return srcs, n
+}
+
+// Flow returns where control can go after the instruction.
+func (i Instr) Flow() Flow { return opTable[i.Op].Flow }
+
 // IsBranch reports whether the instruction is any control transfer.
 func (i Instr) IsBranch() bool {
-	c := ClassOf(i.Op)
+	c := opTable[i.Op].Class
 	return c == ClassBranch || c == ClassJump
 }
 
-// IsCondBranch reports whether the instruction is a conditional branch.
-func (i Instr) IsCondBranch() bool {
-	switch i.Op {
-	case BEQ, BNE, BLT, BGE, BGT, BLE:
-		return true
-	}
-	return false
-}
+// IsCondBranch reports whether the instruction is a conditional branch: a
+// direct transfer that can also fall through.
+func (i Instr) IsCondBranch() bool { return i.Flow()&(Direct|FallsThrough) == Direct|FallsThrough }
 
 // IsMem reports whether the instruction accesses data memory.
-func (i Instr) IsMem() bool {
-	c := ClassOf(i.Op)
-	return c == ClassLoad || c == ClassStore
-}
+func (i Instr) IsMem() bool { return opTable[i.Op].Mem != 0 }
 
 // IsLoad reports whether the instruction is a load.
-func (i Instr) IsLoad() bool { return ClassOf(i.Op) == ClassLoad }
+func (i Instr) IsLoad() bool { return opTable[i.Op].Class == ClassLoad }
 
 // IsStore reports whether the instruction is a store.
-func (i Instr) IsStore() bool { return ClassOf(i.Op) == ClassStore }
+func (i Instr) IsStore() bool { return opTable[i.Op].Class == ClassStore }
+
+// IsFP reports whether the instruction executes on the FP units.
+func (i Instr) IsFP() bool {
+	c := opTable[i.Op].Class
+	return c == ClassFPAdd || c == ClassFPMul || c == ClassFPDiv
+}
 
 // MemBytes returns the access width in bytes for memory instructions, 0
 // otherwise.
-func (i Instr) MemBytes() int {
-	switch i.Op {
-	case LDQ, STQ, FLDQ, FSTQ, LDIO, STIO:
-		return 8
-	case LDB, STB:
-		return 1
-	}
-	return 0
-}
+func (i Instr) MemBytes() int { return int(opTable[i.Op].Mem) }
 
 // IsUncached reports whether the instruction is an uncached I/O access.
 func (i Instr) IsUncached() bool { return i.Op == LDIO || i.Op == STIO }
 
-// HasDest reports whether the instruction writes an architectural register.
-func (i Instr) HasDest() bool {
-	switch ClassOf(i.Op) {
-	case ClassStore, ClassBranch, ClassBarrier, ClassHalt, ClassNop:
-		return i.Op == JSR // JSR is ClassJump; branches never write
-	case ClassJump:
-		return true // JSR and JMP both write a link register (may be R31)
-	}
-	return true
-}
+// HasDest reports whether the instruction writes an architectural register
+// (Rd). A store's Rd is its data source, so stores have no destination.
+func (i Instr) HasDest() bool { return opTable[i.Op].Rd.Writes() }
 
 // DestDiscarded reports whether the instruction writes a register but the
 // destination is the hardwired zero of its file (R31/F31), so the value is
@@ -407,43 +435,32 @@ func (i Instr) HasDest() bool {
 func (i Instr) DestDiscarded() bool { return i.HasDest() && i.Rd == ZeroReg }
 
 // DestIsFP reports whether the destination register is in the FP file.
-func (i Instr) DestIsFP() bool {
-	switch i.Op {
-	case FADD, FSUB, FMUL, FDIV, FSQRT, FNEG, FCMPEQ, FCMPLT, FCMPLE,
-		CVTQF, ITOF, FLDQ:
-		return true
-	}
-	return false
-}
+func (i Instr) DestIsFP() bool { return opTable[i.Op].Rd == FPDst }
 
-// String disassembles the instruction.
+// String disassembles the instruction in the syntax its table row implies.
+// Registers print as r<n> in either file, and an FP op with one source
+// still prints Rb.
 func (i Instr) String() string {
-	switch ClassOf(i.Op) {
-	case ClassNop, ClassBarrier, ClassHalt:
-		return i.Op.String()
-	case ClassLoad:
+	row := &opTable[i.Op]
+	switch {
+	case row.Mem != 0:
 		return fmt.Sprintf("%s r%d, %d(r%d)", i.Op, i.Rd, i.Imm, i.Ra)
-	case ClassStore:
-		return fmt.Sprintf("%s r%d, %d(r%d)", i.Op, i.Rd, i.Imm, i.Ra)
-	case ClassBranch:
-		if i.Op == BR {
-			return fmt.Sprintf("br %+d", i.Imm)
-		}
+	case row.Flow&Indirect != 0:
+		return fmt.Sprintf("%s r%d, (r%d)", i.Op, i.Rd, i.Ra)
+	case row.Flow&Direct != 0 && row.Rd.Writes(): // a call names its link
+		return fmt.Sprintf("%s r%d, %+d", i.Op, i.Rd, i.Imm)
+	case row.Flow&Direct != 0 && row.Ra.Reads(): // a conditional branch names its test
 		return fmt.Sprintf("%s r%d, %+d", i.Op, i.Ra, i.Imm)
-	case ClassJump:
-		if i.Op == JSR {
-			return fmt.Sprintf("jsr r%d, %+d", i.Rd, i.Imm)
-		}
-		return fmt.Sprintf("jmp r%d, (r%d)", i.Rd, i.Ra)
-	}
-	switch i.Op {
-	case LDI:
-		return fmt.Sprintf("ldi r%d, %d", i.Rd, i.Imm)
-	case ADDI, MULI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, CMPEQI, CMPLTI:
+	case row.Flow&Direct != 0:
+		return fmt.Sprintf("%s %+d", i.Op, i.Imm)
+	case row.Rd == Unused:
+		return i.Op.String()
+	case row.Ra == Unused:
+		return fmt.Sprintf("%s r%d, %d", i.Op, i.Rd, i.Imm)
+	case row.Imm:
 		return fmt.Sprintf("%s r%d, r%d, %d", i.Op, i.Rd, i.Ra, i.Imm)
-	default:
-		return fmt.Sprintf("%s r%d, r%d, r%d", i.Op, i.Rd, i.Ra, i.Rb)
 	}
+	return fmt.Sprintf("%s r%d, r%d, r%d", i.Op, i.Rd, i.Ra, i.Rb)
 }
 
 // Encoding layout, most significant byte first:
@@ -514,7 +531,7 @@ func Decode(w Word) (Instr, error) {
 }
 
 // BranchTarget computes the target PC of a direct control transfer located
-// at pc. It is meaningful only for BR, conditional branches and JSR.
+// at pc. It is meaningful only for opcodes whose Flow includes Direct.
 func (i Instr) BranchTarget(pc uint64) uint64 {
 	return uint64(int64(pc) + 1 + i.Imm)
 }

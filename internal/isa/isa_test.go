@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +191,35 @@ func TestDestIsFP(t *testing.T) {
 	}
 }
 
+// TestSources: the registers an instruction reads, in field order Ra, Rb,
+// Rd, with the hardwired zero left out, listed without allocating.
+func TestSources(t *testing.T) {
+	checks := []struct {
+		in   Instr
+		want []Operand
+	}{
+		{Instr{Op: ADD, Rd: R1, Ra: R2, Rb: R3}, []Operand{{R2, false}, {R3, false}}},
+		{Instr{Op: ADD, Rd: R1, Ra: R31, Rb: R3}, []Operand{{R3, false}}},
+		{Instr{Op: ADDI, Rd: R1, Ra: R2, Rb: R3}, []Operand{{R2, false}}},
+		{Instr{Op: STQ, Rd: R1, Ra: R2}, []Operand{{R2, false}, {R1, false}}},
+		{Instr{Op: FSTQ, Rd: F1, Ra: R2}, []Operand{{R2, false}, {F1, true}}},
+		{Instr{Op: CVTFQ, Rd: R1, Ra: F2}, []Operand{{F2, true}}},
+		{Instr{Op: FADD, Rd: F1, Ra: F2, Rb: F3}, []Operand{{F2, true}, {F3, true}}},
+		{Instr{Op: JSR, Rd: R26, Ra: R2, Rb: R3}, nil},
+		{Instr{Op: JMP, Rd: R31, Ra: R26}, []Operand{{R26, false}}},
+	}
+	for _, c := range checks {
+		srcs, n := c.in.Sources()
+		if got := srcs[:n]; !slices.Equal(got, c.want) {
+			t.Errorf("%v Sources = %v, want %v", c.in, got, c.want)
+		}
+	}
+	store, n := Instr{Op: FSTQ, Rd: F1, Ra: R2}, 0
+	if allocs := testing.AllocsPerRun(100, func() { _, n = store.Sources() }); allocs != 0 || n != 2 {
+		t.Errorf("Sources allocates %v times per call (listed %d sources)", allocs, n)
+	}
+}
+
 func TestOpStrings(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
 		s := op.String()
@@ -206,7 +236,7 @@ func TestClassCoverage(t *testing.T) {
 	// Every defined op must have a class consistent with its predicates.
 	for op := Op(1); op < numOps; op++ {
 		in := Instr{Op: op}
-		c := ClassOf(op)
+		c := op.Info().Class
 		if in.IsLoad() != (c == ClassLoad) {
 			t.Errorf("%v: load class mismatch", op)
 		}

@@ -42,20 +42,24 @@ func decodeOne(cfg *Config, ins isa.Instr) decodedInst {
 		srcA: noReg, srcB: noReg, srcD: noReg,
 		dest: noReg,
 	}
-	a, aFP, aOK, b, bFP, bOK, sd, sdFP, sdOK := srcRegs(ins)
-	if aOK && a != isa.ZeroReg {
-		dec.srcA, dec.aFP = uint8(a), aFP
-	}
-	if bOK && b != isa.ZeroReg {
-		dec.srcB, dec.bFP = uint8(b), bFP
-	}
-	if sdOK && sd != isa.ZeroReg {
-		dec.srcD, dec.dFP = uint8(sd), sdFP
-	}
-	if ins.HasDest() && !ins.IsStore() && ins.Rd != isa.ZeroReg {
+	row := ins.Op.Info()
+	dec.srcA, dec.aFP = srcSlot(ins.Ra, row.Ra)
+	dec.srcB, dec.bFP = srcSlot(ins.Rb, row.Rb)
+	dec.srcD, dec.dFP = srcSlot(ins.Rd, row.Rd) // a store's data
+	if ins.HasDest() && ins.Rd != isa.ZeroReg {
 		dec.dest, dec.destFP = uint8(ins.Rd), ins.DestIsFP()
 	}
 	return dec
+}
+
+// srcSlot is the decode record's form of one register field: noReg unless
+// the opcode reads the field and it names a register other than the
+// hardwired zero.
+func srcSlot(r isa.Reg, role isa.Role) (uint8, bool) {
+	if !role.Reads() || r == isa.ZeroReg {
+		return noReg, false
+	}
+	return uint8(r), role == isa.FPSrc
 }
 
 // buildDecode precomputes the decode table for a program's code image.

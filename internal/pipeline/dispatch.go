@@ -1,7 +1,5 @@
 package pipeline
 
-import "repro/internal/isa"
-
 // dispatchStage implements the PBOX/QBOX front end: one 8-instruction map
 // chunk per cycle from one thread's rate-matching buffer into the
 // instruction queue, allocating rename producers, load/store queue entries
@@ -101,49 +99,6 @@ func (co *Core) chooseHalf(ctx *Context, d *dynInst) bool {
 		return preferred
 	}
 	return positional
-}
-
-// srcRegs identifies the architectural source registers of an instruction:
-// up to two operand sources (a, b) plus the store-data source (d).
-func srcRegs(ins isa.Instr) (a isa.Reg, aFP, aOK bool, b isa.Reg, bFP, bOK bool, sd isa.Reg, sdFP, sdOK bool) {
-	switch isa.ClassOf(ins.Op) {
-	case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv:
-		if ins.Op == isa.LDI {
-			return
-		}
-		a, aOK = ins.Ra, true
-		switch ins.Op {
-		case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI,
-			isa.SRLI, isa.SRAI, isa.CMPEQI, isa.CMPLTI:
-		default:
-			b, bOK = ins.Rb, true
-		}
-	case isa.ClassLoad:
-		a, aOK = ins.Ra, true
-	case isa.ClassStore:
-		a, aOK = ins.Ra, true
-		sd, sdOK = ins.Rd, true
-		sdFP = ins.Op == isa.FSTQ
-	case isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
-		switch ins.Op {
-		case isa.CVTQF, isa.ITOF:
-			a, aOK = ins.Ra, true // integer source
-		case isa.CVTFQ, isa.FTOI, isa.FSQRT, isa.FNEG:
-			a, aFP, aOK = ins.Ra, true, true
-		default:
-			a, aFP, aOK = ins.Ra, true, true
-			b, bFP, bOK = ins.Rb, true, true
-		}
-	case isa.ClassBranch:
-		if ins.Op != isa.BR {
-			a, aOK = ins.Ra, true
-		}
-	case isa.ClassJump:
-		if ins.Op == isa.JMP {
-			a, aOK = ins.Ra, true
-		}
-	}
-	return
 }
 
 // renameSources wires the dynInst to its in-flight producers and records it

@@ -25,7 +25,7 @@ const (
 )
 
 func kindOf(op isa.Op) classKind {
-	switch isa.ClassOf(op) {
+	switch op.Info().Class {
 	case isa.ClassIntALU:
 		return kindIntALU
 	case isa.ClassIntMul:

@@ -71,13 +71,13 @@ func (co *Core) retireOne(ctx *Context) bool {
 			pair.LPQ.FullStalls.Inc()
 			return false
 		}
-		if pair.RVQ != nil && d.out.Instr.HasDest() && !d.out.Instr.IsStore() && pair.RVQ.Full() {
+		if pair.RVQ != nil && d.out.Instr.HasDest() && pair.RVQ.Full() {
 			pair.RVQ.FullStalls.Inc()
 			return false
 		}
 	}
 	if ctx.Role == RoleTrailing && pair.RVQ != nil &&
-		d.out.Instr.HasDest() && !d.out.Instr.IsStore() &&
+		d.out.Instr.HasDest() &&
 		pair.RVQ.Front(co.cycle) == nil {
 		// SRTR: the trailing copy may not commit a register result before
 		// checking it against the leading copy's RVQ entry.
@@ -133,7 +133,7 @@ func (co *Core) retireOne(ctx *Context) bool {
 			// slot but bypasses the LVQ, so free the slot here.
 			ctx.lqUsed--
 		}
-		if pair.RVQ != nil && d.out.Instr.HasDest() && !d.out.Instr.IsStore() {
+		if pair.RVQ != nil && d.out.Instr.HasDest() {
 			pair.RVQ.Push(d.out.PC, d.out.DestVal, co.cycle+pair.Lat.LVQForward)
 		}
 		if d.isStore() {
@@ -162,7 +162,7 @@ func (co *Core) retireOne(ctx *Context) bool {
 		if d.isLoad() {
 			// LVQ entry was consumed at issue; no load queue entry.
 		}
-		if pair.RVQ != nil && d.out.Instr.HasDest() && !d.out.Instr.IsStore() {
+		if pair.RVQ != nil && d.out.Instr.HasDest() {
 			// SRTR register value check: the trailing result must match
 			// the leading copy's committed result instruction-for-
 			// instruction (the pre-commit wait above guarantees an entry).

@@ -89,7 +89,7 @@ func (p *profiler) step(out *vm.Outcome) {
 			p.taken.Add(0)
 		}
 	}
-	if isFPOp(ins.Op) {
+	if ins.IsFP() {
 		p.fp.Inc()
 	}
 	if ins.IsMem() && !ins.IsUncached() {
@@ -157,68 +157,15 @@ func Characterize(k *Kernel) (*Profile, error) {
 	return p.finish(k, th.Seq), nil
 }
 
-// isFPOp reports whether the op executes in the FP classes.
-func isFPOp(op isa.Op) bool {
-	switch isa.ClassOf(op) {
-	case isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
-		return true
-	}
-	return false
-}
-
 // depthStep advances the dependence scoreboard by one committed
-// instruction: the new chain depth is 1 past the deepest input (source
-// registers, and the stored cell for loads).
+// instruction: the new chain depth is 1 past the deepest input (the
+// registers its opcode's table row marks as sources, and the stored cell
+// for loads).
 func (p *profiler) depthStep(ins isa.Instr, out *vm.Outcome) {
-	readInt := func(r isa.Reg) uint64 {
-		if r == isa.ZeroReg {
-			return 0
-		}
-		return p.intDepth[r]
-	}
-	readFP := func(r isa.Reg) uint64 {
-		if r == isa.ZeroReg {
-			return 0
-		}
-		return p.fpDepth[r]
-	}
-	var d uint64
-	maxIn := func(v uint64) {
-		if v > d {
-			d = v
-		}
-	}
-	switch {
-	case ins.Op == isa.LDI || ins.Op == isa.NOP || ins.Op == isa.MB || ins.Op == isa.HALT || ins.Op == isa.BR:
-		// no register inputs
-	case ins.IsCondBranch():
-		maxIn(readInt(ins.Ra))
-	case ins.Op == isa.JMP:
-		maxIn(readInt(ins.Ra))
-	case ins.IsStore():
-		maxIn(readInt(ins.Ra)) // address
-		if ins.Op == isa.FSTQ {
-			maxIn(readFP(ins.Rd))
-		} else {
-			maxIn(readInt(ins.Rd))
-		}
-	case ins.IsLoad():
-		maxIn(readInt(ins.Ra))
-		if !ins.IsUncached() {
-			maxIn(p.memDepth[out.Addr&^7])
-		}
-	case ins.Op == isa.CVTQF || ins.Op == isa.ITOF:
-		maxIn(readInt(ins.Ra))
-	case ins.Op == isa.CVTFQ || ins.Op == isa.FTOI || ins.Op == isa.FSQRT || ins.Op == isa.FNEG:
-		maxIn(readFP(ins.Ra))
-	case isFPOp(ins.Op):
-		maxIn(readFP(ins.Ra))
-		maxIn(readFP(ins.Rb))
-	default: // integer ALU, reg-reg or immediate
-		maxIn(readInt(ins.Ra))
-		if !hasImmOperand(ins.Op) {
-			maxIn(readInt(ins.Rb))
-		}
+	row := ins.Op.Info()
+	d := max(p.depth(ins.Ra, row.Ra), p.depth(ins.Rb, row.Rb), p.depth(ins.Rd, row.Rd))
+	if ins.IsLoad() && !ins.IsUncached() {
+		d = max(d, p.memDepth[out.Addr&^7])
 	}
 	d++
 	if ins.IsStore() && !ins.IsUncached() {
@@ -238,13 +185,15 @@ func (p *profiler) depthStep(ins isa.Instr, out *vm.Outcome) {
 	}
 }
 
-// hasImmOperand reports whether the integer-ALU op's second operand is
-// the immediate rather than Rb.
-func hasImmOperand(op isa.Op) bool {
-	switch op {
-	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
-		isa.SLLI, isa.SRLI, isa.SRAI, isa.CMPEQI, isa.CMPLTI:
-		return true
+// depth is the chain depth of one register field's input: 0 unless the
+// opcode reads the field. The hardwired zero reads 0 too, since depthStep
+// never records a write to it.
+func (p *profiler) depth(r isa.Reg, role isa.Role) uint64 {
+	switch role {
+	case isa.IntSrc:
+		return p.intDepth[r]
+	case isa.FPSrc:
+		return p.fpDepth[r]
 	}
-	return false
+	return 0
 }

@@ -125,9 +125,11 @@ func condBle(a uint64) bool { return int64(a) <= 0 }
 
 // semOf decodes one instruction's semantics. It is the threaded engine's
 // single decode point; both the scalar and the batch specialiser consume
-// its output.
+// its output. The operand files and access widths are stated here rather
+// than read from the isa opcode table, so TestOpTableMatchesSemantics
+// checks the table against semantics defined independently of it.
 func semOf(ins isa.Instr) sem {
-	s := sem{ins: ins, destFP: ins.DestIsFP(), size: ins.MemBytes()}
+	s := sem{ins: ins}
 	intOp := func(fn func(a, b uint64) uint64) {
 		s.shape, s.fn = shALU, fn
 	}
@@ -135,13 +137,16 @@ func semOf(ins isa.Instr) sem {
 		s.shape, s.fn, s.bImm = shALU, fn, true
 	}
 	fpOp := func(fn func(a, b uint64) uint64) {
-		s.shape, s.fn, s.aFP, s.bFP = shALU, fn, true, true
+		s.shape, s.fn, s.aFP, s.bFP, s.destFP = shALU, fn, true, true, true
 	}
 	fp1 := func(fn func(a, b uint64) uint64) {
+		s.shape, s.fn, s.aFP, s.noB, s.destFP = shALU, fn, true, true, true
+	}
+	fpToInt := func(fn func(a, b uint64) uint64) {
 		s.shape, s.fn, s.aFP, s.noB = shALU, fn, true, true
 	}
-	int1 := func(fn func(a, b uint64) uint64) {
-		s.shape, s.fn, s.noB = shALU, fn, true
+	intToFP := func(fn func(a, b uint64) uint64) {
+		s.shape, s.fn, s.noB, s.destFP = shALU, fn, true, true
 	}
 	cond := func(fn func(a uint64) bool) {
 		s.shape, s.cond = shCondBr, fn
@@ -208,19 +213,21 @@ func semOf(ins isa.Instr) sem {
 		immOp(fnCmpLt)
 
 	case isa.LDIO:
-		s.shape = shLoadIO
+		s.shape, s.size = shLoadIO, 8
 	case isa.STIO:
-		s.shape = shStoreIO
-	case isa.LDQ, isa.FLDQ:
-		s.shape = shLoad
+		s.shape, s.size = shStoreIO, 8
+	case isa.LDQ:
+		s.shape, s.size = shLoad, 8
+	case isa.FLDQ:
+		s.shape, s.size, s.destFP = shLoad, 8, true
 	case isa.LDB:
-		s.shape, s.byteOp = shLoad, true
+		s.shape, s.size, s.byteOp = shLoad, 1, true
 	case isa.STQ:
-		s.shape = shStore
+		s.shape, s.size = shStore, 8
 	case isa.FSTQ:
-		s.shape, s.srcFP = shStore, true
+		s.shape, s.size, s.srcFP = shStore, 8, true
 	case isa.STB:
-		s.shape, s.byteOp = shStore, true
+		s.shape, s.size, s.byteOp = shStore, 1, true
 
 	case isa.FADD:
 		fpOp(fnFAdd)
@@ -241,13 +248,13 @@ func semOf(ins isa.Instr) sem {
 	case isa.FCMPLE:
 		fpOp(fnFCmpLe)
 	case isa.CVTQF:
-		int1(fnCvtQF)
+		intToFP(fnCvtQF)
 	case isa.CVTFQ:
-		fp1(fnCvtFQ)
+		fpToInt(fnCvtFQ)
 	case isa.ITOF:
-		int1(fnMove)
+		intToFP(fnMove)
 	case isa.FTOI:
-		fp1(fnMove)
+		fpToInt(fnMove)
 
 	case isa.BR:
 		s.shape = shBR
