@@ -35,14 +35,17 @@ smoke:
 	go run ./cmd/rmtbench -quick -parallel 4 >/dev/null
 
 # The acceptance invariant: -parallel 1 and -parallel 4 stdout must be
-# byte-identical. Outputs go to mktemp paths so concurrent CI runs cannot
-# clobber each other.
+# byte-identical, and equal to the benchmark's recorded quick-size output
+# (cmd/rmtperf/testdata/figures.golden, read here and never written).
+# Outputs go to mktemp paths so concurrent CI runs cannot clobber each
+# other.
 determinism:
 	@set -e; \
 	p1=$$(mktemp); p4=$$(mktemp); trap 'rm -f $$p1 $$p4' EXIT; \
 	go run ./cmd/rmtbench -quick -parallel 1 2>/dev/null > $$p1; \
 	go run ./cmd/rmtbench -quick -parallel 4 2>/dev/null > $$p4; \
-	cmp $$p1 $$p4 && echo "byte-identical"
+	cmp $$p1 $$p4; echo "byte-identical"; \
+	cmp $$p1 cmd/rmtperf/testdata/figures.golden; echo "matches cmd/rmtperf/testdata/figures.golden"
 
 # Coverage gate: total statement coverage must not fall below the floor.
 # Re-pinned when the recovery/adaptive modes landed: the mode-matrix and

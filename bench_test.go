@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exp"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vm"
+	"repro/rmt"
 )
 
 func benchParams(b *testing.B) exp.Params {
@@ -234,10 +236,16 @@ func BenchmarkProgenCharacterize(b *testing.B) {
 
 // --- ablation benches (design choices from DESIGN.md §5) ---
 
+// ablationEff runs spec at p's sizes and returns its SMT-Efficiency
+// against reference runs of its programs on the default base machine.
 func ablationEff(b *testing.B, p exp.Params, spec sim.Spec, cycles *uint64) float64 {
-	base, err := sim.BaseIPC(p.Config, p.Warmup, p.Budget, spec.Programs...)
+	ipcs, err := rmt.BaseIPC(context.Background(), spec.Programs, rmt.WithBudget(p.Budget), rmt.WithWarmup(p.Warmup))
 	if err != nil {
 		b.Fatal(err)
+	}
+	base := make([]float64, len(spec.Programs))
+	for i, name := range spec.Programs {
+		base[i] = ipcs[name]
 	}
 	spec.Budget = p.Budget
 	spec.Warmup = p.Warmup
@@ -253,11 +261,7 @@ func ablationEff(b *testing.B, p exp.Params, spec sim.Spec, cycles *uint64) floa
 		b.Fatal(err)
 	}
 	*cycles += rs.Cycles
-	var sum float64
-	for i, name := range spec.Programs {
-		sum += rs.LogicalIPC[i] / base[name]
-	}
-	return sum / float64(len(spec.Programs))
+	return stats.SMTEfficiency(rs.LogicalIPC, base)
 }
 
 // BenchmarkAblation_SlackFetch compares the paper's LPQ-priority trailing

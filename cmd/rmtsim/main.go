@@ -126,15 +126,19 @@ func main() {
 
 	fmt.Printf("mode=%v programs=%v warmup=%d budget=%d cycles=%d\n\n", mode, progs, warmup, budget, rs.Cycles)
 
-	var baseIPC map[string]float64
+	// base holds each program's reference IPC, nil under -norel.
+	var base []float64
 	if !*noRel {
 		// The per-program reference runs are independent simulations;
 		// fan them across the worker pool through the public facade.
-		baseIPC, err = rmt.BaseIPC(context.Background(), progs,
+		ipcs, err := rmt.BaseIPC(context.Background(), progs,
 			rmt.WithBudget(budget), rmt.WithWarmup(warmup),
 			rmt.WithParallelism(sf.Parallelism()))
 		if err != nil {
 			fatal(err)
+		}
+		for _, name := range progs {
+			base = append(base, ipcs[name])
 		}
 	}
 
@@ -142,14 +146,12 @@ func main() {
 		Title:   "per-logical-thread results",
 		Columns: []string{"program", "IPC", "SMT-eff", "brMiss%", "lineMiss%", "I$miss", "D$miss", "sqStall", "storeLife"},
 	}
-	var effs []float64
 	for i, name := range progs {
 		lead := m.Leads[i]
 		ts := lead.Stats
 		eff := 0.0
-		if baseIPC != nil && baseIPC[name] > 0 {
-			eff = rs.LogicalIPC[i] / baseIPC[name]
-			effs = append(effs, eff)
+		if base != nil {
+			eff = stats.SMTEfficiency(rs.LogicalIPC[i:i+1], base[i:i+1])
 		}
 		tbl.AddRow(name,
 			fmt.Sprintf("%.3f", rs.LogicalIPC[i]),
@@ -163,8 +165,8 @@ func main() {
 		)
 	}
 	fmt.Println(tbl)
-	if len(effs) > 0 {
-		fmt.Printf("mean SMT-Efficiency: %.3f\n", stats.ArithMean(effs))
+	if base != nil {
+		fmt.Printf("mean SMT-Efficiency: %.3f\n", stats.SMTEfficiency(rs.LogicalIPC[:len(base)], base))
 	}
 
 	for _, p := range m.Pairs {

@@ -4,9 +4,10 @@
 //
 // Every figure declares its sweep as a flat job list — one independent
 // (kernel, configuration) simulation per job — and hands it to
-// internal/runner, which fans the jobs across Params.Parallelism worker
-// goroutines. Results are keyed by job index, so tables are assembled in
-// declaration order and the output is byte-identical at any parallelism.
+// internal/runner, which fans the jobs, plus one base-machine reference run
+// per distinct program, across Params.Parallelism worker goroutines.
+// Results are keyed by job index, so tables are assembled in declaration
+// order and the output is byte-identical at any parallelism.
 //
 // Figure/table numbering follows DESIGN.md's experiment index. The paper's
 // published numbers (where the supplied text states them) are embedded in
@@ -16,7 +17,7 @@ package exp
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/pipeline"
@@ -57,123 +58,95 @@ func Quick() Params {
 	return Params{Budget: 8000, Warmup: 5000, CampaignRuns: 8, Config: pipeline.DefaultConfig()}
 }
 
-// baseCache memoises single-thread base IPCs per parameter set. It is safe
-// for concurrent use: each kernel's reference run executes at most once
-// (single flight) and late arrivals block until the winner's result is
-// ready.
-type baseCache struct {
-	p Params
-	// compute produces one kernel's base IPC; tests stub it.
-	compute func(name string) (float64, error)
-
-	mu      sync.Mutex
-	entries map[string]*baseEntry
-}
-
-type baseEntry struct {
-	once sync.Once
-	ipc  float64
-	err  error
-}
-
-func newBaseCache(p Params) *baseCache {
-	c := &baseCache{p: p, entries: make(map[string]*baseEntry)}
-	c.compute = func(name string) (float64, error) {
-		got, err := sim.BaseIPC(c.p.Config, c.p.Warmup, c.p.Budget, name)
-		if err != nil {
-			return 0, err
-		}
-		return got[name], nil
-	}
-	return c
-}
-
-func (c *baseCache) get(names ...string) (map[string]float64, error) {
-	out := make(map[string]float64, len(names))
-	for _, n := range names {
-		c.mu.Lock()
-		e, ok := c.entries[n]
-		if !ok {
-			e = &baseEntry{}
-			c.entries[n] = e
-		}
-		c.mu.Unlock()
-		e.once.Do(func() { e.ipc, e.err = c.compute(n) })
-		if e.err != nil {
-			return nil, e.err
-		}
-		out[n] = e.ipc
-	}
-	return out, nil
-}
-
-// run executes one spec and returns per-logical-thread SMT-Efficiencies and
-// the run stats.
-func run(p Params, spec sim.Spec, cache *baseCache) ([]float64, *stats.RunStats, *sim.Machine, error) {
+// run executes one spec at p's sizes and machine.
+func run(p Params, spec sim.Spec) (*stats.RunStats, *sim.Machine, error) {
 	spec.Budget = p.Budget
 	spec.Warmup = p.Warmup
 	spec.Config = p.Config
 	m, err := sim.Build(spec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rs, err := m.Run()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("exp: %v %v: %w", spec.Mode, spec.Programs, err)
+		return nil, nil, fmt.Errorf("exp: %v %v: %w", spec.Mode, spec.Programs, err)
 	}
-	base, err := cache.get(spec.Programs...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	effs := make([]float64, len(spec.Programs))
-	for i, name := range spec.Programs {
-		if base[name] > 0 {
-			effs[i] = rs.LogicalIPC[i] / base[name]
-		}
-	}
-	return effs, rs, m, nil
+	return rs, m, nil
 }
 
 // job is one simulation in a figure's sweep. Figures that sweep machine
-// configuration (Fig9's store-queue sizes) carry a per-job Params; the
-// base-IPC cache stays keyed to the figure's standard parameters.
+// configuration (Fig9's store-queue sizes) carry a per-job Params.
 type job struct {
 	p    Params
 	spec sim.Spec
 }
 
-// result bundles what run() returns for deterministic reassembly.
+// result is one job's outcome: its SMT-Efficiency, its run stats and its
+// machine.
 type result struct {
-	effs []float64
-	rs   *stats.RunStats
-	m    *sim.Machine
+	eff float64
+	rs  *stats.RunStats
+	m   *sim.Machine
 }
 
 // sweep fans jobs across the worker pool and returns results keyed by job
 // index, so callers assemble tables in declaration order regardless of
 // completion order.
-func sweep(p Params, jobs []job, cache *baseCache) ([]result, error) {
-	fns := make([]func() (result, error), len(jobs))
-	for i := range jobs {
-		j := jobs[i]
-		fns[i] = func() (result, error) {
-			effs, rs, m, err := run(j.p, j.spec, cache)
-			if err != nil {
-				return result{}, err
+//
+// A job's SMT-Efficiency divides by its programs' IPCs alone on the base
+// machine at the figure's standard Params p, even when the job's own
+// Params differ. Those reference runs, one per distinct program, are
+// ordinary jobs of the same pool, each scheduled just before the first job
+// that reads it, and keep only their IPC, not their machine. Scheduled all
+// first, they would run on a near-empty heap, where each one's garbage
+// triggers a collection: 16 instead of 6 for a Fig6 at budget and warmup
+// 300, which then took a fifth longer.
+func sweep(p Params, jobs []job) ([]result, error) {
+	baseIPC := map[string]*float64{}
+	var fns []func() (result, error)
+	at := make([]int, len(jobs)) // each job's index in fns
+	for i, j := range jobs {
+		for _, name := range j.spec.Programs {
+			if baseIPC[name] != nil {
+				continue
 			}
-			return result{effs: effs, rs: rs, m: m}, nil
+			ipc := new(float64)
+			baseIPC[name] = ipc
+			fns = append(fns, func() (result, error) {
+				rs, _, err := run(p, sim.Spec{Mode: sim.ModeBase, Programs: []string{name}})
+				if err == nil {
+					*ipc = rs.LogicalIPC[0]
+				}
+				return result{}, err
+			})
 		}
+		at[i] = len(fns)
+		fns = append(fns, func() (result, error) {
+			rs, m, err := run(j.p, j.spec)
+			return result{rs: rs, m: m}, err
+		})
 	}
 	out, rep, err := runner.Run(fns, runner.Options{Parallelism: p.Parallelism, Progress: p.Progress})
 	if p.OnReport != nil {
 		p.OnReport(rep)
 	}
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	res := make([]result, len(jobs))
+	for i, j := range jobs {
+		base := make([]float64, len(j.spec.Programs))
+		for k, name := range j.spec.Programs {
+			base[k] = *baseIPC[name]
+		}
+		res[i] = out[at[i]]
+		// LogicalIPC lists the spec's programs in order, except that Base2
+		// lists each program's two copies side by side. The figures run
+		// Base2 on one program only.
+		res[i].eff = stats.SMTEfficiency(res[i].rs.LogicalIPC[:len(base)], base)
+	}
+	return res, nil
 }
-
-// meanEff is the arithmetic mean over logical threads — the paper's
-// SMT-Efficiency for a run (Snavely-Tullsen weighted speedup).
-func meanEff(effs []float64) float64 { return stats.ArithMean(effs) }
 
 // sumCycles totals simulated cycles across a sweep, published in each
 // figure's summary under "simcycles" so the benchmark harness can report
@@ -215,60 +188,85 @@ func Table1(cfg pipeline.Config) *stats.Table {
 	return t
 }
 
+// column is one series of an efficiency table: its header, the key its
+// mean takes in the summary, and the spec each row's programs run under.
+type column struct {
+	header, key string
+	spec        sim.Spec
+}
+
+// effTable runs every row's programs under every column's spec and
+// tabulates the mean SMT-Efficiencies: one line per row, labelled by its
+// programs joined with "+", then a MEAN line whose values the summary holds
+// under the columns' keys.
+func effTable(p Params, title, rowHeader string, rows [][]string, cols []column) (*stats.Table, map[string]float64, error) {
+	t := &stats.Table{Title: title, Columns: []string{rowHeader}}
+	for _, c := range cols {
+		t.Columns = append(t.Columns, c.header)
+	}
+	t.Grow(len(rows) + 1)
+	var jobs []job
+	for _, progs := range rows {
+		for _, c := range cols {
+			spec := c.spec
+			spec.Programs = progs
+			jobs = append(jobs, job{p, spec})
+		}
+	}
+	res, err := sweep(p, jobs)
+	if err != nil {
+		return nil, nil, err
+	}
+	perCol := make([][]float64, len(cols))
+	for ri, progs := range rows {
+		effs := make([]float64, len(cols))
+		for ci := range cols {
+			effs[ci] = res[ri*len(cols)+ci].eff
+			perCol[ci] = append(perCol[ci], effs[ci])
+		}
+		t.AddRowf(strings.Join(progs, "+"), effs...)
+	}
+	summary := map[string]float64{"simcycles": sumCycles(res)}
+	means := make([]float64, len(cols))
+	for ci, c := range cols {
+		means[ci] = stats.ArithMean(perCol[ci])
+		summary[c.key] = means[ci]
+	}
+	t.AddRowf("MEAN", means...)
+	return t, summary, nil
+}
+
+// singles makes each program a workload of its own.
+func singles(names []string) [][]string {
+	rows := make([][]string, len(names))
+	for i, n := range names {
+		rows[i] = []string{n}
+	}
+	return rows
+}
+
+// pairs lists the paper's two-program workloads.
+func pairs() [][]string {
+	prs := program.MultiprogramPairs()
+	rows := make([][]string, len(prs))
+	for i := range prs {
+		rows[i] = prs[i][:]
+	}
+	return rows
+}
+
 // Fig6 reproduces Figure 6: SMT-Efficiency of one logical thread under
 // Base2, SRT, SRT with per-thread store queues, and SRT without store
 // comparison, across the 18-kernel suite. Paper: SRT degrades 32% on
 // average; per-thread store queues reduce it to 30%.
 func Fig6(p Params) (*stats.Table, map[string]float64, error) {
-	cache := newBaseCache(p)
-	t := &stats.Table{
-		Title:   "Figure 6: SMT-Efficiency, one logical thread (paper: SRT avg 0.68, SRT+ptSQ avg 0.70)",
-		Columns: []string{"program", "Base2", "SRT", "SRT+ptSQ", "SRT+noSC"},
-	}
-	configs := []struct {
-		name string
-		spec sim.Spec
-	}{
-		{"Base2", sim.Spec{Mode: sim.ModeBase2}},
-		{"SRT", sim.Spec{Mode: sim.ModeSRT, PSR: true}},
-		{"SRT+ptSQ", sim.Spec{Mode: sim.ModeSRT, PSR: true, PerThreadSQ: true}},
-		{"SRT+noSC", sim.Spec{Mode: sim.ModeSRT, PSR: true, NoStoreComparison: true}},
-	}
-	names := program.Names()
-	t.Grow(len(names) + 1)
-	// Job list: names x configs, row-major.
-	var jobs []job
-	for _, name := range names {
-		for _, c := range configs {
-			spec := c.spec
-			spec.Programs = []string{name}
-			jobs = append(jobs, job{p, spec})
-		}
-	}
-	res, err := sweep(p, jobs, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	sums := map[string][]float64{}
-	for ni, name := range names {
-		row := []string{name}
-		for ci, c := range configs {
-			e := meanEff(res[ni*len(configs)+ci].effs)
-			sums[c.name] = append(sums[c.name], e)
-			row = append(row, fmt.Sprintf("%.3f", e))
-		}
-		t.AddRow(row...)
-	}
-	summary := map[string]float64{}
-	mrow := []string{"MEAN"}
-	for _, c := range configs {
-		mean := stats.ArithMean(sums[c.name])
-		summary[c.name] = mean
-		mrow = append(mrow, fmt.Sprintf("%.3f", mean))
-	}
-	t.AddRow(mrow...)
-	summary["simcycles"] = sumCycles(res)
-	return t, summary, nil
+	return effTable(p, "Figure 6: SMT-Efficiency, one logical thread (paper: SRT avg 0.68, SRT+ptSQ avg 0.70)",
+		"program", singles(program.Names()), []column{
+			{"Base2", "Base2", sim.Spec{Mode: sim.ModeBase2}},
+			{"SRT", "SRT", sim.Spec{Mode: sim.ModeSRT, PSR: true}},
+			{"SRT+ptSQ", "SRT+ptSQ", sim.Spec{Mode: sim.ModeSRT, PSR: true, PerThreadSQ: true}},
+			{"SRT+noSC", "SRT+noSC", sim.Spec{Mode: sim.ModeSRT, PSR: true, NoStoreComparison: true}},
+		})
 }
 
 // Fig7 reproduces Figure 7: the fraction of corresponding instruction pairs
@@ -276,7 +274,6 @@ func Fig6(p Params) (*stats.Table, map[string]float64, error) {
 // preferential space redundancy. Paper: 65% same functional unit without
 // PSR, 0.06% with, at no performance cost.
 func Fig7(p Params) (*stats.Table, map[string]float64, error) {
-	cache := newBaseCache(p)
 	t := &stats.Table{
 		Title:   "Figure 7: space redundancy (paper: same-FU 65% -> 0.06%, no slowdown)",
 		Columns: []string{"program", "sameHalf noPSR", "sameFU noPSR", "sameHalf PSR", "sameFU PSR", "eff noPSR", "eff PSR"},
@@ -290,7 +287,7 @@ func Fig7(p Params) (*stats.Table, map[string]float64, error) {
 			jobs = append(jobs, job{p, sim.Spec{Mode: sim.ModeSRT, PSR: psr, Programs: []string{name}}})
 		}
 	}
-	res, err := sweep(p, jobs, cache)
+	res, err := sweep(p, jobs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -302,7 +299,7 @@ func Fig7(p Params) (*stats.Table, map[string]float64, error) {
 			pair := r.m.Pairs[0]
 			halves[i] = pair.SameHalfFrac()
 			fus[i] = pair.SameFUFrac()
-			effs[i] = meanEff(r.effs)
+			effs[i] = r.eff
 		}
 		aggHalfOff = append(aggHalfOff, halves[0])
 		aggFUOff = append(aggFUOff, fus[0])
@@ -334,50 +331,18 @@ func Fig7(p Params) (*stats.Table, map[string]float64, error) {
 // Fig8 reproduces the two-logical-thread SRT experiment (four hardware
 // contexts). Paper: ~40% degradation, ~32% with per-thread store queues.
 func Fig8(p Params) (*stats.Table, map[string]float64, error) {
-	cache := newBaseCache(p)
-	t := &stats.Table{
-		Title:   "Figure 8: SMT-Efficiency, two logical threads under SRT (paper: avg 0.60, ptSQ 0.68)",
-		Columns: []string{"pair", "Base(2 threads)", "SRT", "SRT+ptSQ"},
-	}
-	pairs := program.MultiprogramPairs()
-	t.Grow(len(pairs) + 1)
-	var jobs []job
-	for _, pr := range pairs {
-		progs := []string{pr[0], pr[1]}
-		jobs = append(jobs,
-			job{p, sim.Spec{Mode: sim.ModeBase, Programs: progs}},
-			job{p, sim.Spec{Mode: sim.ModeSRT, PSR: true, Programs: progs}},
-			job{p, sim.Spec{Mode: sim.ModeSRT, PSR: true, PerThreadSQ: true, Programs: progs}})
-	}
-	res, err := sweep(p, jobs, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	var b, s, sp []float64
-	for pi, pr := range pairs {
-		be := meanEff(res[pi*3].effs)
-		se := meanEff(res[pi*3+1].effs)
-		pe := meanEff(res[pi*3+2].effs)
-		b = append(b, be)
-		s = append(s, se)
-		sp = append(sp, pe)
-		t.AddRowf(pr[0]+"+"+pr[1], be, se, pe)
-	}
-	summary := map[string]float64{
-		"base2t":    stats.ArithMean(b),
-		"srt":       stats.ArithMean(s),
-		"ptsq":      stats.ArithMean(sp),
-		"simcycles": sumCycles(res),
-	}
-	t.AddRowf("MEAN", summary["base2t"], summary["srt"], summary["ptsq"])
-	return t, summary, nil
+	return effTable(p, "Figure 8: SMT-Efficiency, two logical threads under SRT (paper: avg 0.60, ptSQ 0.68)",
+		"pair", pairs(), []column{
+			{"Base(2 threads)", "base2t", sim.Spec{Mode: sim.ModeBase}},
+			{"SRT", "srt", sim.Spec{Mode: sim.ModeSRT, PSR: true}},
+			{"SRT+ptSQ", "ptsq", sim.Spec{Mode: sim.ModeSRT, PSR: true, PerThreadSQ: true}},
+		})
 }
 
 // Fig9 reproduces the store-queue pressure analysis: average leading-store
 // store-queue lifetime versus the base machine (paper: +39 cycles), and
 // SMT-Efficiency across store-queue sizes.
 func Fig9(p Params) (*stats.Table, map[string]float64, error) {
-	cache := newBaseCache(p)
 	t := &stats.Table{
 		Title:   "Figure 9: store-queue lifetime and size sensitivity (paper: SRT adds ~39 cycles)",
 		Columns: []string{"program", "base life", "SRT life", "delta", "eff SQ=32", "eff SQ=48", "eff SQ=64", "eff ptSQ"},
@@ -397,13 +362,11 @@ func Fig9(p Params) (*stats.Table, map[string]float64, error) {
 			cfg.SQCap = sq * 2 // statically divided between the two contexts
 			pp := p
 			pp.Config = cfg
-			// The base reference must stay the standard machine: the
-			// shared cache is keyed to the figure's standard Params.
 			jobs = append(jobs, job{pp, sim.Spec{Mode: sim.ModeSRT, PSR: true, Programs: progs}})
 		}
 		jobs = append(jobs, job{p, sim.Spec{Mode: sim.ModeSRT, PSR: true, PerThreadSQ: true, Programs: progs}})
 	}
-	res, err := sweep(p, jobs, cache)
+	res, err := sweep(p, jobs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -418,11 +381,11 @@ func Fig9(p Params) (*stats.Table, map[string]float64, error) {
 
 		cells := []string{name, fmt.Sprintf("%.1f", baseLife), fmt.Sprintf("%.1f", srtLife), fmt.Sprintf("%+.1f", delta)}
 		for si, sq := range sqSizes {
-			e := meanEff(row[2+si].effs)
+			e := row[2+si].eff
 			effSums[sq] = append(effSums[sq], e)
 			cells = append(cells, fmt.Sprintf("%.3f", e))
 		}
-		e := meanEff(row[perName-1].effs)
+		e := row[perName-1].eff
 		effSums[-1] = append(effSums[-1], e)
 		cells = append(cells, fmt.Sprintf("%.3f", e))
 		t.AddRow(cells...)
@@ -441,84 +404,39 @@ func Fig9(p Params) (*stats.Table, map[string]float64, error) {
 	return t, summary, nil
 }
 
-// lockCRTTable runs Lock0/Lock8/CRT/CRT+ptSQ over workload groups.
-func lockCRTTable(p Params, title string, groups [][]string) (*stats.Table, map[string]float64, error) {
-	cache := newBaseCache(p)
-	t := &stats.Table{
-		Title:   title,
-		Columns: []string{"workload", "Lock0", "Lock8", "CRT", "CRT+ptSQ"},
+// lockCRT lists the columns of Figures 10-12: Lock0, Lock8, CRT and
+// CRT+ptSQ.
+func lockCRT() []column {
+	return []column{
+		{"Lock0", "lock0", sim.Spec{Mode: sim.ModeLockstep, CheckerLatency: 0}},
+		{"Lock8", "lock8", sim.Spec{Mode: sim.ModeLockstep, CheckerLatency: 8}},
+		{"CRT", "crt", sim.Spec{Mode: sim.ModeCRT, PSR: true}},
+		{"CRT+ptSQ", "crt+ptsq", sim.Spec{Mode: sim.ModeCRT, PSR: true, PerThreadSQ: true}},
 	}
-	const perGroup = 4
-	t.Grow(len(groups) + 1)
-	var jobs []job
-	for _, progs := range groups {
-		jobs = append(jobs,
-			job{p, sim.Spec{Mode: sim.ModeLockstep, CheckerLatency: 0, Programs: progs}},
-			job{p, sim.Spec{Mode: sim.ModeLockstep, CheckerLatency: 8, Programs: progs}},
-			job{p, sim.Spec{Mode: sim.ModeCRT, PSR: true, Programs: progs}},
-			job{p, sim.Spec{Mode: sim.ModeCRT, PSR: true, PerThreadSQ: true, Programs: progs}})
-	}
-	res, err := sweep(p, jobs, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	var l0s, l8s, cs, cps []float64
-	for gi, progs := range groups {
-		label := ""
-		for i, n := range progs {
-			if i > 0 {
-				label += "+"
-			}
-			label += n
-		}
-		l0 := meanEff(res[gi*perGroup].effs)
-		l8 := meanEff(res[gi*perGroup+1].effs)
-		c := meanEff(res[gi*perGroup+2].effs)
-		cp := meanEff(res[gi*perGroup+3].effs)
-		l0s = append(l0s, l0)
-		l8s = append(l8s, l8)
-		cs = append(cs, c)
-		cps = append(cps, cp)
-		t.AddRowf(label, l0, l8, c, cp)
-	}
-	summary := map[string]float64{
-		"lock0":     stats.ArithMean(l0s),
-		"lock8":     stats.ArithMean(l8s),
-		"crt":       stats.ArithMean(cs),
-		"crt+ptsq":  stats.ArithMean(cps),
-		"simcycles": sumCycles(res),
-	}
-	t.AddRowf("MEAN", summary["lock0"], summary["lock8"], summary["crt"], summary["crt+ptsq"])
-	return t, summary, nil
 }
 
 // Fig10 compares lockstepping and CRT for single-program workloads. Paper:
 // CRT performs similarly to lockstepping on one logical thread.
 func Fig10(p Params) (*stats.Table, map[string]float64, error) {
-	var groups [][]string
-	for _, n := range program.Names() {
-		groups = append(groups, []string{n})
-	}
-	return lockCRTTable(p, "Figure 10: lockstep vs CRT, one logical thread (paper: similar)", groups)
+	return effTable(p, "Figure 10: lockstep vs CRT, one logical thread (paper: similar)",
+		"workload", singles(program.Names()), lockCRT())
 }
 
 // Fig11 compares lockstepping and CRT on the six two-program pairs. Paper:
 // CRT outperforms lockstepping by 13% on average (max 22%).
 func Fig11(p Params) (*stats.Table, map[string]float64, error) {
-	var groups [][]string
-	for _, pr := range program.MultiprogramPairs() {
-		groups = append(groups, []string{pr[0], pr[1]})
-	}
-	return lockCRTTable(p, "Figure 11: lockstep vs CRT, two logical threads (paper: CRT +13% avg, +22% max)", groups)
+	return effTable(p, "Figure 11: lockstep vs CRT, two logical threads (paper: CRT +13% avg, +22% max)",
+		"workload", pairs(), lockCRT())
 }
 
 // Fig12 compares lockstepping and CRT on the four-program combinations.
 func Fig12(p Params) (*stats.Table, map[string]float64, error) {
-	var groups [][]string
-	for _, c := range program.FourProgramCombos() {
-		groups = append(groups, []string{c[0], c[1], c[2], c[3]})
+	combos := program.FourProgramCombos()
+	rows := make([][]string, len(combos))
+	for i := range combos {
+		rows[i] = combos[i][:]
 	}
-	return lockCRTTable(p, "Figure 12: lockstep vs CRT, four logical threads", groups)
+	return effTable(p, "Figure 12: lockstep vs CRT, four logical threads", "workload", rows, lockCRT())
 }
 
 // Coverage runs transient fault-injection campaigns on SRT and CRT and
@@ -537,7 +455,7 @@ func Coverage(p Params) (*stats.Table, map[string]float64, error) {
 	summary := map[string]float64{}
 	var simCycles float64
 	for _, mode := range []sim.Mode{sim.ModeSRT, sim.ModeCRT} {
-		var det, msk, nf, runs int
+		var pool fault.CampaignSummary
 		var lat []float64
 		for _, k := range kernels {
 			spec := sim.Spec{
@@ -550,19 +468,16 @@ func Coverage(p Params) (*stats.Table, map[string]float64, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			det += sum.Detected
-			msk += sum.Masked
-			nf += sum.NotFired
-			runs += sum.Runs
-			simCycles += float64(sum.TotalCycles)
+			pool.Add(sum)
 			if sum.Detected > 0 {
 				lat = append(lat, sum.MeanDetectionCycles)
 			}
 		}
-		cov := float64(det) / float64(max(det+msk, 1))
+		simCycles += float64(pool.TotalCycles)
+		cov := pool.Coverage()
 		meanLat := stats.ArithMean(lat)
-		t.AddRow(mode.String(), fmt.Sprint(runs), fmt.Sprint(det), fmt.Sprint(msk),
-			fmt.Sprint(nf), fmt.Sprintf("%.3f", cov), fmt.Sprintf("%.0f", meanLat))
+		t.AddRow(mode.String(), fmt.Sprint(pool.Runs), fmt.Sprint(pool.Detected), fmt.Sprint(pool.Masked),
+			fmt.Sprint(pool.NotFired), fmt.Sprintf("%.3f", cov), fmt.Sprintf("%.0f", meanLat))
 		summary["coverage."+mode.String()] = cov
 		summary["latency."+mode.String()] = meanLat
 	}
@@ -662,7 +577,6 @@ func protectedFrac(m *sim.Machine) float64 {
 // kernels: a fault-free run (SMT-Efficiency and the protection table) plus
 // an injection campaign classifying detected / masked / unprotected-SDC.
 func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
-	cache := newBaseCache(p)
 	thetas := []float64{0, 0.25, 0.5, 0.75, 0.95}
 	kernels := []string{"gcc", "compress", "li"}
 	t := &stats.Table{
@@ -679,7 +593,7 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 			}})
 		}
 	}
-	res, err := sweep(p, jobs, cache)
+	res, err := sweep(p, jobs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -691,9 +605,9 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 		for ki := range kernels {
 			r := res[ti*len(kernels)+ki]
 			prot = append(prot, protectedFrac(r.m))
-			effs = append(effs, meanEff(r.effs))
+			effs = append(effs, r.eff)
 		}
-		var det, msk, sdc, runs int
+		var pool fault.CampaignSummary
 		for _, k := range kernels {
 			spec := sim.Spec{
 				Mode: sim.ModeAdaptive, Programs: []string{k},
@@ -706,22 +620,19 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			det += sum.Detected
-			msk += sum.Masked
-			sdc += sum.UnprotectedSDC
-			runs += sum.Runs
-			simCycles += float64(sum.TotalCycles)
+			pool.Add(sum)
 		}
-		cov := float64(det) / float64(max(det+msk+sdc, 1))
+		simCycles += float64(pool.TotalCycles)
+		cov := pool.Coverage()
 		tag := fmt.Sprintf("t%02.0f", th*100)
 		summary["protected."+tag] = stats.ArithMean(prot)
 		summary["eff."+tag] = stats.ArithMean(effs)
 		summary["coverage."+tag] = cov
-		summary["sdc."+tag] = float64(sdc)
+		summary["sdc."+tag] = float64(pool.UnprotectedSDC)
 		t.AddRow(fmt.Sprintf("%.2f", th),
 			fmt.Sprintf("%.3f", summary["protected."+tag]),
 			fmt.Sprintf("%.3f", summary["eff."+tag]),
-			fmt.Sprint(runs), fmt.Sprint(det), fmt.Sprint(msk), fmt.Sprint(sdc),
+			fmt.Sprint(pool.Runs), fmt.Sprint(pool.Detected), fmt.Sprint(pool.Masked), fmt.Sprint(pool.UnprotectedSDC),
 			fmt.Sprintf("%.3f", cov))
 	}
 	summary["simcycles"] = simCycles

@@ -23,8 +23,8 @@ func goldenParams() Params {
 	return Params{Budget: 1200, Warmup: 600, Config: pipeline.DefaultConfig()}
 }
 
-// goldenCampaignParams sizes the campaign-bearing goldens (recovery,
-// adaptive). Campaigns run at half the stated budget, so these land each
+// goldenCampaignParams sizes the campaign-bearing goldens (coverage,
+// recovery, adaptive). Campaigns run at half the stated budget, so these land each
 // trial on the 2500/800 sizes the fault batteries prove recovery at.
 func goldenCampaignParams() Params {
 	return Params{Budget: 5000, Warmup: 1600, CampaignRuns: 6, Config: pipeline.DefaultConfig()}
@@ -78,7 +78,7 @@ func checkGolden(t *testing.T, id string, got string) {
 	}
 }
 
-// TestGoldenFigures locks the rendered Figure 6/7/8 tables against recorded
+// TestGoldenFigures locks the rendered figure tables against recorded
 // goldens. These are the tables cmd/rmtbench prints; a diff here means either
 // a deliberate model change (regenerate with -update and review the diff) or
 // an accidental regression.
@@ -94,6 +94,11 @@ func TestGoldenFigures(t *testing.T) {
 		{"fig6", goldenParams(), Fig6},
 		{"fig7", goldenParams(), Fig7},
 		{"fig8", goldenParams(), Fig8},
+		{"fig9", goldenParams(), Fig9},
+		{"fig10", goldenParams(), Fig10},
+		{"fig11", goldenParams(), Fig11},
+		{"fig12", goldenParams(), Fig12},
+		{"coverage", goldenCampaignParams(), Coverage},
 		{"recovery", goldenCampaignParams(), FigRecovery},
 		{"adaptive", goldenCampaignParams(), FigAdaptive},
 	}

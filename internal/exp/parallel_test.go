@@ -1,78 +1,10 @@
 package exp
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-// TestBaseCacheConcurrent is the regression test for the data race the
-// serial evaluation left latent: baseCache.get used to read/write an
-// unsynchronized map, which -race flags as soon as two jobs share a cache.
-// It also pins the single-flight contract: a kernel's reference run
-// executes exactly once no matter how many goroutines ask for it.
-func TestBaseCacheConcurrent(t *testing.T) {
-	cache := newBaseCache(quick())
-	var computes atomic.Int64
-	cache.compute = func(name string) (float64, error) {
-		computes.Add(1)
-		return float64(len(name)), nil
-	}
-
-	names := []string{"gcc", "swim", "fpppp", "li"}
-	const goroutines = 32
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 10; rep++ {
-				got, err := cache.get(names...)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				for _, n := range names {
-					if got[n] != float64(len(n)) {
-						errs[g] = fmt.Errorf("got[%s] = %v, want %v", n, got[n], float64(len(n)))
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := computes.Load(), int64(len(names)); got != want {
-		t.Errorf("compute ran %d times, want %d (single flight per kernel)", got, want)
-	}
-}
-
-// TestBaseCacheErrorPropagates: a failing reference run surfaces its error
-// to every waiter and is not silently cached as a zero IPC.
-func TestBaseCacheErrorPropagates(t *testing.T) {
-	cache := newBaseCache(quick())
-	cache.compute = func(name string) (float64, error) {
-		return 0, fmt.Errorf("no reference for %s", name)
-	}
-	if _, err := cache.get("gcc"); err == nil {
-		t.Fatal("expected an error from the failing compute")
-	}
-	// Second call must see the same error (the entry memoises failure
-	// rather than pretending IPC 0 succeeded).
-	if _, err := cache.get("gcc"); err == nil {
-		t.Fatal("expected the memoised error on re-get")
-	}
-}
 
 // TestParallelDeterminism is the headline invariant of the sweep engine:
 // the rendered tables — every cell, every mean — are identical whether the
@@ -137,16 +69,16 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepErrorPropagation: a failing job inside a figure sweep surfaces
-// its error instead of a partial table.
+// TestSweepErrorPropagation: a failing job inside a figure sweep, or its
+// program's failing reference run, surfaces its error instead of a partial
+// table.
 func TestSweepErrorPropagation(t *testing.T) {
 	p := quick()
 	p.Parallelism = 4
-	cache := newBaseCache(p)
 	good := sim.Spec{Mode: sim.ModeBase, Programs: []string{"gcc"}}
 	bad := sim.Spec{Mode: sim.ModeBase, Programs: []string{"no-such-kernel"}}
 	jobs := []job{{p, good}, {p, bad}, {p, good}}
-	if _, err := sweep(p, jobs, cache); err == nil {
+	if _, err := sweep(p, jobs); err == nil {
 		t.Fatal("expected the unknown-kernel job to fail the sweep")
 	}
 }

@@ -198,6 +198,19 @@ func (s *CampaignSummary) Coverage() float64 {
 	return float64(s.Detected+s.Recovered) / float64(fired)
 }
 
+// Add pools o's trial counts and cycles into s, so Coverage reads the
+// pooled rate over several campaigns. The mean latencies and the per-trial
+// results are not pooled.
+func (s *CampaignSummary) Add(o *CampaignSummary) {
+	s.Runs += o.Runs
+	s.Detected += o.Detected
+	s.Masked += o.Masked
+	s.NotFired += o.NotFired
+	s.Recovered += o.Recovered
+	s.UnprotectedSDC += o.UnprotectedSDC
+	s.TotalCycles += o.TotalCycles
+}
+
 // rng is a small deterministic xorshift generator so campaigns are exactly
 // reproducible.
 type rng uint64

@@ -161,11 +161,6 @@ func (c *Context) freeInst(d *dynInst) {
 // Committed returns the number of retired instructions.
 func (c *Context) Committed() uint64 { return c.committed }
 
-// BudgetReached reports whether the commit budget has been hit.
-func (c *Context) BudgetReached() bool {
-	return c.Budget > 0 && c.committed >= c.Budget
-}
-
 // robHead returns the oldest in-flight instruction, nil if none.
 func (c *Context) robHead() *dynInst {
 	if c.rob.Empty() {

@@ -31,9 +31,6 @@ type Machine struct {
 	// the fault-injection experiments).
 	StopOnDetection bool //rmtsnap:skip — run policy, not machine state
 
-	// WatchdogCycles overrides the per-core config watchdog when non-zero.
-	WatchdogCycles uint64 //rmtsnap:skip — run policy, not machine state
-
 	// OnCycle, when non-nil, runs at the top of every simulated cycle
 	// (before the cores step). A non-nil return aborts the run with that
 	// error. The snapshot engine hangs checkpoint capture off this hook.
@@ -106,8 +103,8 @@ func (m *Machine) detected() bool {
 // count, so a freshly built machine starts at cycle 0 and a restored one
 // resumes mid-flight.
 func (m *Machine) Run(maxCycles uint64) (*stats.RunStats, error) {
-	watchdog := m.WatchdogCycles
-	if watchdog == 0 && len(m.Cores) > 0 {
+	var watchdog uint64
+	if len(m.Cores) > 0 {
 		watchdog = m.Cores[0].cfg.WatchdogCycles
 	}
 	for ; m.Cycles < maxCycles; m.Cycles++ {

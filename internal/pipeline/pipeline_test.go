@@ -332,11 +332,12 @@ func TestWatchdogReportsDeadlock(t *testing.T) {
 	// no leading side: simplest is an SRT machine whose LPQ never fills
 	// because the leading thread halted before the trailing consumed
 	// everything is still "done". Exercise the watchdog path directly via
-	// WatchdogCycles=1 and a context that cannot finish: budget larger
+	// Config.WatchdogCycles and a context that cannot finish: budget larger
 	// than the halting program can commit, with Arch.Halted suppressed by
 	// an infinite loop and zero fetch (RMB cap 0 is invalid) — use a
 	// trailing-only machine instead.
 	cfg := DefaultConfig()
+	cfg.WatchdogCycles = 500
 	core := NewCore(0, cfg, nil)
 	prog := tinyLoop(5)
 	memImg := vm.NewMemory()
@@ -346,7 +347,7 @@ func TestWatchdogReportsDeadlock(t *testing.T) {
 	trail.Pair = pair
 	core.AddContext(trail)
 	core.FinalizeQueues()
-	m := &Machine{Cores: []*Core{core}, WatchdogCycles: 500}
+	m := &Machine{Cores: []*Core{core}}
 	_, err := m.Run(100000)
 	if err == nil {
 		t.Fatal("orphan trailing thread should deadlock (its LPQ never fills)")

@@ -194,8 +194,3 @@ func (p *Pair) ProtectedPC(pc uint64) bool {
 	}
 	return p.Protect[pc]
 }
-
-// DebugCounters returns the four correlation-tag counters (diagnostics).
-func (p *Pair) DebugCounters() (ll, tl, ls, ts uint64) {
-	return p.leadLoadTag, p.trailLoadTag, p.leadStoreTag, p.trailStoreTag
-}

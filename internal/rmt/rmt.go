@@ -479,21 +479,3 @@ func (c *StoreComparator) Verify(tag uint64, now uint64) (uint64, *Mismatch, boo
 	}
 	return when, nil, true
 }
-
-// DebugTags returns the min and max tags currently in the queue (0,0 when
-// empty); a diagnostic helper.
-func (q *LVQ) DebugTags() (lo, hi uint64) {
-	for i := range q.entries {
-		t := q.entries[i].Tag
-		if t == 0 {
-			continue
-		}
-		if lo == 0 || t < lo {
-			lo = t
-		}
-		if t > hi {
-			hi = t
-		}
-	}
-	return
-}

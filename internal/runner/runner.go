@@ -51,17 +51,6 @@ func (r Report) Speedup() float64 {
 	return float64(r.Busy) / float64(r.Wall)
 }
 
-// Add merges another report into r (for aggregating across sweeps).
-func (r *Report) Add(o Report) {
-	r.Jobs += o.Jobs
-	r.Ran += o.Ran
-	if o.Parallelism > r.Parallelism {
-		r.Parallelism = o.Parallelism
-	}
-	r.Wall += o.Wall
-	r.Busy += o.Busy
-}
-
 // Run executes jobs across a worker pool and returns their results in job
 // order. The first job error (lowest index among jobs that ran) cancels
 // all not-yet-started jobs and is returned; in-flight jobs run to

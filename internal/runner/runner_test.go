@@ -131,12 +131,3 @@ func TestEmptyAndDefaults(t *testing.T) {
 		t.Errorf("resolved parallelism = %d, want >= 1", rep.Parallelism)
 	}
 }
-
-// TestReportAdd: aggregation across sweeps sums jobs and times.
-func TestReportAdd(t *testing.T) {
-	a := Report{Jobs: 2, Ran: 2, Parallelism: 2, Wall: 10, Busy: 15}
-	a.Add(Report{Jobs: 3, Ran: 3, Parallelism: 4, Wall: 5, Busy: 20})
-	if a.Jobs != 5 || a.Ran != 5 || a.Parallelism != 4 || a.Wall != 15 || a.Busy != 35 {
-		t.Errorf("merged report = %+v", a)
-	}
-}

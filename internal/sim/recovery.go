@@ -44,7 +44,9 @@ const (
 	// so an engine-restored machine resumes on the same absolute
 	// boundaries a freshly built one uses.
 	defaultCheckpointInterval = 1024
-	defaultMaxRecoveries      = 8
+	// maxRecoveries bounds rollbacks per run; past it, detections behave
+	// as in SRT.
+	maxRecoveries = 8
 	// haltGraceIntervals bounds how long a halt divergence between the
 	// two copies may persist before it is treated as a detected fault:
 	// the trailing copy normally halts a drain-lag after the leading one,
@@ -127,10 +129,6 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 	if interval == 0 {
 		interval = defaultCheckpointInterval
 	}
-	maxRec := m.Spec.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = defaultMaxRecoveries
-	}
 	// Reset per-run recovery state: fault-engine replays recycle pooled
 	// machines through RestoreState, which does not touch engine fields.
 	m.Recoveries, m.RecoveryCycles = 0, 0
@@ -151,7 +149,7 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 	disabled := false
 
 	recoverTo := func(trigger uint64) bool {
-		if disabled || m.Recoveries >= maxRec {
+		if disabled || m.Recoveries >= maxRecoveries {
 			return false
 		}
 		// Newest validated checkpoint; everything unvalidated is suspect

@@ -51,17 +51,11 @@ type Spec struct {
 	// on absolute multiples of the interval so independently built and
 	// mid-flight-restored machines capture at identical cycles.
 	CheckpointInterval uint64
-	// MaxRecoveries bounds rollbacks per run (0 = 8); past it, detections
-	// behave as in SRT.
-	MaxRecoveries int
 	// AdaptiveThreshold is the ModeAdaptive protection cutoff θ in [0,1]:
 	// an instruction is protected iff its normalised live-in register
 	// count reaches θ and its destination is not provably masked. θ <= 0
 	// protects everything (bit-identical to SRT).
 	AdaptiveThreshold float64
-
-	// MaxCycles caps the run (0 = derived from the budget).
-	MaxCycles uint64
 }
 
 // Machine is an assembled simulation ready to run.
@@ -305,10 +299,7 @@ func buildCRT(m *Machine, spec Spec, cfg pipeline.Config, core0, core1 *pipeline
 // the run is segmented by checkpoint boundaries and detections roll the
 // machine back instead of ending it (see recovery.go).
 func (m *Machine) Run() (*stats.RunStats, error) {
-	maxCycles := m.Spec.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = (m.Spec.Warmup+m.Spec.Budget)*60 + 500000
-	}
+	maxCycles := (m.Spec.Warmup+m.Spec.Budget)*60 + 500000
 	var rs *stats.RunStats
 	var err error
 	if m.Spec.Mode == ModeSRTR {
@@ -336,25 +327,4 @@ func (m *Machine) finishedAll() bool {
 		}
 	}
 	return true
-}
-
-// BaseIPC runs each named program alone on the base machine and returns its
-// IPC — the SMT-Efficiency denominator.
-func BaseIPC(cfg pipeline.Config, warmup, budget uint64, names ...string) (map[string]float64, error) {
-	out := make(map[string]float64, len(names))
-	for _, name := range names {
-		if _, done := out[name]; done {
-			continue
-		}
-		m, err := Build(Spec{Mode: ModeBase, Programs: []string{name}, Warmup: warmup, Budget: budget, Config: cfg})
-		if err != nil {
-			return nil, err
-		}
-		rs, err := m.Run()
-		if err != nil {
-			return nil, err
-		}
-		out[name] = rs.LogicalIPC[0]
-	}
-	return out, nil
 }

@@ -127,22 +127,6 @@ func TestWarmupImprovesMeasuredIPC(t *testing.T) {
 	}
 }
 
-// TestBaseIPCDeduplicates: asking for the same program twice runs it once.
-func TestBaseIPCDeduplicates(t *testing.T) {
-	out, err := BaseIPC(pipeline.DefaultConfig(), 1000, 2000, "go", "go", "gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Errorf("map size = %d, want 2", len(out))
-	}
-	for k, v := range out {
-		if v <= 0 {
-			t.Errorf("%s IPC = %v", k, v)
-		}
-	}
-}
-
 // TestLockstepCheckerSlowsLongRuns: Lock8 must cost cycles vs Lock0 at the
 // sim level too (vortex misses a lot).
 func TestLockstepCheckerCost(t *testing.T) {

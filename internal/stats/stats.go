@@ -207,21 +207,6 @@ func SMTEfficiency(logicalIPC, baseIPC []float64) float64 {
 	return sum / float64(len(logicalIPC))
 }
 
-// GeoMean returns the geometric mean of vs (0 if any v <= 0).
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vs)))
-}
-
 // ArithMean returns the arithmetic mean of vs.
 func ArithMean(vs []float64) float64 {
 	if len(vs) == 0 {

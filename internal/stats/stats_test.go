@@ -98,17 +98,11 @@ func TestSMTEfficiencyQuickBounds(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); g != 4 {
-		t.Errorf("geomean = %v, want 4", g)
-	}
-	if g := GeoMean([]float64{2, 0}); g != 0 {
-		t.Errorf("geomean with zero = %v", g)
-	}
 	if a := ArithMean([]float64{1, 3}); a != 2 {
 		t.Errorf("arithmean = %v", a)
 	}
-	if ArithMean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty means should be 0")
+	if ArithMean(nil) != 0 {
+		t.Error("empty mean should be 0")
 	}
 }
 
