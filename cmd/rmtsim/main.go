@@ -149,12 +149,13 @@ func main() {
 	for i, name := range progs {
 		lead := m.Leads[i]
 		ts := lead.Stats
+		ipc := mode.ProgramIPC(rs, i)
 		eff := 0.0
 		if base != nil {
-			eff = stats.SMTEfficiency(rs.LogicalIPC[i:i+1], base[i:i+1])
+			eff = stats.SMTEfficiency([]float64{ipc}, base[i:i+1])
 		}
 		tbl.AddRow(name,
-			fmt.Sprintf("%.3f", rs.LogicalIPC[i]),
+			fmt.Sprintf("%.3f", ipc),
 			fmt.Sprintf("%.3f", eff),
 			fmt.Sprintf("%.1f", 100*ts.BranchMispredictRate()),
 			fmt.Sprintf("%.1f", 100*ts.LineMispredictRate()),
@@ -166,7 +167,7 @@ func main() {
 	}
 	fmt.Println(tbl)
 	if base != nil {
-		fmt.Printf("mean SMT-Efficiency: %.3f\n", stats.SMTEfficiency(rs.LogicalIPC[:len(base)], base))
+		fmt.Printf("mean SMT-Efficiency: %.3f\n", stats.SMTEfficiency(mode.ProgramIPCs(rs, len(base)), base))
 	}
 
 	for _, p := range m.Pairs {

@@ -112,7 +112,7 @@ type Report struct {
 }
 
 func (rep *Report) Digest() []byte {
-	s := snap.NewEncoder(0)
+	s := snap.NewEncoder(nil)
 	s.U64(&rep.Cycles)
 	return s.Finish()
 }

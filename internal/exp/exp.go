@@ -4,8 +4,9 @@
 //
 // Every figure declares its sweep as a flat job list — one independent
 // (kernel, configuration) simulation per job — and hands it to
-// internal/runner, which fans the jobs, plus one base-machine reference run
-// per distinct program, across Params.Parallelism worker goroutines.
+// internal/runner, which fans the jobs, plus a base-machine reference run
+// for each distinct program that no declared job already simulates, across
+// Params.Parallelism worker goroutines.
 // Results are keyed by job index, so tables are assembled in declaration
 // order and the output is byte-identical at any parallelism.
 //
@@ -17,6 +18,7 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/fault"
@@ -95,14 +97,27 @@ type result struct {
 //
 // A job's SMT-Efficiency divides by its programs' IPCs alone on the base
 // machine at the figure's standard Params p, even when the job's own
-// Params differ. Those reference runs, one per distinct program, are
-// ordinary jobs of the same pool, each scheduled just before the first job
-// that reads it, and keep only their IPC, not their machine. Scheduled all
-// first, they would run on a near-empty heap, where each one's garbage
-// triggers a collection: 16 instead of 6 for a Fig6 at budget and warmup
-// 300, which then took a fifth longer.
+// Params differ. A job the figure declares may itself be such a reference
+// run (isReference); it then serves as its program's reference. Every
+// other program gets a reference job of its own, an ordinary job of the
+// same pool, scheduled just before the first job that reads it, which
+// keeps only its IPC, not its machine. Scheduled all first, they would run
+// on a near-empty heap, where each one's garbage triggers a collection: 16
+// instead of 6 for a Fig6 at budget and warmup 300, which then took a
+// fifth longer.
 func sweep(p Params, jobs []job) ([]result, error) {
 	baseIPC := map[string]*float64{}
+	// refOut[i] is where declared job i, a reference run, stores its IPC.
+	refOut := make([]*float64, len(jobs))
+	for i, j := range jobs {
+		if !isReference(p, j) {
+			continue
+		}
+		if name := j.spec.Programs[0]; baseIPC[name] == nil {
+			baseIPC[name] = new(float64)
+			refOut[i] = baseIPC[name]
+		}
+	}
 	var fns []func() (result, error)
 	at := make([]int, len(jobs)) // each job's index in fns
 	for i, j := range jobs {
@@ -113,16 +128,20 @@ func sweep(p Params, jobs []job) ([]result, error) {
 			ipc := new(float64)
 			baseIPC[name] = ipc
 			fns = append(fns, func() (result, error) {
-				rs, _, err := run(p, sim.Spec{Mode: sim.ModeBase, Programs: []string{name}})
+				rs, _, err := run(p, referenceSpec(name))
 				if err == nil {
-					*ipc = rs.LogicalIPC[0]
+					*ipc = sim.ModeBase.ProgramIPC(rs, 0)
 				}
 				return result{}, err
 			})
 		}
 		at[i] = len(fns)
+		out := refOut[i]
 		fns = append(fns, func() (result, error) {
 			rs, m, err := run(j.p, j.spec)
+			if err == nil && out != nil {
+				*out = sim.ModeBase.ProgramIPC(rs, 0)
+			}
 			return result{rs: rs, m: m}, err
 		})
 	}
@@ -140,12 +159,25 @@ func sweep(p Params, jobs []job) ([]result, error) {
 			base[k] = *baseIPC[name]
 		}
 		res[i] = out[at[i]]
-		// LogicalIPC lists the spec's programs in order, except that Base2
-		// lists each program's two copies side by side. The figures run
-		// Base2 on one program only.
-		res[i].eff = stats.SMTEfficiency(res[i].rs.LogicalIPC[:len(base)], base)
+		res[i].eff = stats.SMTEfficiency(j.spec.Mode.ProgramIPCs(res[i].rs, len(base)), base)
 	}
 	return res, nil
+}
+
+// referenceSpec is the reference run of program name: the program alone
+// on the base machine, at the sizes and machine run takes from Params.
+func referenceSpec(name string) sim.Spec {
+	return sim.Spec{Mode: sim.ModeBase, Programs: []string{name}}
+}
+
+// isReference reports whether job j simulates its program's reference run
+// at the figure's standard Params p: the reference spec, at p's budget,
+// warmup and machine configuration, the three fields run reads from
+// Params. Params itself holds funcs and cannot be compared.
+func isReference(p Params, j job) bool {
+	return len(j.spec.Programs) == 1 &&
+		reflect.DeepEqual(j.spec, referenceSpec(j.spec.Programs[0])) &&
+		j.p.Budget == p.Budget && j.p.Warmup == p.Warmup && j.p.Config == p.Config
 }
 
 // sumCycles totals simulated cycles across a sweep, published in each

@@ -3,6 +3,8 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/program"
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -80,5 +82,52 @@ func TestSweepErrorPropagation(t *testing.T) {
 	jobs := []job{{p, good}, {p, bad}, {p, good}}
 	if _, err := sweep(p, jobs); err == nil {
 		t.Fatal("expected the unknown-kernel job to fail the sweep")
+	}
+}
+
+// TestSweepReusesDeclaredReferences: a declared job that is its program's
+// reference run (the base machine, the program alone, at the figure's
+// standard Params) serves as that reference instead of a second, identical
+// simulation. A base job at other Params does not, and a program without
+// such a job gets a reference job of its own. Efficiencies read the same
+// as with separate reference jobs.
+func TestSweepReusesDeclaredReferences(t *testing.T) {
+	p := quick()
+	p.Budget, p.Warmup = 1000, 500
+	other := p
+	other.Config.SQCap = 32
+	base := sim.Spec{Mode: sim.ModeBase, Programs: []string{"gcc"}}
+	srt := func(name string) sim.Spec {
+		return sim.Spec{Mode: sim.ModeSRT, PSR: true, Programs: []string{name}}
+	}
+	var jobs int
+	p.OnReport = func(r runner.Report) { jobs = r.Jobs }
+	res, err := sweep(p, []job{{p, srt("gcc")}, {other, base}, {p, base}, {p, srt("swim")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs != 5 {
+		t.Errorf("sweep ran %d jobs, want 5: four declared and swim's reference", jobs)
+	}
+	if res[2].eff != 1 {
+		t.Errorf("the reference job's own efficiency is %v, want 1", res[2].eff)
+	}
+	for i, name := range []string{"gcc", "swim"} {
+		alone, err := sweep(p, []job{{p, srt(name)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res[3*i].eff, alone[0].eff; got != want {
+			t.Errorf("%s: efficiency %v against a declared reference, %v against its own", name, got, want)
+		}
+	}
+	// Fig9 declares a base job per kernel at its standard Params: six
+	// simulations per kernel, and no second base run.
+	p.Budget, p.Warmup = 300, 300
+	if _, _, err := Fig9(p); err != nil {
+		t.Fatal(err)
+	}
+	if want := 6 * len(program.Names()); jobs != want {
+		t.Errorf("Fig9 ran %d jobs, want %d", jobs, want)
 	}
 }

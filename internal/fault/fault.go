@@ -464,7 +464,7 @@ type forkPrep struct {
 	fired    []bool
 	fireIter []uint64          // machine iteration (Machine.Cycles) at fire
 	snaps    map[uint64][]byte // checkpoint iteration -> snapshot
-	pool     sync.Pool         // recycled *sim.Machine for replay trials
+	pool     sync.Pool         // recycled *replayMachine for replay trials
 
 	endCycle     uint64 // Cores[0].Cycle() at golden completion
 	detections   int    // golden detections (0 in a healthy machine)
@@ -481,6 +481,14 @@ type forkPrep struct {
 	// architectural digest, the reference undetected trials are classified
 	// against (Masked vs UnprotectedSDC).
 	golden *[32]byte
+}
+
+// replayMachine is a machine the replay pool recycles across trials, with
+// the buffer its convergence checks encode into: the buffer grows to a
+// snapshot's size once and is reused by every later check.
+type replayMachine struct {
+	*sim.Machine
+	scratch []byte
 }
 
 // restoreBase returns the checkpoint iteration a fired trial replays from:
@@ -650,7 +658,7 @@ func forkPrepare(spec sim.Spec, faults []Transient) (*forkPrep, error) {
 	// replay trial recycle it instead of building from scratch.
 	g.OnCycle = nil
 	clearCorruptHooks(g)
-	p.pool.Put(g)
+	p.pool.Put(&replayMachine{Machine: g})
 	return p, nil
 }
 
@@ -681,15 +689,15 @@ func clearCorruptHooks(m *sim.Machine) {
 // the masked outcome and the golden end cycle, exactly what simulating the
 // rest would produce.
 func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
-	m, _ := p.pool.Get().(*sim.Machine)
+	m, _ := p.pool.Get().(*replayMachine)
 	if m == nil {
-		var err error
-		m, err = sim.Build(spec)
+		b, err := sim.Build(spec)
 		if err != nil {
 			return Result{}, err
 		}
+		m = &replayMachine{Machine: b}
 	}
-	clearCorruptHooks(m)
+	clearCorruptHooks(m.Machine)
 	if err := m.RestoreState(p.checkpointFor(i)); err != nil {
 		return Result{}, err
 	}
@@ -706,17 +714,13 @@ func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
 				return nil
 			}
 			checks++
-			eq, err := convergedWithGolden(m, f, gsnap)
-			if err != nil {
-				return err
-			}
-			if eq {
+			if m.convergedWithGolden(f, gsnap) {
 				return errConverged
 			}
 			return nil
 		}
 	}
-	res, err := runArmed(m, f, p.golden)
+	res, err := runArmed(m.Machine, f, p.golden)
 	if errors.Is(err, errConverged) {
 		// Byte-identical to the golden run from here on: the rest of the
 		// trial is provably the golden suffix. If the machine rolled back
@@ -741,8 +745,9 @@ func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
 // byte-identical to a golden checkpoint taken at the same cycle. The only
 // serialized field the replay harness itself perturbs is the victim pair's
 // Tolerant flag, so it is masked off for the comparison; everything else
-// must match bit-for-bit for convergence to hold.
-func convergedWithGolden(m *sim.Machine, f Transient, gsnap []byte) (bool, error) {
+// must match bit-for-bit for convergence to hold. The trial's snapshot is
+// encoded into the machine's scratch buffer.
+func (m *replayMachine) convergedWithGolden(f Transient, gsnap []byte) bool {
 	lead := m.Leads[f.Logical]
 	trail := m.Trails[f.Logical]
 	lt := lead.Arch.Tolerant
@@ -752,15 +757,12 @@ func convergedWithGolden(m *sim.Machine, f Transient, gsnap []byte) (bool, error
 		tt = trail.Arch.Tolerant
 		trail.Arch.Tolerant = false
 	}
-	ts, err := m.Snapshot()
+	m.scratch = m.AppendSnapshot(m.scratch[:0])
 	lead.Arch.Tolerant = lt
 	if trail != nil {
 		trail.Arch.Tolerant = tt
 	}
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(ts, gsnap), nil
+	return bytes.Equal(m.scratch, gsnap)
 }
 
 // RunOne builds a machine for spec, injects the single fault, runs to

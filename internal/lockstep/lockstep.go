@@ -213,7 +213,7 @@ func (m *Machine) Run(maxCycles uint64, stopOnDetection bool) (*stats.RunStats, 
 			return nil, fmt.Errorf("lockstep: no progress by cycle %d", m.Cycles)
 		}
 	}
-	rs := &stats.RunStats{Cycles: m.Cycles, Extra: map[string]float64{}}
+	rs := &stats.RunStats{Cycles: m.Cycles}
 	for i, c := range m.ThreadsA {
 		rs.Threads = append(rs.Threads, c.Stats)
 		ipc := 0.0

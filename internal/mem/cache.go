@@ -13,9 +13,18 @@
 // For lockstepped operation the checker interposes on every off-core signal;
 // MissExtra models that per-miss checker penalty (8 cycles for the paper's
 // realistic Lock8 configuration).
+//
+// Each cache keeps all its lines in one flat, pointer-free array with a
+// per-set count of valid lines (see Cache.lines), so building a core's
+// caches costs a handful of allocations whatever the set count, and the
+// collector never scans them.
 package mem
 
-import "repro/internal/stats"
+import (
+	"math"
+
+	"repro/internal/stats"
+)
 
 // Level is anything that can service a block fetch: a next-level cache or
 // memory.
@@ -39,9 +48,11 @@ func (m *FlatMemory) Access(addr uint64, now uint64) uint64 {
 	return now + m.Latency
 }
 
+// line is one cache line: its tag (the full block number) and the cycle
+// at which its fill completes. Whether a way holds a line is the set's
+// count, not a flag of the line's.
 type line struct {
 	tag     uint64
-	valid   bool
 	readyAt uint64 // cycle at which an in-flight fill completes
 }
 
@@ -58,12 +69,15 @@ type Cache struct {
 
 	next Level //rmtsnap:skip — hierarchy wiring; the next level snapshots itself
 
-	// sets[set][way], way 0 = MRU. In every set the valid lines form an
-	// MRU prefix and the invalid lines behind it are all-zero: a fill
-	// shifts the set right and installs at way 0, promote moves only valid
-	// lines, and nothing invalidates a line. The sparse snapshot relies on
-	// this.
-	sets [][]line
+	// lines holds every set's ways in one flat, pointer-free array: set s
+	// is lines[s*ways : (s+1)*ways], way 0 = MRU. count[s] is how many of
+	// set s's ways hold a line, and those lines are always its first
+	// count[s] ways: a fill shifts the valid lines right and installs at
+	// way 0, promote moves only valid lines, and nothing invalidates a
+	// line. The ways past the count are never read, whatever they hold.
+	// The sparse snapshot relies on this.
+	lines []line
+	count []uint8
 	// wayPredict enables way prediction. The predicted way is always the
 	// MRU way 0, so a hit in any other way costs one extra cycle.
 	wayPredict bool //rmtsnap:skip — construction-time config
@@ -91,6 +105,9 @@ func NewCache(cfg Config, next Level) *Cache {
 	if nsets <= 0 {
 		panic("mem: cache must have at least one set")
 	}
+	if cfg.Ways > math.MaxUint8 {
+		panic("mem: cache must have at most 255 ways")
+	}
 	blockBits := uint(0)
 	for 1<<blockBits < cfg.BlockBytes {
 		blockBits++
@@ -102,11 +119,9 @@ func NewCache(cfg Config, next Level) *Cache {
 		ways:       cfg.Ways,
 		hitLat:     cfg.HitLatency,
 		next:       next,
-		sets:       make([][]line, nsets),
+		lines:      make([]line, nsets*cfg.Ways),
+		count:      make([]uint8, nsets),
 		wayPredict: cfg.WayPredict,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	return c
 }
@@ -122,9 +137,15 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return b % c.nsets, b
 }
 
+// set returns set s's valid lines, MRU first.
+func (c *Cache) set(s uint64) []line {
+	base := s * uint64(c.ways)
+	return c.lines[base : base+uint64(c.count[s])]
+}
+
 // promote moves way w of set s to MRU position.
 func (c *Cache) promote(s uint64, w int) {
-	set := c.sets[s]
+	set := c.set(s)
 	l := set[w]
 	copy(set[1:w+1], set[:w])
 	set[0] = l
@@ -141,9 +162,9 @@ func (c *Cache) Access(addr uint64, now uint64) uint64 {
 // way-mispredict bubble (hit, done = now+1) from a real miss it must stall
 // on.
 func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
-	set, tag := c.index(addr)
-	for w, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
+	s, tag := c.index(addr)
+	for w, l := range c.set(s) {
+		if l.tag == tag {
 			c.Hits.Inc()
 			extra := uint64(0)
 			if c.wayPredict && w != 0 {
@@ -151,7 +172,7 @@ func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
 				c.WayMispredicts.Inc()
 				extra = 1
 			}
-			c.promote(set, w)
+			c.promote(s, w)
 			done := now + c.hitLat + extra
 			if l.readyAt > done {
 				done = l.readyAt // fill still in flight
@@ -159,21 +180,24 @@ func (c *Cache) Lookup(addr uint64, now uint64) (uint64, bool) {
 			return done, true
 		}
 	}
-	// Miss: fill from next level, install as MRU (evict LRU).
+	// Miss: fill from next level, install as MRU (evict LRU when full).
 	c.Misses.Inc()
 	fill := c.next.Access(addr, now+c.hitLat) + c.MissExtra
-	set2 := c.sets[set]
-	copy(set2[1:], set2[:len(set2)-1])
-	set2[0] = line{tag: tag, valid: true, readyAt: fill}
+	if int(c.count[s]) < c.ways {
+		c.count[s]++
+	}
+	set := c.set(s)
+	copy(set[1:], set[:len(set)-1])
+	set[0] = line{tag: tag, readyAt: fill}
 	return fill, false
 }
 
 // Probe reports whether addr currently hits without touching LRU state or
 // counters (used by tests and by fetch-ahead heuristics).
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
+	s, tag := c.index(addr)
+	for _, l := range c.set(s) {
+		if l.tag == tag {
 			return true
 		}
 	}

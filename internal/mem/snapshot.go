@@ -11,40 +11,48 @@ import "repro/internal/snap"
 //
 // A cache travels sparsely: only its non-empty sets, each as its index, the
 // count k of valid lines, and those lines' tags and fill cycles. The valid
-// lines of a set are its first k ways and the rest are all-zero (see
-// Cache.sets), so k and the prefix determine the whole set, and a stream's
-// size tracks the lines a run has touched rather than the cache's capacity.
+// lines of a set are its first k ways, and the ways past them are never
+// read (see Cache.lines), so k and the prefix determine the whole set, and
+// a stream's size tracks the lines a run has touched rather than the
+// cache's capacity.
 
 // Snap visits the cache's mutable state: the count of non-empty sets,
 // then each one's index, valid-line count k and k (tag, fill cycle) pairs.
-// Decoding clears every set first and latches an error on a geometry
+// Encoding finds the non-empty sets by scanning the per-set counts.
+// Decoding empties every set first and latches an error on a geometry
 // mismatch or on a set list that is not in canonical form: set indices
 // strictly ascending and below the set count, each with 1 to ways valid
 // lines.
 func (c *Cache) Snap(s *snap.Stream) {
-	if !s.Len(int(c.nsets), "cache %q geometry mismatch", c.name) || !s.Len(c.ways, "cache %q geometry mismatch", c.name) {
+	// The geometry check is spelled out rather than two Len calls: boxing
+	// the name for Len's message would allocate on every pass.
+	nsets, ways := int(c.nsets), c.ways
+	s.Int(&nsets)
+	s.Int(&ways)
+	if nsets != int(c.nsets) || ways != c.ways {
+		s.Failf("cache %q geometry mismatch", c.name)
+	}
+	if s.Err() != nil {
 		return
 	}
 	live := 0
-	for _, set := range c.sets {
-		if set[0].valid {
-			live++
-			if s.Decoding() {
-				clear(set) // an empty set is already all-zero
+	if s.Decoding() {
+		clear(c.count)
+	} else {
+		for _, k := range c.count {
+			if k != 0 {
+				live++
 			}
 		}
 	}
 	s.Count(&live, 4*8) // index, k and at least one line's two words
 	next := uint64(0)   // lowest index the next set may carry
 	for ; live > 0; live-- {
-		i, k := next, uint64(0)
+		var i, k uint64
 		if !s.Decoding() {
-			for !c.sets[i][0].valid {
-				i++
+			for i = next; c.count[i] == 0; i++ {
 			}
-			for k < uint64(c.ways) && c.sets[i][k].valid {
-				k++
-			}
+			k = uint64(c.count[i])
 		}
 		s.U64(&i)
 		s.U64(&k)
@@ -58,11 +66,11 @@ func (c *Cache) Snap(s *snap.Stream) {
 			s.Failf("cache %q set %d holds %d valid lines of %d ways", c.name, i, k, c.ways)
 			return
 		}
-		for j := range c.sets[i][:k] {
-			l := &c.sets[i][j]
-			l.valid = true // already so when encoding
-			s.U64(&l.tag)
-			s.U64(&l.readyAt)
+		c.count[i] = uint8(k) // already so when encoding
+		set := c.set(i)
+		for j := range set {
+			s.U64(&set[j].tag)
+			s.U64(&set[j].readyAt)
 		}
 		next = i + 1
 	}

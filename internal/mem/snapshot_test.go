@@ -37,7 +37,7 @@ func drive(c *Cache, rng *rand.Rand, n int, now uint64) uint64 {
 }
 
 func snapshotOf(c *Cache) []byte {
-	s := snap.NewEncoder(0)
+	s := snap.NewEncoder(nil)
 	c.Snap(s)
 	return s.Finish()
 }
@@ -51,25 +51,31 @@ func restoreInto(c *Cache, data []byte) error {
 	return s.Done()
 }
 
-// checkValidPrefix asserts the invariant the sparse encoding rests on: in
-// every set the valid lines are an MRU prefix and the rest are all-zero.
-func checkValidPrefix(t *testing.T, c *Cache) {
+// checkSets asserts what the sparse encoding rests on: every set holds at
+// most ways lines, and its valid lines are distinct blocks that index to
+// it.
+func checkSets(t *testing.T, c *Cache) {
 	t.Helper()
-	for s, set := range c.sets {
-		k := 0
-		for k < len(set) && set[k].valid {
-			k++
+	for s := uint64(0); s < c.nsets; s++ {
+		if int(c.count[s]) > c.ways {
+			t.Fatalf("cache %s set %d counts %d lines of %d ways", c.name, s, c.count[s], c.ways)
 		}
-		for w, l := range set[k:] {
-			if l != (line{}) {
-				t.Fatalf("cache %s set %d way %d: %+v behind a %d-line valid prefix", c.name, s, k+w, l, k)
+		set := c.set(s)
+		for w, l := range set {
+			if l.tag%c.nsets != s {
+				t.Fatalf("cache %s set %d way %d holds block %#x of set %d", c.name, s, w, l.tag, l.tag%c.nsets)
+			}
+			for _, m := range set[:w] {
+				if m.tag == l.tag {
+					t.Fatalf("cache %s set %d holds block %#x twice", c.name, s, l.tag)
+				}
 			}
 		}
 	}
 }
 
 // TestCacheSparseSnapshot drives randomized traffic through both Table 1
-// geometries, checking the valid-prefix invariant and that Snapshot →
+// geometries, checking the set invariant and that Snapshot →
 // Restore → Snapshot is byte-identical, into a fresh cache and into one
 // that already holds other lines. The restored cache must then behave
 // exactly like the original.
@@ -83,13 +89,13 @@ func TestCacheSparseSnapshot(t *testing.T) {
 			now := uint64(0)
 			for round := 0; round < 4; round++ {
 				now = drive(c, rng, 5000<<round, now)
-				checkValidPrefix(t, c)
+				checkSets(t, c)
 				data := snapshotOf(c)
 				for _, dst := range []*Cache{NewCache(cfg, flat(100)), dirty} {
 					if err := restoreInto(dst, data); err != nil {
 						t.Fatal(err)
 					}
-					checkValidPrefix(t, dst)
+					checkSets(t, dst)
 					if again := snapshotOf(dst); !bytes.Equal(data, again) {
 						t.Fatalf("round %d: re-snapshot differs (%d vs %d bytes)", round, len(data), len(again))
 					}
@@ -115,7 +121,7 @@ func TestCacheSparseSnapshot(t *testing.T) {
 func TestCacheRestoreRejectsBadSets(t *testing.T) {
 	const nsets, ways = 6144, 8
 	stream := func(entries ...uint64) []byte {
-		s := snap.NewEncoder(0)
+		s := snap.NewEncoder(nil)
 		words := append([]uint64{nsets, ways}, entries...)
 		words = append(words, 0, 0, 0) // hits, misses, way mispredicts
 		for i := range words {

@@ -77,6 +77,10 @@ type Context struct {
 	// unpooled machines must be cycle-identical).
 	poolDisabled bool //rmtsnap:skip — testing knob, not simulated state
 
+	// snapTable numbers the context's instructions for a snapshot pass and
+	// keeps the tombstone restores share (snapshot.go).
+	snapTable instTable // scratch, rebuilt by every snapshot pass
+
 	// rmb is the rate-matching buffer: fetched, decoded instructions in
 	// program order awaiting rename.
 	rmb *ringq.Ring[*dynInst]

@@ -47,6 +47,9 @@ type Machine struct {
 	// ctxCache memoises allContexts: done() runs every cycle, and
 	// rebuilding the slice per call was a per-cycle allocation.
 	ctxCache []*Context //rmtsnap:skip — memo of wiring, rebuilt on demand
+	// memScratch holds sharedMemories' list between snapshot passes, so
+	// listing the memories allocates nothing.
+	memScratch []*vm.Memory // scratch, rebuilt by every snapshot pass
 }
 
 // DeadlockError reports a watchdog-detected lack of forward progress, with
@@ -164,7 +167,6 @@ func (m *Machine) stats() *stats.RunStats {
 	ctxs := m.allContexts()
 	rs := &stats.RunStats{
 		Cycles:     m.Cycles,
-		Extra:      make(map[string]float64, 8),
 		Threads:    make([]*stats.ThreadStats, 0, len(ctxs)),
 		LogicalIPC: make([]float64, 0, len(m.Pairs)+len(ctxs)),
 	}

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"repro/internal/ringq"
 	"repro/internal/snap"
 	"repro/internal/stats"
@@ -33,14 +35,17 @@ const (
 	refDead
 )
 
-// instTable numbers one context's dynamic instructions for a pass. Encoding
-// assigns first-encounter indices over the queues (enumerate); decoding
-// allocates as many instructions as the stream lists, with one shared
-// tombstone standing for every dangling reference.
+// instTable numbers one context's dynamic instructions for a pass. Every
+// pass starts by enumerating the records the context holds, assigning
+// first-encounter indices over its queues. Encoding writes that list;
+// decoding reuses those records for the ones the stream lists, allocating
+// only the shortfall, with the context's one tombstone standing for every
+// dangling reference. Each context keeps its table, map and all, for the
+// next pass.
 type instTable struct {
 	insts []*dynInst
-	index map[*dynInst]int // encoding only
-	dead  *dynInst         // decoding only
+	index map[*dynInst]int
+	dead  *dynInst // the tombstone, allocated by the context's first restore
 }
 
 func (t *instTable) add(d *dynInst) {
@@ -54,11 +59,17 @@ func (t *instTable) add(d *dynInst) {
 }
 
 // enumerate walks every structure that can hold a live *dynInst in a fixed
-// order, assigning first-encounter indices. Aliasing (store lists overlap
-// the ROB) is preserved because an already seen pointer keeps its first
-// index.
+// order, assigning first-encounter indices in the context's table.
+// Aliasing (store lists overlap the ROB) is preserved because an already
+// seen pointer keeps its first index.
 func (c *Context) enumerate() *instTable {
-	t := &instTable{index: make(map[*dynInst]int, 64)}
+	t := &c.snapTable
+	if t.index == nil {
+		t.index = make(map[*dynInst]int, 64)
+	}
+	clear(t.index)
+	clear(t.insts)
+	t.insts = t.insts[:0]
 	for _, q := range c.instQueues() {
 		for i := 0; i < q.Len(); i++ {
 			t.add(q.At(i))
@@ -73,8 +84,8 @@ func (c *Context) enumerate() *instTable {
 
 // instQueues returns the context's dynInst rings in serialization order.
 // The instruction-queue section follows the window's (snapIQ).
-func (c *Context) instQueues() []*ringq.Ring[*dynInst] {
-	return []*ringq.Ring[*dynInst]{
+func (c *Context) instQueues() [5]*ringq.Ring[*dynInst] {
+	return [...]*ringq.Ring[*dynInst]{
 		c.rmb, c.rob, c.inFlightStores, c.retiredStores, c.trailRetiredStores,
 	}
 }
@@ -322,21 +333,31 @@ func (c *Context) snap(s *snap.Stream) {
 	s.U64(&c.WarmCycle)
 	s.Bool(&c.warmed)
 
-	var t *instTable
-	if s.Decoding() {
-		t = &instTable{dead: &dynInst{gen: 1}}
-	} else {
-		t = c.enumerate()
-	}
-	snap.Slice(s, &t.insts, 8)
+	t := c.enumerate()
+	n := len(t.insts)
+	s.Count(&n, 8)
 	if s.Decoding() {
 		// Every instruction exists before any is visited: references
-		// point forward as well as back.
-		for i := range t.insts {
-			t.insts[i] = new(dynInst)
+		// point forward as well as back. The records the context held
+		// take the stream's first indices, and the rest come from one
+		// fresh array; every listed record is zeroed before its fields
+		// are read, so none keeps a wakeup link from its earlier life.
+		if have := len(t.insts); n > have {
+			fresh := make([]dynInst, n-have)
+			for i := range fresh {
+				t.insts = append(t.insts, &fresh[i])
+			}
+		}
+		clear(t.insts[n:])
+		t.insts = t.insts[:n]
+		if t.dead == nil {
+			t.dead = &dynInst{gen: 1}
 		}
 	}
 	for _, d := range t.insts {
+		if s.Decoding() {
+			*d = dynInst{}
+		}
 		t.inst(s, d)
 	}
 	for _, q := range c.instQueues() {
@@ -412,19 +433,18 @@ func (co *Core) snap(s *snap.Stream) {
 // sharedMemories returns the distinct committed memory images across all
 // contexts, in first-encounter (core, context) order. Redundant pairs share
 // one image; the order is deterministic because it follows the machine's
-// fixed structure, not pointer values.
+// fixed structure, not pointer values. The list is rebuilt in the
+// machine's reused scratch slice.
 func (m *Machine) sharedMemories() []*vm.Memory {
-	var mems []*vm.Memory
-	seen := make(map[*vm.Memory]bool, 4)
+	mems := m.memScratch[:0]
 	for _, co := range m.Cores {
 		for _, c := range co.ctxs {
-			b := c.Arch.Mem.Backing()
-			if !seen[b] {
-				seen[b] = true
+			if b := c.Arch.Mem.Backing(); !slices.Contains(mems, b) {
 				mems = append(mems, b)
 			}
 		}
 	}
+	m.memScratch = mems
 	return mems
 }
 

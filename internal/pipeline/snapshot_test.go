@@ -12,7 +12,7 @@ import (
 
 // Snapshot encodes the machine's state as a standalone stream.
 func (m *Machine) Snapshot() []byte {
-	s := snap.NewEncoder(0)
+	s := snap.NewEncoder(nil)
 	m.Snap(s)
 	return s.Finish()
 }
@@ -172,5 +172,120 @@ func TestRestoreRejectsInconsistentIQ(t *testing.T) {
 	fresh, _, _, _ := srtMachine(t, program.MustBuild("gcc"), 4000, DefaultConfig())
 	if err := fresh.Restore(m.Snapshot()); err != nil {
 		t.Fatalf("clean snapshot: %v", err)
+	}
+}
+
+// records returns the set of instruction records c holds: in its queues,
+// as its pending branch, or in its recycling pool.
+func records(c *Context) map[*dynInst]bool {
+	held := make(map[*dynInst]bool)
+	for _, d := range c.enumerate().insts {
+		held[d] = true
+	}
+	return held
+}
+
+// stepTo steps every core of m up to the top of cycle k.
+func stepTo(m *Machine, k uint64) {
+	for ; m.Cycles < k; m.Cycles++ {
+		for _, co := range m.Cores {
+			co.Step()
+		}
+	}
+}
+
+// TestRestoreInPlace restores snapshots into used machines: one that has
+// run ahead and holds more instruction records than an early snapshot
+// lists, and one that has barely run and holds fewer than a later one
+// lists. Each context must take the records it lists from those it held,
+// allocating only the shortfall, keep its one tombstone across restores,
+// re-encode to the stream, and resume cycle-identically with a fresh
+// machine restored from the same stream, the wakeup invariant holding on
+// every cycle.
+func TestRestoreInPlace(t *testing.T) {
+	prog := program.MustBuild("gcc")
+	const budget = 4000
+	build := func() *Machine {
+		m, _, _, _ := srtMachine(t, prog, budget, DefaultConfig())
+		return m
+	}
+	snapshotAt := func(k uint64) []byte {
+		m := build()
+		stepTo(m, k)
+		return m.Snapshot()
+	}
+	ahead, behind := build(), build()
+	stepTo(ahead, 3500)
+	stepTo(behind, 40)
+	cases := []struct {
+		name string
+		snap []byte
+		used *Machine
+		more bool // the used machine holds more records than the stream lists
+	}{
+		{"more", snapshotAt(150), ahead, true},
+		{"fewer", snapshotAt(1500), behind, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := build()
+			if err := ref.Restore(tc.snap); err != nil {
+				t.Fatal(err)
+			}
+			ctxs := tc.used.allContexts()
+			held := make([]map[*dynInst]bool, len(ctxs))
+			for i, c := range ctxs {
+				held[i] = records(c)
+				listed := len(ref.allContexts()[i].enumerate().insts)
+				if tc.more != (len(held[i]) > listed) || len(held[i]) == listed {
+					t.Fatalf("context %d holds %d records, the stream lists %d", i, len(held[i]), listed)
+				}
+			}
+			if err := tc.used.Restore(tc.snap); err != nil {
+				t.Fatal(err)
+			}
+			tombs := make([]*dynInst, len(ctxs))
+			for i, c := range ctxs {
+				now := records(c)
+				for d := range now {
+					if tc.more && !held[i][d] {
+						t.Fatalf("context %d allocated a record while holding spares", i)
+					}
+				}
+				for d := range held[i] {
+					if !tc.more && !now[d] {
+						t.Fatalf("context %d dropped a record it held while short of records", i)
+					}
+				}
+				held[i], tombs[i] = now, c.snapTable.dead
+			}
+			// Restoring the same stream again reuses exactly the same
+			// records and the same tombstone.
+			if err := tc.used.Restore(tc.snap); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range ctxs {
+				if now := records(c); len(now) != len(held[i]) || c.snapTable.dead != tombs[i] {
+					t.Fatalf("context %d: second restore changed its records or its tombstone", i)
+				}
+				for d := range held[i] {
+					if !records(c)[d] {
+						t.Fatalf("context %d: second restore replaced a record", i)
+					}
+				}
+			}
+			if !bytes.Equal(tc.used.Snapshot(), tc.snap) {
+				t.Fatal("used machine does not re-encode to the stream it restored")
+			}
+			checkEveryCycle(t, tc.used)
+			for _, m := range []*Machine{ref, tc.used} {
+				if _, err := m.Run(3_000_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.used.Cycles != ref.Cycles || !bytes.Equal(tc.used.Snapshot(), ref.Snapshot()) {
+				t.Errorf("used machine ended at cycle %d, fresh restore at %d, or their final states differ", tc.used.Cycles, ref.Cycles)
+			}
+		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func storeSetsSnapshot(s *StoreSets) []byte {
-	st := snap.NewEncoder(0)
+	st := snap.NewEncoder(nil)
 	s.Snap(st)
 	return st.Finish()
 }

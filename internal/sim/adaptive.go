@@ -49,7 +49,7 @@ func adaptiveTable(name string, threshold float64) ([]bool, error) {
 // committed memory or a device is not architecturally observable, which is
 // exactly the masked/SDC boundary the adaptive campaigns classify against.
 func (m *Machine) ArchDigest() [32]byte {
-	s := snap.NewEncoder(1 << 16)
+	s := snap.NewEncoder(make([]byte, 0, 1<<16))
 	seen := make(map[*vm.Memory]bool, len(m.Leads))
 	for _, lead := range m.Leads {
 		s.Bool(&lead.Arch.Halted)

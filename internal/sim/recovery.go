@@ -55,28 +55,38 @@ const (
 )
 
 // capture snapshots the machine and records each pair's validation
-// targets. A snapshot failure returns nil; the run simply lacks that
-// rollback point.
+// targets. It reuses a recycled checkpoint, buffer and all, when the
+// machine holds one (release), so a run that drops its checkpoints as
+// fast as it takes them captures without allocating.
 func (m *Machine) capture() *srtrCkpt {
-	data, err := m.Snapshot()
-	if err != nil {
-		return nil
-	}
-	c := &srtrCkpt{
-		cycle:   m.Cycles,
-		data:    data,
-		needSeq: make([]uint64, len(m.Pairs)),
-		needVer: make([]uint64, len(m.Pairs)),
-		phase:   make([]int, len(m.Pairs)),
-	}
-	for i := range m.Pairs {
-		lead, trail := m.Leads[i], m.Trails[i]
-		c.needSeq[i] = lead.Arch.Seq
-		if trail.Arch.Seq > c.needSeq[i] {
-			c.needSeq[i] = trail.Arch.Seq
+	var c *srtrCkpt
+	if n := len(m.spareCkpts); n > 0 {
+		c = m.spareCkpts[n-1]
+		m.spareCkpts[n-1] = nil
+		m.spareCkpts = m.spareCkpts[:n-1]
+	} else {
+		c = &srtrCkpt{
+			needSeq: make([]uint64, len(m.Pairs)),
+			needVer: make([]uint64, len(m.Pairs)),
+			phase:   make([]int, len(m.Pairs)),
 		}
 	}
+	c.cycle = m.Cycles
+	c.data = m.AppendSnapshot(c.data[:0])
+	c.validated = false
+	for i := range m.Pairs {
+		c.needSeq[i] = max(m.Leads[i].Arch.Seq, m.Trails[i].Arch.Seq)
+		c.needVer[i] = 0
+		c.phase[i] = 0
+	}
 	return c
+}
+
+// release recycles checkpoints the run has dropped: capture reuses them,
+// in this run or the machine's next one. A released checkpoint must no
+// longer be a rollback candidate, since its bytes will be overwritten.
+func (m *Machine) release(cs ...*srtrCkpt) {
+	m.spareCkpts = append(m.spareCkpts, cs...)
 }
 
 // advance moves the checkpoint's validation state machine forward against
@@ -133,7 +143,6 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 	// machines through RestoreState, which does not touch engine fields.
 	m.Recoveries, m.RecoveryCycles = 0, 0
 
-	var ckpts []*srtrCkpt
 	// The run-entry checkpoint (cycle 0 of a freshly built machine, or the
 	// restore point of a fault-engine replay) is trusted as validated at
 	// capture: it precedes every instruction this run executes, and an
@@ -142,10 +151,11 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 	// a detection arriving before the two-phase pipeline validates any
 	// checkpoint (the first couple of intervals) would find no rollback
 	// target at all.
-	if c := m.capture(); c != nil {
-		c.validated = true
-		ckpts = append(ckpts, c)
-	}
+	entry := m.capture()
+	entry.validated = true
+	ckpts := []*srtrCkpt{entry}
+	// Whatever the run still holds when it ends is recycled for the next.
+	defer func() { m.release(ckpts...) }()
 	disabled := false
 
 	recoverTo := func(trigger uint64) bool {
@@ -156,11 +166,9 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 		// (it may have captured the not-yet-detected corruption) and is
 		// discarded alongside anything newer than the restore point.
 		var target *srtrCkpt
-		kept := ckpts[:0]
 		for _, c := range ckpts {
 			if c.validated {
 				target = c
-				kept = append(kept, c)
 			}
 		}
 		if target == nil {
@@ -168,6 +176,14 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 		}
 		if err := m.RestoreState(target.data); err != nil {
 			return false
+		}
+		kept := ckpts[:0]
+		for _, c := range ckpts {
+			if c.validated {
+				kept = append(kept, c)
+			} else {
+				m.release(c)
+			}
 		}
 		ckpts = kept
 		m.Recoveries++
@@ -234,12 +250,11 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 				}
 			}
 			if newestValid > 0 {
+				m.release(ckpts[:newestValid]...)
 				ckpts = append(ckpts[:0], ckpts[newestValid:]...)
 			}
 			if !finished && m.Cycles%interval == 0 {
-				if c := m.capture(); c != nil {
-					ckpts = append(ckpts, c)
-				}
+				ckpts = append(ckpts, m.capture())
 			}
 		}
 		if finished || m.Cycles >= maxCycles {

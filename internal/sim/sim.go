@@ -88,6 +88,10 @@ type Machine struct {
 	// into it.
 	snapHint int //rmtsnap:skip — encoder sizing hint, not machine state
 
+	// spareCkpts holds SRTR checkpoints the machine's runs have dropped,
+	// buffers included, for capture to reuse (recovery.go).
+	spareCkpts []*srtrCkpt //rmtsnap:skip — recycled checkpoint storage, not machine state
+
 	// Recoveries and RecoveryCycles account SRTR rollbacks: how many the
 	// run performed and the total cycles re-executed (trigger cycle minus
 	// restored checkpoint cycle, summed). Engine-level run accounting,
@@ -206,6 +210,27 @@ func Build(spec Spec) (*Machine, error) {
 		m.bridges = append(m.bridges, wireIO(dev, pair, m.Leads[i], m.Trails[i]))
 	}
 	return m, nil
+}
+
+// ProgramIPC returns program i's measured-copy IPC from rs, a run of a
+// machine in mode m. A run's LogicalIPC lists the measured copy of each
+// program in spec order, except under Base2, which lists both of each
+// program's independent copies side by side (Build gives each its own
+// context), so that program i's measured copy is entry 2i.
+func (m Mode) ProgramIPC(rs *stats.RunStats, i int) float64 {
+	if m == ModeBase2 {
+		i *= 2
+	}
+	return rs.LogicalIPC[i]
+}
+
+// ProgramIPCs returns ProgramIPC for each of a run's first n programs.
+func (m Mode) ProgramIPCs(rs *stats.RunStats, n int) []float64 {
+	ipcs := make([]float64, n)
+	for i := range ipcs {
+		ipcs[i] = m.ProgramIPC(rs, i)
+	}
+	return ipcs
 }
 
 // newSingle builds a non-redundant context for program name.

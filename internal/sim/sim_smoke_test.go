@@ -108,6 +108,37 @@ func TestBase2Runs(t *testing.T) {
 	}
 }
 
+// TestBase2ProgramIPC runs two programs under Base2, which lists each
+// program's two copies side by side in LogicalIPC: ProgramIPC must read
+// each program's measured copy (its Leads context), not the entry at the
+// program's own index.
+func TestBase2ProgramIPC(t *testing.T) {
+	m, err := Build(smokeSpec(ModeBase2, "swim", "gcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.LogicalIPC) != 4 {
+		t.Fatalf("Base2 on two programs lists %d IPCs, want 4", len(rs.LogicalIPC))
+	}
+	ipcs := ModeBase2.ProgramIPCs(rs, 2)
+	for i, c := range m.Leads {
+		if c.FinishCycle == 0 {
+			t.Fatalf("program %d did not reach its budget", i)
+		}
+		want := float64(c.Budget-c.Warmup) / float64(c.FinishCycle-c.WarmCycle)
+		if got := ModeBase2.ProgramIPC(rs, i); got != want || ipcs[i] != want {
+			t.Errorf("program %d: ProgramIPC %.4f, ProgramIPCs %.4f, its measured copy ran at %.4f", i, got, ipcs[i], want)
+		}
+	}
+	if ipcs[1] == rs.LogicalIPC[1] {
+		t.Error("gcc reads the IPC of swim's second copy")
+	}
+}
+
 func TestSRTTwoLogicalThreads(t *testing.T) {
 	m, err := Build(smokeSpec(ModeSRT, "gcc", "go"))
 	if err != nil {

@@ -12,20 +12,29 @@ import (
 // tables sparsely.
 const snapshotVersion = 2
 
-// Snapshot serializes the machine's complete simulated state. The snapshot
-// pairs with the Spec the machine was built from: Restore rebuilds an
-// identical machine and overlays this state onto it. Observer attachments
-// (Metrics, Events, trace hooks) are not captured; a restored machine
-// starts with whatever observers its fresh build has.
+// Snapshot serializes the machine's complete simulated state into fresh
+// bytes the caller owns. The snapshot pairs with the Spec the machine was
+// built from: Restore rebuilds an identical machine and overlays this state
+// onto it. Observer attachments (Metrics, Events, trace hooks) are not
+// captured; a restored machine starts with whatever observers its fresh
+// build has.
 func (m *Machine) Snapshot() ([]byte, error) {
 	// The encoding grows by a few percent per checkpoint interval as the run
 	// touches new cache lines and predictor entries; the slack keeps the next
 	// snapshot inside one allocation.
-	s := snap.NewEncoder(m.snapHint + m.snapHint/16 + 4096)
+	return m.AppendSnapshot(make([]byte, 0, m.snapHint+m.snapHint/16+4096)), nil
+}
+
+// AppendSnapshot appends the machine's snapshot, the bytes Snapshot would
+// return, to dst and returns the extended slice. A caller that recycles
+// its buffers passes one back as dst[:0]: once the buffer has grown to a
+// snapshot's size, capturing allocates nothing.
+func (m *Machine) AppendSnapshot(dst []byte) []byte {
+	s := snap.NewEncoder(dst)
 	m.snap(s)
 	out := s.Finish()
-	m.snapHint = len(out)
-	return out, nil
+	m.snapHint = len(out) - len(dst)
+	return out
 }
 
 // RestoreState overlays a snapshot onto this machine, which must have been

@@ -67,12 +67,13 @@ type Stream struct {
 	r *reader
 }
 
-// NewEncoder returns an encoding Stream primed with the stream header. A
-// machine snapshot re-encodes to within a few kilobytes of its previous
-// size, so a caller that knows that size passes it as sizeHint and the
-// buffer never regrows; the capacity is at least 4 KB.
-func NewEncoder(sizeHint int) *Stream {
-	return &Stream{w: writer{buf: append(make([]byte, 0, max(sizeHint, 4096)), magic...)}}
+// NewEncoder returns an encoding Stream that appends the stream, header
+// first, to buf. The stream writes into buf's storage while it fits and
+// grows a new array only past its capacity, so a caller that keeps a
+// buffer of the right size and passes buf[:0] encodes without allocating.
+// Finish returns the extended buffer; buf's own storage may be overwritten.
+func NewEncoder(buf []byte) *Stream {
+	return &Stream{w: writer{buf: append(buf, magic...)}}
 }
 
 // NewDecoder validates the stream header and returns a decoding Stream
@@ -214,14 +215,18 @@ func (s *Stream) Count(n *int, minBytes int) {
 }
 
 // Slice visits the length of a variable-length slice through Count.
-// Decoding replaces *p with a fresh slice of the stream's length (nil when
-// empty) whose elements the caller then visits.
+// Decoding resizes *p to the stream's length, and the caller then visits
+// every element. The resize reuses *p's array when it has the capacity,
+// zeroing what lies past the new length, and allocates a fresh one only
+// when it has not; a nil slice stays nil when the stream's is empty.
 func Slice[T any](s *Stream, p *[]T, minBytes int) {
 	n := len(*p)
 	s.Count(&n, minBytes)
 	if s.r != nil {
-		*p = nil
-		if n > 0 {
+		if n <= cap(*p) {
+			*p = (*p)[:n]
+			clear((*p)[n:cap(*p)])
+		} else {
 			*p = make([]T, n)
 		}
 	}
@@ -351,6 +356,6 @@ func (s *Stream) Done() error {
 	return nil
 }
 
-// Finish returns an encoding pass's stream. The Stream may not be reused
-// after.
+// Finish returns an encoding pass's buffer: the buffer NewEncoder was
+// given, extended by the stream. The Stream may not be reused after.
 func (s *Stream) Finish() []byte { return s.w.buf }

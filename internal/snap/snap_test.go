@@ -13,7 +13,7 @@ import (
 // words encodes raw 64-bit words behind the header: hand-built streams,
 // well formed or not.
 func words(ws ...uint64) []byte {
-	s := NewEncoder(0)
+	s := NewEncoder(nil)
 	for i := range ws {
 		s.U64(&ws[i])
 	}
@@ -68,7 +68,7 @@ func (r *record) visit(s *Stream) {
 }
 
 func encodeRecord(r *record) []byte {
-	s := NewEncoder(0)
+	s := NewEncoder(nil)
 	r.visit(s)
 	return s.Finish()
 }
@@ -166,7 +166,7 @@ func TestSparseRoundTrip(t *testing.T) {
 	wordTable[0], wordTable[17], wordTable[63] = 5, math.MaxUint64, 1
 	ids := []int32{-1, 0, -1, 7, math.MaxInt32, math.MinInt32, -1, -2}
 
-	s := NewEncoder(0)
+	s := NewEncoder(nil)
 	Sparse(s, wordTable, 0)
 	Sparse(s, ids, -1)
 	Sparse(s, make([]uint64, 8), 0)
@@ -241,7 +241,7 @@ func TestSparseRejectsNonCanonical(t *testing.T) {
 // without panicking, and later fields keep decoding as zero values.
 func TestSparseTruncated(t *testing.T) {
 	table := []uint64{0, 4, 0, 9, 0, 0, 1, 0}
-	s := NewEncoder(0)
+	s := NewEncoder(nil)
 	Sparse(s, table, 0)
 	trailer := uint64(42)
 	s.U64(&trailer)
@@ -257,5 +257,64 @@ func TestSparseTruncated(t *testing.T) {
 		if d.Err() == nil || v != 0 {
 			t.Fatalf("truncation to %d bytes: err %v, trailing word %d", n, d.Err(), v)
 		}
+	}
+}
+
+// TestEncoderAppendsIntoBuffer: an encoder appends to the buffer it is
+// given, writing into that buffer's storage while the stream fits, so a
+// recycled buffer encodes without allocating.
+func TestEncoderAppendsIntoBuffer(t *testing.T) {
+	data := encodeRecord(sampleRecord())
+	buf := make([]byte, 0, len(data))
+	s := NewEncoder(buf)
+	sampleRecord().visit(s)
+	out := s.Finish()
+	if !bytes.Equal(out, data) || &out[0] != &buf[:1][0] {
+		t.Fatal("encoding into a large enough buffer did not reuse its storage")
+	}
+	s = NewEncoder([]byte("prefix"))
+	sampleRecord().visit(s)
+	if got := s.Finish(); string(got[:6]) != "prefix" || !bytes.Equal(got[6:], data) {
+		t.Fatal("encoding did not append after the buffer's contents")
+	}
+	r := sampleRecord()
+	if n := testing.AllocsPerRun(10, func() {
+		s := NewEncoder(buf[:0])
+		r.visit(s)
+		buf = s.Finish()
+	}); n != 0 {
+		t.Fatalf("encoding into a recycled buffer allocates %.0f objects", n)
+	}
+}
+
+// TestSliceReusesArray: decoding a variable-length slice reuses the
+// target's array when it is large enough, clearing the elements past the
+// stream's length, and allocates only when it is not.
+func TestSliceReusesArray(t *testing.T) {
+	data := encodeRecord(sampleRecord()) // list = [4 5 6]
+	dst := sampleRecord()
+	dst.list = []uint64{9, 9, 9, 9, 9}
+	array := &dst.list[0]
+	if err := decodeRecord(data, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst.list, []uint64{4, 5, 6}) || &dst.list[0] != array {
+		t.Fatalf("list %v: decoded into a fresh array or wrong values", dst.list)
+	}
+	if tail := dst.list[:5][3:]; tail[0] != 0 || tail[1] != 0 {
+		t.Fatalf("elements past the stream's length kept %v", tail)
+	}
+	dst.list = make([]uint64, 0, 2)
+	if err := decodeRecord(data, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst.list, []uint64{4, 5, 6}) {
+		t.Fatalf("list %v after decoding into a short array", dst.list)
+	}
+	empty := sampleRecord()
+	empty.list = nil
+	dst.list = nil
+	if err := decodeRecord(encodeRecord(empty), dst); err != nil || dst.list != nil {
+		t.Fatalf("empty list decoded to %#v (err %v), want nil", dst.list, err)
 	}
 }

@@ -167,9 +167,6 @@ type RunStats struct {
 	// LogicalIPC maps logical thread index -> committed instructions of
 	// its (leading) copy divided by cycles.
 	LogicalIPC []float64
-	// Extra carries experiment-specific measurements keyed by name
-	// (e.g. "psr.same_half_frac").
-	Extra map[string]float64
 }
 
 // IPCOf returns the IPC of hardware thread i.

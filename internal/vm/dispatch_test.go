@@ -88,7 +88,7 @@ func testCorrupt(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
 }
 
 func snapshotBytes(t *vm.Thread) []byte {
-	s := snap.NewEncoder(0)
+	s := snap.NewEncoder(nil)
 	t.Snap(s)
 	return s.Finish()
 }

@@ -32,6 +32,11 @@ type Memory struct {
 	// Pure cache over pages — nothing to snapshot.
 	cachePN [16]uint64 //rmtsnap:skip — derived cache
 	cacheP  [16]*page  // derived cache
+
+	// snapPNs holds the sorted numbers of the pages resident at the start
+	// of the last snapshot pass, so listing them allocates nothing once it
+	// has grown.
+	snapPNs []uint64 // scratch, rebuilt by every snapshot pass
 }
 
 // NewMemory returns an empty memory image.
@@ -175,6 +180,13 @@ type Overlay struct {
 	// skip the map probe. Pure cache over words — nothing to snapshot.
 	cacheWA [8]uint64       // derived cache
 	cacheW  [8]*overlayWord // derived cache
+
+	// snapWAs holds the sorted word addresses of the last snapshot pass,
+	// reused by the next.
+	snapWAs []uint64 // scratch, rebuilt by every snapshot pass
+	// spare holds word records a restore took out of words, for wordFor
+	// to reuse before it allocates.
+	spare []*overlayWord // recycled storage, no state
 }
 
 func filterBit(wa uint64) uint64 { return 1 << ((wa * 0x9E3779B97F4A7C15) >> 58) }
@@ -197,6 +209,21 @@ func (o *Overlay) Reset(mem *Memory) {
 	o.filter = 0
 }
 
+// recycleWords empties the overlay: every word record moves, zeroed, to
+// the spare list for wordFor to reuse, and the word cache that points at
+// them is dropped. Unlike Reset, it leaves no empty entries in the map,
+// so a restored overlay holds only the words its stream lists.
+func (o *Overlay) recycleWords() {
+	for _, w := range o.words {
+		*w = overlayWord{}
+		o.spare = append(o.spare, w)
+	}
+	clear(o.words)
+	o.n = 0
+	o.filter = 0
+	o.cacheW = [8]*overlayWord{}
+}
+
 func (o *Overlay) wordFor(wa uint64) *overlayWord {
 	slot := wa & 7
 	if w := o.cacheW[slot]; w != nil && o.cacheWA[slot] == wa {
@@ -204,7 +231,12 @@ func (o *Overlay) wordFor(wa uint64) *overlayWord {
 	}
 	w := o.words[wa]
 	if w == nil {
-		w = new(overlayWord)
+		if n := len(o.spare); n > 0 {
+			w = o.spare[n-1]
+			o.spare = o.spare[:n-1]
+		} else {
+			w = new(overlayWord)
+		}
 		o.words[wa] = w
 	}
 	o.cacheWA[slot], o.cacheW[slot] = wa, w

@@ -15,29 +15,61 @@ import (
 // the static structure in place.
 
 // Snap visits the committed memory image: resident pages in ascending
-// page-number order. Decoding replaces the image with the stream's pages.
+// page-number order. Decoding replaces the image with the stream's pages in
+// place: a page the memory already holds takes the stream's bytes, a page
+// it lacks is allocated, and a page the stream does not list is dropped.
+// Only strictly ascending page numbers are accepted, the one order
+// encoding produces.
 func (m *Memory) Snap(s *snap.Stream) {
-	var nums []uint64
-	if !s.Decoding() {
-		nums = make([]uint64, 0, len(m.pages))
-		for pn := range m.pages {
-			nums = append(nums, pn)
-		}
-		slices.Sort(nums)
+	// Both directions start from the resident pages in order: encoding
+	// lists them, and decoding walks them beside the stream's to find the
+	// ones to drop.
+	held := m.snapPNs[:0]
+	for pn := range m.pages {
+		held = append(held, pn)
 	}
-	snap.Slice(s, &nums, 16)
+	slices.Sort(held)
+	m.snapPNs = held
+	n := len(held)
+	s.Count(&n, 16)
 	if s.Decoding() {
-		m.pages = make(map[uint64]*page, len(nums))
-		m.cacheP = [16]*page{} // cached pointers target the replaced map's entries
-	}
-	for _, pn := range nums {
-		s.U64(&pn)
-		p := m.pages[pn]
-		if s.Decoding() {
-			p = new(page)
-			m.pages[pn] = p
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page, n)
 		}
-		s.Bytes(p[:])
+		m.cacheP = [16]*page{} // dropped pages may sit in the cache
+	}
+	j := 0 // decoding: the first held page not yet kept or dropped
+	var prev uint64
+	for i := 0; i < n; i++ {
+		var pn uint64
+		if !s.Decoding() {
+			pn = held[i]
+		}
+		s.U64(&pn)
+		if s.Decoding() {
+			if s.Err() != nil {
+				return
+			}
+			if i > 0 && pn <= prev {
+				s.Failf("memory page %d out of order", pn)
+				return
+			}
+			prev = pn
+			for ; j < len(held) && held[j] <= pn; j++ {
+				if held[j] < pn {
+					delete(m.pages, held[j])
+				}
+			}
+			if m.pages[pn] == nil {
+				m.pages[pn] = new(page)
+			}
+		}
+		s.Bytes(m.pages[pn][:])
+	}
+	if s.Decoding() {
+		for ; j < len(held); j++ {
+			delete(m.pages, held[j])
+		}
 	}
 }
 
@@ -45,15 +77,15 @@ func (m *Memory) Snap(s *snap.Stream) {
 // order, each as its address, value and sequence number. Decoding replaces
 // the pending byte set, leaving the backing Memory link untouched; that
 // Memory is shared between threads and serialized once by the machine
-// layer, not here.
+// layer, not here. The restored overlay holds only the stream's words, as
+// a fresh one would, so the next encoding sorts no more words than a run
+// since the restore has stored to, and it rebuilds them from the records
+// it held before it allocates.
 func (o *Overlay) Snap(s *snap.Stream) {
 	n := o.n
 	s.Count(&n, 24)
 	if s.Decoding() {
-		o.words = make(map[uint64]*overlayWord, (n+7)/8)
-		o.n = 0
-		o.filter = 0
-		o.cacheW = [8]*overlayWord{} // cached pointers target the replaced map's entries
+		o.recycleWords()
 		for i := 0; i < n; i++ {
 			var a, val, seq uint64
 			s.U64(&a)
@@ -63,11 +95,12 @@ func (o *Overlay) Snap(s *snap.Stream) {
 		}
 		return
 	}
-	was := make([]uint64, 0, len(o.words))
+	was := o.snapWAs[:0]
 	for wa := range o.words {
 		was = append(was, wa)
 	}
 	slices.Sort(was)
+	o.snapWAs = was
 	for _, wa := range was {
 		ow := o.words[wa]
 		for i := uint64(0); i < 8; i++ {

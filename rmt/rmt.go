@@ -296,7 +296,10 @@ type Result struct {
 	// Cycles is the simulated cycle count.
 	Cycles uint64
 	// IPC holds, per logical program, the measured copy's committed
-	// instructions per cycle.
+	// instructions per cycle, in Spec.Programs order. Base2 runs two
+	// independent copies of each program and carries an entry for each,
+	// side by side: program i's measured copy is entry 2i, and the list is
+	// twice as long as Spec.Programs.
 	IPC []float64
 	// StoreLifetime holds, per logical program, the mean cycles a
 	// (leading) store spends in the store queue.
