@@ -131,12 +131,13 @@ serve-smoke:
 # at -short sizes — this drives the batched campaign-replay and
 # characterisation paths), a warm simulator must allocate nothing per
 # cycle and be cycle-identical with instruction recycling off, in every
-# mode, a snapshot into a recycled buffer must allocate nothing and a
-# restore into a used machine only its decoder, and the batched hot loop
+# mode, a snapshot into a recycled buffer must allocate nothing, a
+# restore into a used machine only its decoder, and a rebuild of a used
+# machine under a tenth of a fresh build's bytes, and the batched hot loop
 # must stay zero-alloc across pool reuse.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x -short .
-	go test ./internal/sim/ -run 'TestSteadyStateAllocs|TestPoolDisabledIsCycleIdentical|TestSnapshotCaptureAllocs|TestRestoreAllocsBounded' -count=1
+	go test ./internal/sim/ -run 'TestSteadyStateAllocs|TestPoolDisabledIsCycleIdentical|TestSnapshotCaptureAllocs|TestRestoreAllocsBounded|TestRebuildAllocs' -count=1
 	go test ./internal/vm/ -run 'TestBatchSteadyStateAllocs|TestBatchResetReuse' -count=1
 
 .PHONY: verify race lint crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-smoke serve-smoke

@@ -4,9 +4,9 @@
 //
 // Every figure declares its sweep as a flat job list — one independent
 // (kernel, configuration) simulation per job — and hands it to
-// internal/runner, which fans the jobs, plus a base-machine reference run
-// for each distinct program that no declared job already simulates, across
-// Params.Parallelism worker goroutines.
+// internal/runner, which fans each distinct simulation, base-machine
+// reference runs included, across Params.Parallelism worker goroutines,
+// each rebuilding one machine in place from simulation to simulation.
 // Results are keyed by job index, so tables are assembled in declaration
 // order and the output is byte-identical at any parallelism.
 //
@@ -18,12 +18,13 @@ package exp
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/pipeline"
 	"repro/internal/program"
+	"repro/internal/rmt"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -60,22 +61,6 @@ func Quick() Params {
 	return Params{Budget: 8000, Warmup: 5000, CampaignRuns: 8, Config: pipeline.DefaultConfig()}
 }
 
-// run executes one spec at p's sizes and machine.
-func run(p Params, spec sim.Spec) (*stats.RunStats, *sim.Machine, error) {
-	spec.Budget = p.Budget
-	spec.Warmup = p.Warmup
-	spec.Config = p.Config
-	m, err := sim.Build(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	rs, err := m.Run()
-	if err != nil {
-		return nil, nil, fmt.Errorf("exp: %v %v: %w", spec.Mode, spec.Programs, err)
-	}
-	return rs, m, nil
-}
-
 // job is one simulation in a figure's sweep. Figures that sweep machine
 // configuration (Fig9's store-queue sizes) carry a per-job Params.
 type job struct {
@@ -83,67 +68,113 @@ type job struct {
 	spec sim.Spec
 }
 
-// result is one job's outcome: its SMT-Efficiency, its run stats and its
-// machine.
+// result is one simulation's outcome: its run stats, the readings the
+// figures take from its machine, recorded before the machine is rebuilt
+// for another simulation, and the job's SMT-Efficiency.
 type result struct {
+	rs *stats.RunStats
+	// sameHalf and sameFU are the first pair's fractions of corresponding
+	// instructions that shared an issue-queue half and a functional unit
+	// (Fig7).
+	sameHalf, sameFU float64
+	// storeLife is the first measured copy's mean store-queue lifetime
+	// (Fig9).
+	storeLife float64
+	// protected is the first pair's protected fraction of static
+	// instruction sites (FigAdaptive).
+	protected float64
+
 	eff float64
-	rs  *stats.RunStats
-	m   *sim.Machine
+}
+
+// machines is one sweep's stack of idle machines. A simulation takes one,
+// or a zero machine when none is idle, rebuilds it for its spec, and puts
+// it back once it has recorded its readings, so a sweep holds at most one
+// machine per worker and each reuses its caches' lines and predictor
+// tables from one simulation to the next.
+type machines struct {
+	mu   sync.Mutex
+	idle []*sim.Machine
+}
+
+func (ms *machines) take() *sim.Machine {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	n := len(ms.idle)
+	if n == 0 {
+		return new(sim.Machine)
+	}
+	m := ms.idle[n-1]
+	ms.idle = ms.idle[:n-1]
+	return m
+}
+
+func (ms *machines) put(m *sim.Machine) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	ms.idle = append(ms.idle, m)
+}
+
+// run executes one simulation, spec at its own budget, warmup and machine
+// configuration, on a machine from ms. A machine whose build or run failed
+// is dropped rather than put back.
+func (ms *machines) run(spec sim.Spec) (result, error) {
+	m := ms.take()
+	if err := m.Rebuild(spec); err != nil {
+		return result{}, err
+	}
+	rs, err := m.Run()
+	if err != nil {
+		return result{}, fmt.Errorf("exp: %v %v: %w", spec.Mode, spec.Programs, err)
+	}
+	r := result{rs: rs, storeLife: m.Leads[0].Stats.StoreLifetime.Value()}
+	if len(m.Pairs) > 0 {
+		pair := m.Pairs[0]
+		r.sameHalf, r.sameFU = pair.SameHalfFrac(), pair.SameFUFrac()
+		r.protected = protectedFrac(pair)
+	}
+	ms.put(m)
+	return r, nil
 }
 
 // sweep fans jobs across the worker pool and returns results keyed by job
 // index, so callers assemble tables in declaration order regardless of
 // completion order.
 //
-// A job's SMT-Efficiency divides by its programs' IPCs alone on the base
-// machine at the figure's standard Params p, even when the job's own
-// Params differ. A job the figure declares may itself be such a reference
-// run (isReference); it then serves as its program's reference. Every
-// other program gets a reference job of its own, an ordinary job of the
-// same pool, scheduled just before the first job that reads it, which
-// keeps only its IPC, not its machine. Scheduled all first, they would run
-// on a near-empty heap, where each one's garbage triggers a collection: 16
-// instead of 6 for a Fig6 at budget and warmup 300, which then took a
-// fifth longer.
+// Each distinct simulation runs once per sweep: jobs whose specs are equal
+// at equal budget, warmup and machine configuration share one run and its
+// result. A job's SMT-Efficiency divides by its programs' IPCs alone on
+// the base machine at the figure's standard Params p, even when the job's
+// own Params differ. Those reference runs go through the same lookup, so a
+// declared job that is one serves as it, and the rest are ordinary runs of
+// the same pool, each scheduled just before the first job that reads it.
+// Scheduled all first, they would run on a near-empty heap, where each
+// one's garbage triggers a collection: 16 instead of 6 for a Fig6 at
+// budget and warmup 300, which then took a fifth longer.
 func sweep(p Params, jobs []job) ([]result, error) {
-	baseIPC := map[string]*float64{}
-	// refOut[i] is where declared job i, a reference run, stores its IPC.
-	refOut := make([]*float64, len(jobs))
-	for i, j := range jobs {
-		if !isReference(p, j) {
-			continue
-		}
-		if name := j.spec.Programs[0]; baseIPC[name] == nil {
-			baseIPC[name] = new(float64)
-			refOut[i] = baseIPC[name]
-		}
-	}
+	var ms machines
 	var fns []func() (result, error)
-	at := make([]int, len(jobs)) // each job's index in fns
+	// runs maps each distinct simulation to its index in fns. A Spec holds
+	// a slice and cannot key a map itself; printed with %+v it lists every
+	// field, each float exactly.
+	runs := map[string]int{}
+	schedule := func(jp Params, spec sim.Spec) int {
+		spec.Budget, spec.Warmup, spec.Config = jp.Budget, jp.Warmup, jp.Config
+		key := fmt.Sprintf("%+v", spec)
+		if i, ok := runs[key]; ok {
+			return i
+		}
+		runs[key] = len(fns)
+		fns = append(fns, func() (result, error) { return ms.run(spec) })
+		return len(fns) - 1
+	}
+	at := make([]int, len(jobs))     // each job's run
+	refs := make([][]int, len(jobs)) // the reference run of each of its programs
 	for i, j := range jobs {
 		for _, name := range j.spec.Programs {
-			if baseIPC[name] != nil {
-				continue
-			}
-			ipc := new(float64)
-			baseIPC[name] = ipc
-			fns = append(fns, func() (result, error) {
-				rs, _, err := run(p, referenceSpec(name))
-				if err == nil {
-					*ipc = sim.ModeBase.ProgramIPC(rs, 0)
-				}
-				return result{}, err
-			})
+			refs[i] = append(refs[i], schedule(p, referenceSpec(name)))
 		}
-		at[i] = len(fns)
-		out := refOut[i]
-		fns = append(fns, func() (result, error) {
-			rs, m, err := run(j.p, j.spec)
-			if err == nil && out != nil {
-				*out = sim.ModeBase.ProgramIPC(rs, 0)
-			}
-			return result{rs: rs, m: m}, err
-		})
+		at[i] = schedule(j.p, j.spec)
 	}
 	out, rep, err := runner.Run(fns, runner.Options{Parallelism: p.Parallelism, Progress: p.Progress})
 	if p.OnReport != nil {
@@ -154,9 +185,9 @@ func sweep(p Params, jobs []job) ([]result, error) {
 	}
 	res := make([]result, len(jobs))
 	for i, j := range jobs {
-		base := make([]float64, len(j.spec.Programs))
-		for k, name := range j.spec.Programs {
-			base[k] = *baseIPC[name]
+		base := make([]float64, len(refs[i]))
+		for k, ref := range refs[i] {
+			base[k] = sim.ModeBase.ProgramIPC(out[ref].rs, 0)
 		}
 		res[i] = out[at[i]]
 		res[i].eff = stats.SMTEfficiency(j.spec.Mode.ProgramIPCs(res[i].rs, len(base)), base)
@@ -165,19 +196,9 @@ func sweep(p Params, jobs []job) ([]result, error) {
 }
 
 // referenceSpec is the reference run of program name: the program alone
-// on the base machine, at the sizes and machine run takes from Params.
+// on the base machine.
 func referenceSpec(name string) sim.Spec {
 	return sim.Spec{Mode: sim.ModeBase, Programs: []string{name}}
-}
-
-// isReference reports whether job j simulates its program's reference run
-// at the figure's standard Params p: the reference spec, at p's budget,
-// warmup and machine configuration, the three fields run reads from
-// Params. Params itself holds funcs and cannot be compared.
-func isReference(p Params, j job) bool {
-	return len(j.spec.Programs) == 1 &&
-		reflect.DeepEqual(j.spec, referenceSpec(j.spec.Programs[0])) &&
-		j.p.Budget == p.Budget && j.p.Warmup == p.Warmup && j.p.Config == p.Config
 }
 
 // sumCycles totals simulated cycles across a sweep, published in each
@@ -328,9 +349,8 @@ func Fig7(p Params) (*stats.Table, map[string]float64, error) {
 		var halves, fus, effs [2]float64
 		for i := range psrs {
 			r := res[ni*len(psrs)+i]
-			pair := r.m.Pairs[0]
-			halves[i] = pair.SameHalfFrac()
-			fus[i] = pair.SameFUFrac()
+			halves[i] = r.sameHalf
+			fus[i] = r.sameFU
 			effs[i] = r.eff
 		}
 		aggHalfOff = append(aggHalfOff, halves[0])
@@ -382,7 +402,10 @@ func Fig9(p Params) (*stats.Table, map[string]float64, error) {
 	names := program.Names()
 	t.Grow(len(names) + 1)
 	sqSizes := []int{32, 48, 64}
-	perName := 3 + len(sqSizes) // base, SRT, SQ sweep..., ptSQ
+	// base, SRT, SQ sweep..., ptSQ. The base job is its kernel's reference
+	// run, and at Table 1's 64-entry store queue the SQ=32 job is its SRT
+	// job: each shares that run (sweep).
+	perName := 3 + len(sqSizes)
 	var jobs []job
 	for _, name := range names {
 		progs := []string{name}
@@ -406,8 +429,8 @@ func Fig9(p Params) (*stats.Table, map[string]float64, error) {
 	effSums := map[int][]float64{32: nil, 48: nil, 64: nil, -1: nil}
 	for ni, name := range names {
 		row := res[ni*perName : (ni+1)*perName]
-		baseLife := row[0].m.Leads[0].Stats.StoreLifetime.Value()
-		srtLife := row[1].m.Leads[0].Stats.StoreLifetime.Value()
+		baseLife := row[0].storeLife
+		srtLife := row[1].storeLife
 		delta := srtLife - baseLife
 		deltas = append(deltas, delta)
 
@@ -585,11 +608,11 @@ func FigRecovery(p Params) (*stats.Table, map[string]float64, error) {
 	return t, summary, nil
 }
 
-// protectedFrac is the fraction of static instruction sites the adaptive
-// protection table keeps inside the sphere of replication (1.0 when the
-// table is nil: θ <= 0 protects everything, bit-identical to SRT).
-func protectedFrac(m *sim.Machine) float64 {
-	pair := m.Pairs[0]
+// protectedFrac is the fraction of static instruction sites the pair's
+// adaptive protection table keeps inside the sphere of replication (1.0
+// when the table is nil: θ <= 0 protects everything, bit-identical to
+// SRT).
+func protectedFrac(pair *rmt.Pair) float64 {
 	if len(pair.Protect) == 0 {
 		return 1
 	}
@@ -636,7 +659,7 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 		var prot, effs []float64
 		for ki := range kernels {
 			r := res[ti*len(kernels)+ki]
-			prot = append(prot, protectedFrac(r.m))
+			prot = append(prot, r.protected)
 			effs = append(effs, r.eff)
 		}
 		var pool fault.CampaignSummary

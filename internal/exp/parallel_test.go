@@ -85,12 +85,12 @@ func TestSweepErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestSweepReusesDeclaredReferences: a declared job that is its program's
-// reference run (the base machine, the program alone, at the figure's
-// standard Params) serves as that reference instead of a second, identical
-// simulation. A base job at other Params does not, and a program without
-// such a job gets a reference job of its own. Efficiencies read the same
-// as with separate reference jobs.
+// TestSweepReusesDeclaredReferences: each distinct simulation runs once
+// per sweep. A declared job that is its program's reference run (the base
+// machine, the program alone, at the figure's standard Params) shares
+// that run instead of a second, identical simulation. A base job at other
+// Params does not, and a program without such a job gets a reference run
+// of its own. Efficiencies read the same as with separate reference runs.
 func TestSweepReusesDeclaredReferences(t *testing.T) {
 	p := quick()
 	p.Budget, p.Warmup = 1000, 500
@@ -107,7 +107,7 @@ func TestSweepReusesDeclaredReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	if jobs != 5 {
-		t.Errorf("sweep ran %d jobs, want 5: four declared and swim's reference", jobs)
+		t.Errorf("sweep ran %d jobs, want 5: gcc's reference, which a declared job shares, three more declared and swim's reference", jobs)
 	}
 	if res[2].eff != 1 {
 		t.Errorf("the reference job's own efficiency is %v, want 1", res[2].eff)
@@ -121,13 +121,14 @@ func TestSweepReusesDeclaredReferences(t *testing.T) {
 			t.Errorf("%s: efficiency %v against a declared reference, %v against its own", name, got, want)
 		}
 	}
-	// Fig9 declares a base job per kernel at its standard Params: six
-	// simulations per kernel, and no second base run.
+	// Fig9 declares six jobs per kernel at its standard Params: a base job,
+	// which is the kernel's reference run, and an SQ=32 job, which is its
+	// SRT job at the default store-queue size. Five simulations per kernel.
 	p.Budget, p.Warmup = 300, 300
 	if _, _, err := Fig9(p); err != nil {
 		t.Fatal(err)
 	}
-	if want := 6 * len(program.Names()); jobs != want {
+	if want := 5 * len(program.Names()); jobs != want {
 		t.Errorf("Fig9 ran %d jobs, want %d", jobs, want)
 	}
 }

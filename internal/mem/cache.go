@@ -22,6 +22,7 @@ package mem
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -101,6 +102,16 @@ type Config struct {
 // need not be a power of two (the 3 MB L2 of Table 1 has 6144 sets); sets
 // are indexed block-number-modulo-sets with the full block number as tag.
 func NewCache(cfg Config, next Level) *Cache {
+	c := new(Cache)
+	c.Rebuild(cfg, next)
+	return c
+}
+
+// Rebuild makes c the empty cache NewCache(cfg, next) builds, reusing its
+// line and count arrays when they are large enough. Only the counts are
+// cleared: the ways past a set's count are never read (see Cache.lines).
+// Everything else, counters and MissExtra included, starts fresh.
+func (c *Cache) Rebuild(cfg Config, next Level) {
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	if nsets <= 0 {
 		panic("mem: cache must have at least one set")
@@ -112,18 +123,19 @@ func NewCache(cfg Config, next Level) *Cache {
 	for 1<<blockBits < cfg.BlockBytes {
 		blockBits++
 	}
-	c := &Cache{
+	count := slices.Grow(c.count[:0], nsets)[:nsets]
+	clear(count)
+	*c = Cache{
 		name:       cfg.Name,
 		nsets:      uint64(nsets),
 		blockBits:  blockBits,
 		ways:       cfg.Ways,
 		hitLat:     cfg.HitLatency,
 		next:       next,
-		lines:      make([]line, nsets*cfg.Ways),
-		count:      make([]uint8, nsets),
+		lines:      slices.Grow(c.lines[:0], nsets*cfg.Ways)[:nsets*cfg.Ways],
+		count:      count,
 		wayPredict: cfg.WayPredict,
 	}
-	return c
 }
 
 // Name returns the cache's configured name.
@@ -250,32 +262,42 @@ func DefaultHierarchyConfig() HierarchyConfig {
 // *Cache L2 to share it between cores (CMP); pass nil l2 to build a private
 // one from cfg.
 func NewHierarchy(cfg HierarchyConfig, shared *Cache) *Hierarchy {
-	var l2 *Cache
-	var flat *FlatMemory
-	if shared != nil {
-		l2 = shared
-	} else {
-		flat = &FlatMemory{Latency: cfg.MemLatency}
-		l2 = NewCache(Config{
+	h := new(Hierarchy)
+	h.Rebuild(cfg, shared)
+	return h
+}
+
+// Rebuild makes h the empty hierarchy NewHierarchy(cfg, shared) builds,
+// rebuilding in place the L1s it holds and, when it is to own its L2
+// again, the private L2 and memory it owned. A shared L2 belongs to the
+// core that owns it and is never rebuilt here.
+func (h *Hierarchy) Rebuild(cfg HierarchyConfig, shared *Cache) {
+	old := *h
+	*h = Hierarchy{L1I: old.L1I, L1D: old.L1D, L2: shared}
+	if h.L1I == nil {
+		h.L1I, h.L1D = new(Cache), new(Cache)
+	}
+	if shared == nil {
+		h.L2, h.Mem = old.L2, old.Mem
+		if h.Mem == nil { // the L2 it held, if any, was shared
+			h.L2, h.Mem = new(Cache), new(FlatMemory)
+		}
+		*h.Mem = FlatMemory{Latency: cfg.MemLatency}
+		h.L2.Rebuild(Config{
 			Name: "l2", SizeBytes: cfg.L2Size, Ways: cfg.L2Ways,
 			BlockBytes: cfg.BlockBytes, HitLatency: cfg.L2Latency,
-		}, flat)
+		}, h.Mem)
 	}
-	h := &Hierarchy{
-		L1I: NewCache(Config{
-			Name: "l1i", SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays,
-			BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency, WayPredict: true,
-		}, l2),
-		L1D: NewCache(Config{
-			Name: "l1d", SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays,
-			BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency,
-		}, l2),
-		L2:  l2,
-		Mem: flat,
-	}
+	h.L1I.Rebuild(Config{
+		Name: "l1i", SizeBytes: cfg.L1ISize, Ways: cfg.L1IWays,
+		BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency, WayPredict: true,
+	}, h.L2)
+	h.L1D.Rebuild(Config{
+		Name: "l1d", SizeBytes: cfg.L1DSize, Ways: cfg.L1DWays,
+		BlockBytes: cfg.BlockBytes, HitLatency: cfg.L1Latency,
+	}, h.L2)
 	h.L1I.MissExtra = cfg.CheckerMissPenalty
 	h.L1D.MissExtra = cfg.CheckerMissPenalty
-	return h
 }
 
 // mergeEntry is one block-granularity write-combining entry.
@@ -303,13 +325,23 @@ type MergeBuffer struct {
 
 // NewMergeBuffer returns a merge buffer of capacity entries in front of d.
 func NewMergeBuffer(capacity int, blockBytes int, d *Cache) *MergeBuffer {
+	m := new(MergeBuffer)
+	m.Rebuild(capacity, blockBytes, d)
+	return m
+}
+
+// Rebuild makes m the empty merge buffer NewMergeBuffer(capacity,
+// blockBytes, d) builds, reusing its slot array when it is large enough.
+func (m *MergeBuffer) Rebuild(capacity int, blockBytes int, d *Cache) {
 	bb := uint(0)
 	for 1<<bb < blockBytes {
 		bb++
 	}
-	return &MergeBuffer{
+	slots := slices.Grow(m.slots[:0], capacity)[:capacity]
+	clear(slots)
+	*m = MergeBuffer{
 		blockBits: bb,
-		slots:     make([]mergeEntry, capacity),
+		slots:     slots,
 		dcache:    d,
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/predict"
@@ -128,20 +129,46 @@ func (co *Core) emitCompare(ctx *Context, d *dynInst, cycle uint64, mismatch boo
 	})
 }
 
-// NewCore builds a core with the given contexts. shared may carry a shared
-// L2 for CMP configurations (nil = private hierarchy).
+// NewCore builds a core without contexts; AddContext attaches them.
+// sharedL2 may carry a shared L2 for CMP configurations (nil = private
+// hierarchy).
 func NewCore(id int, cfg Config, sharedL2 *mem.Cache) *Core {
-	co := &Core{
+	co := new(Core)
+	co.Rebuild(id, cfg, sharedL2)
+	return co
+}
+
+// Rebuild makes co the core NewCore(id, cfg, sharedL2) builds. The caches,
+// the merge buffer, the predictors and the timing wheel it holds are
+// rebuilt in place, so their arrays are reused; everything else starts
+// fresh, its contexts, counters and observer hooks included.
+func (co *Core) Rebuild(id int, cfg Config, sharedL2 *mem.Cache) {
+	*co = Core{
 		ID:         id,
 		cfg:        cfg,
-		hier:       mem.NewHierarchy(cfg.Hier, sharedL2),
-		linePred:   predict.NewLinePredictor(cfg.LinePredictorBits),
-		branchPred: predict.NewBranchPredictor(cfg.BranchPredictorBits),
-		jumpPred:   predict.NewJumpPredictor(cfg.JumpPredictorBits),
-		storeSets:  predict.NewStoreSets(cfg.StoreSetBits, cfg.StoreSetCount),
+		hier:       orNew(co.hier),
+		mergeBuf:   orNew(co.mergeBuf),
+		linePred:   orNew(co.linePred),
+		branchPred: orNew(co.branchPred),
+		jumpPred:   orNew(co.jumpPred),
+		storeSets:  orNew(co.storeSets),
+		wheel:      slices.Grow(co.wheel[:0], wheelSlots)[:wheelSlots],
 	}
-	co.mergeBuf = mem.NewMergeBuffer(cfg.MergeBufEntries, cfg.Hier.BlockBytes, co.hier.L1D)
-	return co
+	co.hier.Rebuild(cfg.Hier, sharedL2)
+	co.mergeBuf.Rebuild(cfg.MergeBufEntries, cfg.Hier.BlockBytes, co.hier.L1D)
+	co.linePred.Rebuild(cfg.LinePredictorBits)
+	co.branchPred.Rebuild(cfg.BranchPredictorBits)
+	co.jumpPred.Rebuild(cfg.JumpPredictorBits)
+	co.storeSets.Rebuild(cfg.StoreSetBits, cfg.StoreSetCount)
+	clear(co.wheel)
+}
+
+// orNew returns p, or a new zero T when p is nil.
+func orNew[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
 }
 
 // Hierarchy exposes the core's memory hierarchy (for inspection and shared-L2
@@ -188,9 +215,6 @@ func (co *Core) FinalizeQueues() {
 			c.lqCap = co.cfg.LQCap / nLQ
 		}
 		co.allocQueues(c)
-	}
-	if co.wheel == nil {
-		co.wheel = make([]*dynInst, wheelSlots)
 	}
 }
 

@@ -9,7 +9,11 @@
 // captured. Histories are per-thread.
 package predict
 
-import "repro/internal/stats"
+import (
+	"slices"
+
+	"repro/internal/stats"
+)
 
 const numThreads = 8 // max hardware thread contexts the predictors index
 
@@ -30,10 +34,29 @@ type LinePredictor struct {
 // NewLinePredictor returns a line predictor with 2^bits entries (the base
 // machine's 28K-entry predictor is approximated with 32K entries).
 func NewLinePredictor(bits uint) *LinePredictor {
-	return &LinePredictor{
-		mask:  (1 << bits) - 1,
-		table: make([]uint64, 1<<bits),
+	l := new(LinePredictor)
+	l.Rebuild(bits)
+	return l
+}
+
+// Rebuild makes l the untrained predictor NewLinePredictor(bits) builds,
+// reusing its table when it is large enough.
+func (l *LinePredictor) Rebuild(bits uint) {
+	*l = LinePredictor{mask: (1 << bits) - 1, table: table(l.table, 1<<bits, 0)}
+}
+
+// table returns t resized to n entries, each set to v, reusing t's array
+// when it is large enough: the one way every predictor table is built and
+// rebuilt. It fills by doubling copies, which run as block moves.
+func table[E uint8 | int32 | uint64](t []E, n int, v E) []E {
+	t = slices.Grow(t[:0], n)[:n]
+	if n > 0 {
+		t[0] = v
+		for i := 1; i < n; i *= 2 {
+			copy(t[i:], t[:i])
+		}
 	}
+	return t
 }
 
 func (l *LinePredictor) idx(pc uint64) uint64 {
@@ -75,19 +98,22 @@ type BranchPredictor struct {
 // NewBranchPredictor returns a predictor with three 2^bits-entry 2-bit
 // tables (bits=15 gives 3*32K*2 = 192 Kbit, matching Table 1's budget).
 func NewBranchPredictor(bits uint) *BranchPredictor {
+	b := new(BranchPredictor)
+	b.Rebuild(bits)
+	return b
+}
+
+// Rebuild makes b the untrained predictor NewBranchPredictor(bits) builds,
+// every counter weakly not-taken and every history empty, reusing its
+// tables when they are large enough.
+func (b *BranchPredictor) Rebuild(bits uint) {
 	n := 1 << bits
-	bp := &BranchPredictor{
+	*b = BranchPredictor{
 		mask:    uint64(n - 1),
-		bimodal: make([]uint8, n),
-		gshare:  make([]uint8, n),
-		choice:  make([]uint8, n),
+		bimodal: table(b.bimodal, n, 1),
+		gshare:  table(b.gshare, n, 1),
+		choice:  table(b.choice, n, 1),
 	}
-	for i := range bp.bimodal {
-		bp.bimodal[i] = 1 // weakly not-taken
-		bp.gshare[i] = 1
-		bp.choice[i] = 1
-	}
-	return bp
 }
 
 func (b *BranchPredictor) bidx(pc uint64) uint64 { return (pc ^ pc>>16) & b.mask }
@@ -184,7 +210,15 @@ type JumpPredictor struct {
 
 // NewJumpPredictor returns a 2^bits-entry last-target predictor.
 func NewJumpPredictor(bits uint) *JumpPredictor {
-	return &JumpPredictor{mask: (1 << bits) - 1, table: make([]uint64, 1<<bits)}
+	j := new(JumpPredictor)
+	j.Rebuild(bits)
+	return j
+}
+
+// Rebuild makes j the untrained predictor NewJumpPredictor(bits) builds,
+// reusing its table when it is large enough.
+func (j *JumpPredictor) Rebuild(bits uint) {
+	*j = JumpPredictor{mask: (1 << bits) - 1, table: table(j.table, 1<<bits, 0)}
 }
 
 func (j *JumpPredictor) idx(pc uint64) uint64 { return (pc ^ pc>>11) & j.mask }
@@ -223,14 +257,20 @@ type StoreSets struct {
 // NewStoreSets returns a predictor with 2^bits SSIT entries and maxSets
 // store sets (Table 1: 4K entries).
 func NewStoreSets(bits uint, maxSets int) *StoreSets {
-	s := &StoreSets{
+	s := new(StoreSets)
+	s.Rebuild(bits, maxSets)
+	return s
+}
+
+// Rebuild makes s the empty predictor NewStoreSets(bits, maxSets) builds,
+// reusing its tables when they are large enough.
+func (s *StoreSets) Rebuild(bits uint, maxSets int) {
+	*s = StoreSets{
 		ssitMask:   (1 << bits) - 1,
-		ssit:       make([]int32, 1<<bits),
-		lfst:       make([]uint64, maxSets),
+		ssit:       table(s.ssit, 1<<bits, -1),
+		lfst:       table(s.lfst, maxSets, 0),
 		ClearEvery: 30000,
 	}
-	s.clear()
-	return s
 }
 
 func (s *StoreSets) clear() {

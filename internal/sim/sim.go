@@ -7,6 +7,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/progen"
@@ -100,12 +101,32 @@ type Machine struct {
 	// record that a recovery happened.
 	Recoveries     int    //rmtsnap:skip — run accounting, outside snapshots (above)
 	RecoveryCycles uint64 //rmtsnap:skip — run accounting, outside snapshots (above)
+
+	// built holds every core the machine has built, for Rebuild to reuse:
+	// a CRT machine rebuilt for one core keeps the second as a spare.
+	built [2]*pipeline.Core //rmtsnap:skip — storage kept for Rebuild; Cores lists the cores in use
 }
 
 // Build assembles the machine described by spec.
 func Build(spec Spec) (*Machine, error) {
+	m := new(Machine)
+	if err := m.Rebuild(spec); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Rebuild reassembles m as the machine Build(spec) returns, whatever spec
+// m was built or run for before. The cores m holds are rebuilt in place,
+// so their cache lines and predictor tables are reused instead of
+// allocated again; everything else is built fresh: the contexts, with
+// their memories and statistics (a RunStats from an earlier run points at
+// those statistics and still reads the same), the redundant pairs, the
+// devices, the observers and the run accounting. On error m is
+// half-built and must be discarded.
+func (m *Machine) Rebuild(spec Spec) error {
 	if len(spec.Programs) == 0 {
-		return nil, fmt.Errorf("sim: no programs")
+		return fmt.Errorf("sim: no programs")
 	}
 	cfg := spec.Config
 	cfg.PerThreadSQ = spec.PerThreadSQ
@@ -116,19 +137,19 @@ func Build(spec Spec) (*Machine, error) {
 		cfg.CheckerStorePenalty = spec.CheckerLatency
 	}
 
-	m := &Machine{
+	*m = Machine{
 		Machine: &pipeline.Machine{StopOnDetection: spec.StopOnDetection},
 		Spec:    spec,
+		built:   m.built,
 	}
 
 	switch spec.Mode {
 	case ModeBase, ModeLockstep:
-		core := pipeline.NewCore(0, cfg, nil)
-		m.Cores = append(m.Cores, core)
+		core := m.addCore(cfg)
 		for i, name := range spec.Programs {
 			ctx, err := newSingle(name, i, spec)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			core.AddContext(ctx)
 			m.Leads = append(m.Leads, ctx)
@@ -137,19 +158,18 @@ func Build(spec Spec) (*Machine, error) {
 		core.FinalizeQueues()
 
 	case ModeBase2:
-		core := pipeline.NewCore(0, cfg, nil)
-		m.Cores = append(m.Cores, core)
+		core := m.addCore(cfg)
 		// Two independent copies per program, each with its own memory
 		// image (no replication or comparison couples them).
 		progID := 0
 		for _, name := range spec.Programs {
 			lead, err := newSingle(name, progID, spec)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			copy2, err := newSingle(name, progID+1, spec)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			progID += 2
 			core.AddContext(lead)
@@ -160,12 +180,11 @@ func Build(spec Spec) (*Machine, error) {
 		core.FinalizeQueues()
 
 	case ModeSRT, ModeSRTR, ModeAdaptive:
-		core := pipeline.NewCore(0, cfg, nil)
-		m.Cores = append(m.Cores, core)
+		core := m.addCore(cfg)
 		for i, name := range spec.Programs {
 			lead, trail, pair, err := newPair(name, i, spec, rmt.SRTLatencies(), cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			switch spec.Mode {
 			case ModeSRTR:
@@ -173,7 +192,7 @@ func Build(spec Spec) (*Machine, error) {
 			case ModeAdaptive:
 				tbl, err := adaptiveTable(name, spec.AdaptiveThreshold)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				pair.Protect = tbl
 			}
@@ -187,17 +206,15 @@ func Build(spec Spec) (*Machine, error) {
 		core.FinalizeQueues()
 
 	case ModeCRT:
-		core0 := pipeline.NewCore(0, cfg, nil)
-		core1 := pipeline.NewCore(1, cfg, core0.Hierarchy().L2)
-		m.Cores = append(m.Cores, core0, core1)
+		core0, core1 := m.addCore(cfg), m.addCore(cfg)
 		if err := buildCRT(m, spec, cfg, core0, core1); err != nil {
-			return nil, err
+			return err
 		}
 		core0.FinalizeQueues()
 		core1.FinalizeQueues()
 
 	default:
-		return nil, fmt.Errorf("sim: unknown mode %d", int(spec.Mode))
+		return fmt.Errorf("sim: unknown mode %d", int(spec.Mode))
 	}
 	// Attach one pseudo-device per logical program for uncached I/O.
 	for i := range m.Leads {
@@ -209,7 +226,25 @@ func Build(spec Spec) (*Machine, error) {
 		}
 		m.bridges = append(m.bridges, wireIO(dev, pair, m.Leads[i], m.Trails[i]))
 	}
-	return m, nil
+	return nil
+}
+
+// addCore rebuilds the machine's next core for cfg, the one it holds or a
+// new one, and puts it in use. A second core shares the first one's L2:
+// the two cores of CRT's CMP.
+func (m *Machine) addCore(cfg pipeline.Config) *pipeline.Core {
+	i := len(m.Cores)
+	var sharedL2 *mem.Cache
+	if i > 0 {
+		sharedL2 = m.Cores[0].Hierarchy().L2
+	}
+	if m.built[i] == nil {
+		m.built[i] = new(pipeline.Core)
+	}
+	co := m.built[i]
+	co.Rebuild(i, cfg, sharedL2)
+	m.Cores = append(m.Cores, co)
+	return co
 }
 
 // ProgramIPC returns program i's measured-copy IPC from rs, a run of a
