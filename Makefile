@@ -29,6 +29,15 @@ lint:
 crossval:
 	go test ./internal/fault/ -run 'TestStaticMaskingCrossValidation|TestStaticMaskedSitesExhaustive|TestGenPrunedCampaignByteIdentical|TestGenStaticMaskedSitesExhaustive' -count=1 -v
 
+# Run every example end to end (go build only compiles them). Each takes
+# well under a second with a warm build cache.
+EXAMPLES := coverage crtpair faultdetect quickstart
+examples:
+	@set -e; for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		go run ./examples/$$ex >/dev/null; \
+	done
+
 # Quick end-to-end check of the parallel sweep engine: regenerate the
 # evaluation at cut-down sizes across 4 workers.
 smoke:
@@ -140,4 +149,4 @@ bench-smoke:
 	go test ./internal/sim/ -run 'TestSteadyStateAllocs|TestPoolDisabledIsCycleIdentical|TestSnapshotCaptureAllocs|TestRestoreAllocsBounded|TestRebuildAllocs' -count=1
 	go test ./internal/vm/ -run 'TestBatchSteadyStateAllocs|TestBatchResetReuse' -count=1
 
-.PHONY: verify race lint crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-smoke serve-smoke
+.PHONY: verify race lint examples crossval smoke determinism cover fuzz fuzz-progen gen-battery recovery-battery bench-smoke serve-smoke

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/pipeline"
 	"repro/internal/progen"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -120,7 +121,7 @@ func BenchmarkCampaign_ForkOnFault(b *testing.B) {
 	var total uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := fault.Campaign(spec, 96, 0xC0FFEE, fault.CampaignOptions{Parallelism: 1})
+		sum, err := fault.Campaign(spec, 96, 0xC0FFEE, runner.Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func main() {
 	}
 	sum, err := rn.Campaign(context.Background(), cs,
 		rmt.WithBudget(budget), rmt.WithWarmup(warmup),
-		rmt.WithParallelism(sf.Parallelism()),
+		rmt.WithParallelism(sf.Parallel),
 		rmt.WithProgress(func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rtrial %d/%d", done, total)
 			if done == total {

@@ -141,7 +141,7 @@ func main() {
 			}
 		}
 		var err error
-		profiles, _, err = runner.Run(jobs, runner.Options{Parallelism: sf.Parallelism()})
+		profiles, _, err = runner.Run(jobs, runner.Options{Parallelism: sf.Parallel})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -75,7 +75,7 @@ func main() {
 		}
 	}
 
-	base := []rmt.Option{rmt.WithParallelism(sf.Parallelism())}
+	base := []rmt.Option{rmt.WithParallelism(sf.Parallel)}
 	if sf.Quick {
 		base = append(base, rmt.WithQuick())
 	}

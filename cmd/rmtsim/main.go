@@ -39,7 +39,7 @@ func main() {
 		slack     = flag.Uint64("slack", 0, "slack-fetch instruction count (0 = LPQ priority)")
 		list      = flag.Bool("list", false, "list the workload suite and exit")
 		noRel     = flag.Bool("norel", false, "skip the base-machine reference runs")
-		traceN    = flag.Int("trace", 0, "dump a pipeline trace of the first N retired instructions")
+		traceN    = flag.Int("trace", 0, "dump a pipeline diagram of the first N instructions core 0 retires")
 		metricsF  = flag.String("metrics", "", "write the end-of-run metrics snapshot (JSON) to this file")
 		traceF    = flag.String("trace-json", "", "write the structured event trace (Chrome trace_event JSON, Perfetto-loadable) to this file")
 	)
@@ -90,26 +90,15 @@ func main() {
 	if *metricsF != "" {
 		m.EnableMetrics()
 	}
-	var events *trace.EventLog
-	if *traceF != "" {
-		events = m.EnableTrace(0)
-	}
-	var collector *trace.Collector
-	if *traceN > 0 {
-		collector = trace.NewCollector(*traceN)
-		hook := collector.Hook()
-		if prev := m.Cores[0].Trace; prev != nil {
-			m.Cores[0].Trace = func(ev pipeline.TraceEvent) { prev(ev); hook(ev) }
-		} else {
-			m.Cores[0].Trace = hook
-		}
+	if *traceF != "" || *traceN > 0 {
+		m.EnableTrace(0)
 	}
 	rs, err := m.Run()
 	if err != nil {
 		fatal(err)
 	}
-	if events != nil {
-		if err := writeTo(*traceF, events.WriteChromeJSON); err != nil {
+	if *traceF != "" {
+		if err := writeTo(*traceF, m.Events.WriteChromeJSON); err != nil {
 			fatal(err)
 		}
 	}
@@ -118,9 +107,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if collector != nil {
+	if *traceN > 0 {
 		fmt.Println("pipeline trace (F fetch, D dispatch, I issue, C complete, X retire):")
-		fmt.Print(trace.Format(collector.Records(), 0, 0))
+		fmt.Print(trace.Format(m.Events.Events(), *traceN))
 		fmt.Println()
 	}
 
@@ -133,7 +122,7 @@ func main() {
 		// fan them across the worker pool through the public facade.
 		ipcs, err := rmt.BaseIPC(context.Background(), progs,
 			rmt.WithBudget(budget), rmt.WithWarmup(warmup),
-			rmt.WithParallelism(sf.Parallelism()))
+			rmt.WithParallelism(sf.Parallel))
 		if err != nil {
 			fatal(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/pipeline" //rmtlint:allow layering — example demonstrates internal machine construction
 	"repro/internal/sim"      //rmtlint:allow layering — example demonstrates internal machine construction
 	"repro/internal/vm"       //rmtlint:allow layering — names the corruption point being injected
+	"repro/rmt"
 )
 
 func main() {
@@ -69,14 +71,19 @@ func main() {
 		}
 	}
 
-	// Finish with a small random campaign to show aggregate coverage.
+	// Finish with a small random campaign on the same machine, through the
+	// public facade, to show aggregate coverage.
 	fmt.Println("random campaign (30 single-bit transients):")
-	sum, err := fault.Campaign(spec, 30, 0xDECAF, fault.CampaignOptions{})
+	sum, err := rmt.Campaign(context.Background(), rmt.CampaignSpec{
+		Spec: rmt.Spec{Mode: spec.Mode, Programs: spec.Programs, PSR: spec.PSR},
+		N:    30,
+		Seed: 0xDECAF,
+	}, rmt.WithBudget(spec.Budget), rmt.WithWarmup(spec.Warmup))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  detected %d, masked %d, not fired %d\n", sum.Detected, sum.Masked, sum.NotFired)
-	fmt.Printf("  coverage of fired faults: %.0f%%\n", 100*sum.Coverage())
+	fmt.Printf("  coverage of fired faults: %.0f%%\n", 100*sum.Coverage)
 	fmt.Printf("  mean detection latency:   %.0f cycles\n", sum.MeanDetectionCycles)
 	fmt.Println("\nno fault ever escaped silently: every store leaves the sphere only after comparison.")
 }

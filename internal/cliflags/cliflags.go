@@ -21,6 +21,7 @@ type Sim struct {
 	// Quick selects cut-down sizes.
 	Quick bool
 	// Parallel is the worker-goroutine count for independent simulations.
+	// Tools pass it on as is; the runner resolves <= 0 to GOMAXPROCS.
 	Parallel int
 }
 
@@ -50,14 +51,6 @@ func (s *Sim) Sizes(fullBudget, fullWarmup, quickBudget, quickWarmup uint64) (bu
 		warmup = s.Warmup
 	}
 	return budget, warmup
-}
-
-// Parallelism resolves the -parallel value (<= 0 selects GOMAXPROCS).
-func (s *Sim) Parallelism() int {
-	if s.Parallel <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Parallel
 }
 
 // Serve is the flag group of the rmtd daemon.

@@ -3,7 +3,6 @@ package cliflags
 import (
 	"flag"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -34,18 +33,6 @@ func TestSizes(t *testing.T) {
 		if b, w := s.Sizes(100, 50, 10, 5); b != c.budget || w != c.warmup {
 			t.Errorf("%s: Sizes = %d/%d, want %d/%d", c.name, b, w, c.budget, c.warmup)
 		}
-	}
-}
-
-func TestParallelism(t *testing.T) {
-	if got := parse(t).Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default parallelism = %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
-	}
-	if got := parse(t, "-parallel", "3").Parallelism(); got != 3 {
-		t.Errorf("-parallel 3 resolved to %d", got)
-	}
-	if got := parse(t, "-parallel", "0").Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("-parallel 0 resolved to %d, want GOMAXPROCS", got)
 	}
 }
 

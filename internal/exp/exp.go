@@ -40,14 +40,11 @@ type Params struct {
 	CampaignRuns int
 	Config       pipeline.Config
 
-	// Parallelism caps concurrent simulations (0 = GOMAXPROCS). Results
-	// are independent of this value; 1 reproduces a serial run exactly.
-	Parallelism int
-	// Progress, when non-nil, receives per-sweep completion updates
-	// (done, total jobs). Calls are serialized.
-	Progress func(done, total int)
-	// OnReport, when non-nil, receives each sweep's timing report.
-	OnReport func(runner.Report)
+	// Options is the run policy every sweep and campaign of the
+	// experiment hands to internal/runner: parallelism (results are
+	// independent of it), per-sweep progress, timing reports and
+	// cancellation.
+	runner.Options
 }
 
 // Full returns the parameters used for the recorded results: large enough
@@ -176,10 +173,7 @@ func sweep(p Params, jobs []job) ([]result, error) {
 		}
 		at[i] = schedule(j.p, j.spec)
 	}
-	out, rep, err := runner.Run(fns, runner.Options{Parallelism: p.Parallelism, Progress: p.Progress})
-	if p.OnReport != nil {
-		p.OnReport(rep)
-	}
+	out, _, err := runner.Run(fns, p.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -494,6 +488,14 @@ func Fig12(p Params) (*stats.Table, map[string]float64, error) {
 	return effTable(p, "Figure 12: lockstep vs CRT, four logical threads", "workload", rows, lockCRT())
 }
 
+// campaign runs n fault-injection trials of spec's mode and programs at
+// half p's budget and warmup, on p's machine with PSR, under p's run
+// policy. Every campaign-bearing figure sizes its campaigns this way.
+func campaign(p Params, spec sim.Spec, n int, seed uint64) (*fault.CampaignSummary, error) {
+	spec.Budget, spec.Warmup, spec.Config, spec.PSR = p.Budget/2, p.Warmup/2, p.Config, true
+	return fault.Campaign(spec, n, seed, p.Options)
+}
+
 // Coverage runs transient fault-injection campaigns on SRT and CRT and
 // reports detection coverage plus the permanent-fault space-redundancy
 // measurements (no unmasked fault may escape output comparison). Campaigns
@@ -513,13 +515,8 @@ func Coverage(p Params) (*stats.Table, map[string]float64, error) {
 		var pool fault.CampaignSummary
 		var lat []float64
 		for _, k := range kernels {
-			spec := sim.Spec{
-				Mode: mode, Programs: []string{k},
-				Budget: p.Budget / 2, Warmup: p.Warmup / 2,
-				Config: p.Config, PSR: true,
-			}
-			sum, err := fault.Campaign(spec, p.CampaignRuns/len(kernels)+1, 0xABCD^uint64(len(k)),
-				fault.CampaignOptions{Parallelism: p.Parallelism, Progress: p.Progress, OnReport: p.OnReport})
+			sum, err := campaign(p, sim.Spec{Mode: mode, Programs: []string{k}},
+				p.CampaignRuns/len(kernels)+1, 0xABCD^uint64(len(k)))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -568,14 +565,8 @@ func FigRecovery(p Params) (*stats.Table, map[string]float64, error) {
 	for _, k := range kernels {
 		row := []string{k}
 		for _, iv := range intervals {
-			spec := sim.Spec{
-				Mode: sim.ModeSRTR, Programs: []string{k},
-				Budget: p.Budget / 2, Warmup: p.Warmup / 2,
-				Config: p.Config, PSR: true,
-				CheckpointInterval: iv,
-			}
-			sum, err := fault.Campaign(spec, runs, 0xBADC0DE^iv^uint64(len(k)),
-				fault.CampaignOptions{Parallelism: p.Parallelism, Progress: p.Progress, OnReport: p.OnReport})
+			sum, err := campaign(p, sim.Spec{Mode: sim.ModeSRTR, Programs: []string{k}, CheckpointInterval: iv},
+				runs, 0xBADC0DE^iv^uint64(len(k)))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -664,14 +655,8 @@ func FigAdaptive(p Params) (*stats.Table, map[string]float64, error) {
 		}
 		var pool fault.CampaignSummary
 		for _, k := range kernels {
-			spec := sim.Spec{
-				Mode: sim.ModeAdaptive, Programs: []string{k},
-				Budget: p.Budget / 2, Warmup: p.Warmup / 2,
-				Config: p.Config, PSR: true,
-				AdaptiveThreshold: th,
-			}
-			sum, err := fault.Campaign(spec, runsPer, 0xADA^uint64(ti*31+len(k)),
-				fault.CampaignOptions{Parallelism: p.Parallelism, Progress: p.Progress, OnReport: p.OnReport})
+			sum, err := campaign(p, sim.Spec{Mode: sim.ModeAdaptive, Programs: []string{k}, AdaptiveThreshold: th},
+				runsPer, 0xADA^uint64(ti*31+len(k)))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/progen"
 	"repro/internal/program"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -93,7 +94,7 @@ func crossValidateStaticMasking(t *testing.T, spec sim.Spec, n int, seed uint64,
 		healthy[i] = len(g.Detections()) == 0 && (tr == nil || lead.Arch.Halted == tr.Arch.Halted)
 	}
 
-	sum, err := Campaign(spec, n, seed, CampaignOptions{Parallelism: parallelism})
+	sum, err := Campaign(spec, n, seed, runner.Options{Parallelism: parallelism})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}

@@ -247,19 +247,6 @@ func Plan(spec sim.Spec, n int, seed uint64) []Transient {
 	return faults
 }
 
-// CampaignOptions configure how a campaign schedules its trials.
-type CampaignOptions struct {
-	// Parallelism caps concurrent trials (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// Progress, when non-nil, receives (done, total) trial counts.
-	Progress func(done, total int)
-	// OnReport, when non-nil, receives the campaign's timing report.
-	OnReport func(runner.Report)
-	// Cancel, when non-nil, is polled before each trial; a non-nil return
-	// aborts the campaign with that error (context cancellation plumbing).
-	Cancel func() error
-}
-
 // replayChunkSize bounds how many replay trials ride in one worker job.
 // Trials in a chunk share a golden checkpoint, so a worker restores from
 // the same (cache-hot) snapshot bytes back to back and recycles one pooled
@@ -287,7 +274,12 @@ const replayChunkSize = 8
 // results are written by trial index, so the summary — including per-trial
 // outcome order — is identical at any parallelism, and byte-identical to
 // building and simulating every trial from scratch.
-func Campaign(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
+//
+// opts is the campaign's run policy: Progress counts trials, not worker
+// jobs; Cancel is polled before the golden pass, at each of its checkpoint
+// boundaries and before each trial; OnReport receives the replay pool's
+// timing report.
+func Campaign(spec sim.Spec, n int, seed uint64, opts runner.Options) (*CampaignSummary, error) {
 	if !spec.Mode.Paired() {
 		return nil, fmt.Errorf("fault: campaign requires a paired mode (a leading/trailing pair to strike), got %v", spec.Mode)
 	}
@@ -295,13 +287,14 @@ func Campaign(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*Campaig
 		return nil, fmt.Errorf("fault: campaign trial count %d is negative", n)
 	}
 	spec.StopOnDetection = true
-	if opts.Cancel != nil {
-		if err := opts.Cancel(); err != nil {
-			return nil, err
-		}
+	if opts.Cancel == nil {
+		opts.Cancel = func() error { return nil }
+	}
+	if err := opts.Cancel(); err != nil {
+		return nil, err
 	}
 	faults := Plan(spec, n, seed)
-	prep, err := forkPrepare(spec, faults)
+	prep, err := forkPrepare(spec, faults, opts.Cancel)
 	if err != nil {
 		return nil, fmt.Errorf("fault: golden run: %w", err)
 	}
@@ -339,10 +332,8 @@ func Campaign(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*Campaig
 		chunk := chunk
 		jobs[ci] = func() (struct{}, error) {
 			for _, i := range chunk {
-				if opts.Cancel != nil {
-					if err := opts.Cancel(); err != nil {
-						return struct{}{}, err
-					}
+				if err := opts.Cancel(); err != nil {
+					return struct{}{}, err
 				}
 				f := faults[i]
 				res, err := prep.replay(spec, f, i)
@@ -355,11 +346,9 @@ func Campaign(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*Campaig
 			return struct{}{}, nil
 		}
 	}
-	_, rep, err := runner.Run(jobs, runner.Options{Parallelism: opts.Parallelism})
-	if opts.OnReport != nil {
-		opts.OnReport(rep)
-	}
-	if err != nil {
+	pool := opts
+	pool.Progress = nil // trialsDone reports trials, not chunks
+	if _, _, err := runner.Run(jobs, pool); err != nil {
 		return nil, err
 	}
 	return summarize(n, results), nil
@@ -535,10 +524,11 @@ func (p *forkPrep) classifyUnfired(f Transient) Result {
 // iteration where each planned fault first fires, and the OnCycle hook
 // captures a state checkpoint every checkpointInterval iterations. The
 // observers return every value unchanged and snapshot encoding only reads
-// state, so the pass executes the identical fault-free run. Checkpoints no
-// fired fault replays from are dropped afterwards, and the golden machine
-// itself seeds the replay pool.
-func forkPrepare(spec sim.Spec, faults []Transient) (*forkPrep, error) {
+// state, so the pass executes the identical fault-free run. cancel is
+// polled at every checkpoint boundary, so a cancelled campaign stops within
+// checkpointInterval cycles. Checkpoints no fired fault replays from are
+// dropped afterwards, and the golden machine itself seeds the replay pool.
+func forkPrepare(spec sim.Spec, faults []Transient, cancel func() error) (*forkPrep, error) {
 	p := &forkPrep{
 		fired:    make([]bool, len(faults)),
 		fireIter: make([]uint64, len(faults)),
@@ -597,6 +587,9 @@ func forkPrepare(spec sim.Spec, faults []Transient) (*forkPrep, error) {
 	g.OnCycle = func(cycle uint64) error {
 		if cycle%checkpointInterval != 0 {
 			return nil
+		}
+		if err := cancel(); err != nil {
+			return err
 		}
 		// Once every fault has fired, checkpoints are only useful as
 		// convergence references for the latest fire; past that horizon

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -113,7 +114,7 @@ func TestCRTDetectsFaults(t *testing.T) {
 // detected or masked — never a silent escape (an SRT machine compares every
 // store).
 func TestCampaignNoEscapes(t *testing.T) {
-	sum, err := Campaign(faultSpec(sim.ModeSRT, "compress"), 20, 0xfeedface, CampaignOptions{Parallelism: 1})
+	sum, err := Campaign(faultSpec(sim.ModeSRT, "compress"), 20, 0xfeedface, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestCampaignNoEscapes(t *testing.T) {
 
 // TestCampaignDeterministic: identical seeds give identical results.
 func TestCampaignDeterministic(t *testing.T) {
-	a, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42, CampaignOptions{Parallelism: 1})
+	a, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42, CampaignOptions{Parallelism: 1})
+	b, err := Campaign(faultSpec(sim.ModeSRT, "go"), 6, 42, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestCampaignRejectsNonRMTModes(t *testing.T) {
 		{"base mode", faultSpec(sim.ModeBase, "gcc"), 1},
 		{"negative trial count", faultSpec(sim.ModeSRT, "gcc"), -1},
 	} {
-		if _, err := Campaign(tc.spec, tc.n, 1, CampaignOptions{Parallelism: 1}); err == nil {
+		if _, err := Campaign(tc.spec, tc.n, 1, runner.Options{Parallelism: 1}); err == nil {
 			t.Errorf("%s: campaign should error", tc.name)
 		}
 	}
@@ -185,11 +186,11 @@ func TestCampaignRejectsNonRMTModes(t *testing.T) {
 // before any trial runs and results are keyed by trial index.
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	spec := faultSpec(sim.ModeSRT, "compress")
-	serial, err := Campaign(spec, 8, 0xBEEF, CampaignOptions{Parallelism: 1})
+	serial, err := Campaign(spec, 8, 0xBEEF, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Campaign(spec, 8, 0xBEEF, CampaignOptions{Parallelism: 4})
+	parallel, err := Campaign(spec, 8, 0xBEEF, runner.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestPlanShardingInvariance(t *testing.T) {
 				// StopOnDetection is forced inside Campaign; pass a
 				// fresh copy so spec mutation cannot leak between runs.
 				spec := tc.spec
-				sum, err := Campaign(spec, tc.n, tc.seed, CampaignOptions{Parallelism: workers})
+				sum, err := Campaign(spec, tc.n, tc.seed, runner.Options{Parallelism: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

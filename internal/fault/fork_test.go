@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/runner"
@@ -14,7 +15,7 @@ import (
 // entire fault-free prefix before its injection point. It is the
 // equivalence oracle for the fork-on-fault engine: the two must produce
 // byte-identical summaries.
-func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*CampaignSummary, error) {
+func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts runner.Options) (*CampaignSummary, error) {
 	if !spec.Mode.Paired() {
 		return nil, fmt.Errorf("fault: campaign requires a paired mode, got %v", spec.Mode)
 	}
@@ -28,11 +29,6 @@ func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*C
 	for i := range faults {
 		i, f := i, faults[i]
 		jobs[i] = func() (Result, error) {
-			if opts.Cancel != nil {
-				if err := opts.Cancel(); err != nil {
-					return Result{}, err
-				}
-			}
 			res, err := runOneWith(spec, f, golden)
 			if err != nil {
 				return Result{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
@@ -40,10 +36,7 @@ func CampaignLegacy(spec sim.Spec, n int, seed uint64, opts CampaignOptions) (*C
 			return res, nil
 		}
 	}
-	results, rep, err := runner.Run(jobs, runner.Options{Parallelism: opts.Parallelism, Progress: opts.Progress})
-	if opts.OnReport != nil {
-		opts.OnReport(rep)
-	}
+	results, _, err := runner.Run(jobs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -83,13 +76,13 @@ func TestForkMatchesLegacy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := CampaignLegacy(tc.spec, tc.n, tc.seed, CampaignOptions{Parallelism: 1})
+			legacy, err := CampaignLegacy(tc.spec, tc.n, tc.seed, runner.Options{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("legacy: %v", err)
 			}
 			for _, workers := range []int{1, 4} {
 				spec := tc.spec
-				fork, err := Campaign(spec, tc.n, tc.seed, CampaignOptions{Parallelism: workers})
+				fork, err := Campaign(spec, tc.n, tc.seed, runner.Options{Parallelism: workers})
 				if err != nil {
 					t.Fatalf("fork workers=%d: %v", workers, err)
 				}
@@ -117,14 +110,60 @@ func TestForkMatchesLegacy(t *testing.T) {
 // campaign with that error (this is the context plumbing rmt.Campaign uses).
 func TestCampaignCancel(t *testing.T) {
 	boom := errors.New("canceled")
-	for name, run := range map[string]func(sim.Spec, int, uint64, CampaignOptions) (*CampaignSummary, error){
+	for name, run := range map[string]func(sim.Spec, int, uint64, runner.Options) (*CampaignSummary, error){
 		"fork":   Campaign,
 		"legacy": CampaignLegacy,
 	} {
 		_, err := run(faultSpec(sim.ModeSRT, "compress"), 4, 1,
-			CampaignOptions{Parallelism: 1, Cancel: func() error { return boom }})
+			runner.Options{Parallelism: 1, Cancel: func() error { return boom }})
 		if !errors.Is(err, boom) {
 			t.Errorf("%s: err = %v, want wrapped cancel error", name, err)
 		}
+	}
+}
+
+// TestCampaignCancelStopsGoldenPass: Cancel is polled inside the golden
+// pass, not only around it, so a campaign cancelled after it starts stops
+// there: its replay pool never runs and OnReport never fires.
+func TestCampaignCancelStopsGoldenPass(t *testing.T) {
+	boom := errors.New("canceled")
+	polls := 0
+	_, err := Campaign(faultSpec(sim.ModeSRT, "compress"), 20, 0xfeedface, runner.Options{
+		Parallelism: 1,
+		Cancel: func() error {
+			if polls++; polls >= 2 {
+				return boom
+			}
+			return nil
+		},
+		OnReport: func(runner.Report) { t.Error("OnReport fired: the replay pool ran after cancellation") },
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want wrapped cancel error", err)
+	}
+}
+
+// TestCampaignProgressCountsTrials: Progress counts trials, unfired ones
+// included, not the replay pool's chunk jobs, and ends at the trial count.
+func TestCampaignProgressCountsTrials(t *testing.T) {
+	var mu sync.Mutex
+	last := 0
+	n := 20
+	_, err := Campaign(faultSpec(sim.ModeSRT, "compress"), n, 0xfeedface, runner.Options{
+		Parallelism: 2,
+		Progress: func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if done <= last || total != n {
+				t.Errorf("progress %d/%d after %d", done, total, last)
+			}
+			last = done
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last != n {
+		t.Errorf("final progress = %d, want %d", last, n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/progen"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -133,11 +134,11 @@ func TestGenCRTMixCampaignDeterministic(t *testing.T) {
 	pair := progen.MixPairs(genCorpusSeed, 1)[0]
 	spec := genFaultSpec(sim.ModeCRT, pair[0], pair[1])
 	const n, seed = 32, 0xBEEF
-	serial, err := Campaign(spec, n, seed, CampaignOptions{Parallelism: 1})
+	serial, err := Campaign(spec, n, seed, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Campaign(spec, n, seed, CampaignOptions{Parallelism: 4})
+	parallel, err := Campaign(spec, n, seed, runner.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

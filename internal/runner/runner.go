@@ -17,7 +17,9 @@ import (
 	"time"
 )
 
-// Options configure one Run.
+// Options is the run policy of every batch of independent simulations:
+// figure sweeps, fault campaigns and the facade's Sweep all carry one and
+// hand it to Run.
 type Options struct {
 	// Parallelism is the worker-goroutine count; values <= 0 select
 	// runtime.GOMAXPROCS(0). 1 reproduces a serial run exactly.
@@ -26,13 +28,20 @@ type Options struct {
 	// number of completed jobs and the total. Calls are serialized and
 	// done is strictly increasing.
 	Progress func(done, total int)
+	// OnReport, when non-nil, receives the Run's timing Report once, just
+	// before Run returns, whether or not a job failed.
+	OnReport func(Report)
+	// Cancel, when non-nil, is polled before each job starts. A non-nil
+	// return fails that job with that error, exactly as if the job had
+	// returned it: no later job starts.
+	Cancel func() error
 }
 
 // Report describes how a Run spent its time.
 type Report struct {
 	// Jobs is the number of jobs submitted; Ran counts those that
-	// actually executed (fewer than Jobs only when an error cancelled
-	// the remainder).
+	// started (fewer than Jobs only when an error or Options.Cancel
+	// stopped the remainder).
 	Jobs, Ran int
 	// Parallelism is the resolved worker count.
 	Parallelism int
@@ -52,9 +61,10 @@ func (r Report) Speedup() float64 {
 }
 
 // Run executes jobs across a worker pool and returns their results in job
-// order. The first job error (lowest index among jobs that ran) cancels
-// all not-yet-started jobs and is returned; in-flight jobs run to
-// completion. A nil error guarantees every result slot is populated.
+// order. The first job error (lowest index among jobs that ran), or the
+// first error opts.Cancel returns, cancels all not-yet-started jobs and is
+// returned; in-flight jobs run to completion. A nil error guarantees every
+// result slot is populated.
 func Run[T any](jobs []func() (T, error), opts Options) ([]T, Report, error) {
 	n := len(jobs)
 	workers := opts.Parallelism
@@ -108,7 +118,14 @@ func Run[T any](jobs []func() (T, error), opts Options) ([]T, Report, error) {
 					return
 				}
 				t0 := time.Now() //rmtlint:allow determinism — per-job Busy time for the stderr timing Report only
-				v, err := jobs[i]()
+				var v T
+				var err error
+				if opts.Cancel != nil {
+					err = opts.Cancel()
+				}
+				if err == nil {
+					v, err = jobs[i]()
+				}
 				durs[i] = time.Since(t0)
 				if err != nil {
 					errs[i] = err
@@ -124,6 +141,9 @@ func Run[T any](jobs []func() (T, error), opts Options) ([]T, Report, error) {
 	rep := Report{Jobs: n, Ran: done, Parallelism: workers, Wall: time.Since(start)}
 	for _, d := range durs {
 		rep.Busy += d
+	}
+	if opts.OnReport != nil {
+		opts.OnReport(rep)
 	}
 	for _, err := range errs {
 		if err != nil {

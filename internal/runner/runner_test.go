@@ -8,7 +8,8 @@ import (
 )
 
 // TestOrdering: results come back keyed by job index regardless of the
-// order workers complete them.
+// order workers complete them, and OnReport receives the returned report
+// once.
 func TestOrdering(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		n := 64
@@ -17,7 +18,8 @@ func TestOrdering(t *testing.T) {
 			i := i
 			jobs[i] = func() (int, error) { return i * i, nil }
 		}
-		got, rep, err := Run(jobs, Options{Parallelism: par})
+		var reports []Report
+		got, rep, err := Run(jobs, Options{Parallelism: par, OnReport: func(r Report) { reports = append(reports, r) }})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -28,6 +30,9 @@ func TestOrdering(t *testing.T) {
 		}
 		if rep.Jobs != n || rep.Ran != n {
 			t.Errorf("parallelism %d: report jobs=%d ran=%d, want %d", par, rep.Jobs, rep.Ran, n)
+		}
+		if len(reports) != 1 || reports[0] != rep {
+			t.Errorf("parallelism %d: OnReport got %+v, want the returned report once", par, reports)
 		}
 	}
 }
@@ -129,5 +134,83 @@ func TestEmptyAndDefaults(t *testing.T) {
 	}
 	if rep.Parallelism < 1 {
 		t.Errorf("resolved parallelism = %d, want >= 1", rep.Parallelism)
+	}
+}
+
+// TestCancelFailsNextJob: a Cancel error fails the job it precedes, and at
+// parallelism 1 no later job starts. OnReport fires once, counting the
+// cancelled job among those that ran.
+func TestCancelFailsNextJob(t *testing.T) {
+	boom := errors.New("cancelled")
+	var polls atomic.Int64
+	var started []int
+	n := 10
+	jobs := make([]func() (int, error), n)
+	for i := range jobs {
+		i := i
+		jobs[i] = func() (int, error) {
+			started = append(started, i)
+			if i == 4 {
+				return 0, errors.New("job 4 must not start")
+			}
+			return i, nil
+		}
+	}
+	var reports []Report
+	_, _, err := Run(jobs, Options{
+		Parallelism: 1,
+		Cancel: func() error {
+			if polls.Add(1) == 3 {
+				return boom
+			}
+			return nil
+		},
+		OnReport: func(r Report) { reports = append(reports, r) },
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if fmt.Sprint(started) != "[0 1]" {
+		t.Errorf("started jobs %v, want [0 1]", started)
+	}
+	if len(reports) != 1 {
+		t.Fatalf("OnReport fired %d times, want once", len(reports))
+	}
+	if r := reports[0]; r.Jobs != n || r.Ran != 3 {
+		t.Errorf("report jobs=%d ran=%d, want jobs=%d ran=3", r.Jobs, r.Ran, n)
+	}
+}
+
+// TestCancelKeepsLowestIndexError: a job's own error at a lower index wins
+// over a Cancel error at a higher one, whichever lands first.
+func TestCancelKeepsLowestIndexError(t *testing.T) {
+	boom := errors.New("cancelled")
+	var polls atomic.Int64
+	done1 := make(chan struct{})
+	jobs := []func() (int, error){
+		// Job 0 fails only after job 1 has finished, so job 2 may already
+		// have been claimed and cancelled.
+		func() (int, error) { <-done1; return 0, errors.New("job 0 failed") },
+		func() (int, error) { close(done1); return 1, nil },
+		func() (int, error) { return 2, nil },
+	}
+	var reports []Report
+	_, _, err := Run(jobs, Options{
+		Parallelism: 2,
+		// Jobs 0 and 1 are claimed by the two workers before either
+		// finishes, so only job 2's poll can fail.
+		Cancel: func() error {
+			if polls.Add(1) > 2 {
+				return boom
+			}
+			return nil
+		},
+		OnReport: func(r Report) { reports = append(reports, r) },
+	})
+	if err == nil || err.Error() != "job 0 failed" {
+		t.Errorf("err = %v, want job 0's error (lowest index)", err)
+	}
+	if len(reports) != 1 || reports[0].Ran > reports[0].Jobs {
+		t.Errorf("reports = %+v, want one with ran <= jobs", reports)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/pipeline"
 	"repro/internal/progen"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/rmt"
 )
@@ -40,7 +41,7 @@ func TestGenCRTMixCampaignEndpointMatchesDirect(t *testing.T) {
 		Warmup:   warmup,
 		Config:   pipeline.DefaultConfig(),
 		PSR:      true,
-	}, n, seed, fault.CampaignOptions{Parallelism: 1})
+	}, n, seed, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/rmt"
 )
@@ -462,7 +463,7 @@ func TestCampaignEndpointMatchesDirectAndCaches(t *testing.T) {
 		Warmup:   warmup,
 		Config:   pipeline.DefaultConfig(),
 		PSR:      true,
-	}, n, seed, fault.CampaignOptions{Parallelism: 1})
+	}, n, seed, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +548,7 @@ func TestCampaignPassesThroughNoStoreComparison(t *testing.T) {
 		Warmup:            warmup,
 		Config:            pipeline.DefaultConfig(),
 		NoStoreComparison: true,
-	}, n, seed, fault.CampaignOptions{Parallelism: 1})
+	}, n, seed, runner.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,10 @@ type Event struct {
 	Seq  uint64
 	PC   uint64
 	Text string
+	// Dispatch, Issue and Done are the cycles an instruction left the
+	// rate-matching buffer, issued and completed (instruction events
+	// only). Format draws them; the Chrome export does not.
+	Dispatch, Issue, Done uint64
 	// Mismatch is set on compare events that detected a divergence.
 	Mismatch bool
 }
@@ -113,16 +117,27 @@ func (l *EventLog) Events() []Event { return l.evs }
 // become point events.
 func (l *EventLog) CoreHook(core int) func(ev pipeline.TraceEvent) {
 	return func(ev pipeline.TraceEvent) {
+		k := instrKey{core, ev.TID, ev.Seq}
 		switch ev.Stage {
 		case pipeline.StageFetch:
-			k := instrKey{core, ev.TID, ev.Seq}
 			l.pending[k] = &Event{
 				Kind: KindInstr, Core: core, TID: ev.TID,
 				Cycle: ev.Cycle, Seq: ev.Seq, PC: ev.PC, Text: ev.Text,
 			}
+		case pipeline.StageDispatch:
+			if p := l.pending[k]; p != nil {
+				p.Dispatch = ev.Cycle
+			}
+		case pipeline.StageIssue:
+			if p := l.pending[k]; p != nil {
+				p.Issue = ev.Cycle
+			}
+		case pipeline.StageDone:
+			if p := l.pending[k]; p != nil {
+				p.Done = ev.Cycle
+			}
 		case pipeline.StageRetire:
-			k := instrKey{core, ev.TID, ev.Seq}
-			if p, ok := l.pending[k]; ok {
+			if p := l.pending[k]; p != nil {
 				p.End = ev.Cycle
 				l.add(*p)
 				delete(l.pending, k)

@@ -23,7 +23,7 @@ func TestEventLogFoldsInstrSpans(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3: %+v", len(evs), evs)
 	}
-	if evs[0].Kind != KindInstr || evs[0].Cycle != 10 || evs[0].End != 20 || evs[0].Text != "add" {
+	if evs[0].Kind != KindInstr || evs[0].Cycle != 10 || evs[0].Issue != 12 || evs[0].End != 20 || evs[0].Text != "add" {
 		t.Errorf("instr span wrong: %+v", evs[0])
 	}
 	if evs[1].Kind != KindSquash || evs[1].Cycle != 15 {

@@ -1,110 +1,46 @@
-// Package trace renders per-instruction pipeline traces: for each dynamic
-// instruction, the cycles at which it was fetched, dispatched, issued,
-// completed and retired, drawn as a pipeline diagram. Attach a Collector to
-// a core (pipeline.Core.Trace) and render with Format.
+// Package trace records pipeline events and renders them. An EventLog
+// attached to a machine's cores folds each dynamic instruction's stage
+// events into one instruction event, which keeps the cycles it was
+// fetched, dispatched, issued, completed and retired; squashes,
+// sphere-of-replication comparisons and fault injections become point
+// events. Format draws instruction events as a pipeline diagram, and
+// WriteChromeJSON exports the whole log for Perfetto.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/pipeline"
 )
 
-// Record is one dynamic instruction's pipeline history.
-type Record struct {
-	TID      int
-	Seq      uint64
-	PC       uint64
-	Text     string
-	Fetch    uint64
-	Dispatch uint64
-	Issue    uint64
-	Done     uint64
-	Retire   uint64
-}
-
-// Collector accumulates trace events from a core, bounded by Cap.
-type Collector struct {
-	Cap  int
-	recs map[key]*Record
-}
-
-type key struct {
-	tid int
-	seq uint64
-}
-
-// NewCollector returns a collector holding up to cap instructions
-// (0 = 4096).
-func NewCollector(cap int) *Collector {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &Collector{Cap: cap, recs: make(map[key]*Record, cap)}
-}
-
-// Hook returns the function to install as pipeline.Core.Trace.
-func (c *Collector) Hook() func(ev pipeline.TraceEvent) {
-	return func(ev pipeline.TraceEvent) {
-		if ev.Stage == pipeline.StageSquash || ev.Stage == pipeline.StageCompare {
-			return // point events belong to the EventLog, not the diagram
-		}
-		k := key{ev.TID, ev.Seq}
-		r, ok := c.recs[k]
-		if !ok {
-			if len(c.recs) >= c.Cap {
-				return
-			}
-			r = &Record{TID: ev.TID, Seq: ev.Seq, PC: ev.PC, Text: ev.Text}
-			c.recs[k] = r
-		}
-		switch ev.Stage {
-		case pipeline.StageFetch:
-			r.Fetch = ev.Cycle
-		case pipeline.StageDispatch:
-			r.Dispatch = ev.Cycle
-		case pipeline.StageIssue:
-			r.Issue = ev.Cycle
-		case pipeline.StageDone:
-			r.Done = ev.Cycle
-		case pipeline.StageRetire:
-			r.Retire = ev.Cycle
-		}
-	}
-}
-
-// Records returns the collected records sorted by (tid, seq).
-func (c *Collector) Records() []*Record {
-	rs := make([]*Record, 0, len(c.recs))
-	for _, r := range c.recs {
-		rs = append(rs, r)
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].TID != rs[j].TID {
-			return rs[i].TID < rs[j].TID
-		}
-		return rs[i].Seq < rs[j].Seq
-	})
-	return rs
-}
-
-// Format renders records retired in [from, to) as a pipeline diagram:
+// Format renders the first n instruction events of core 0, in retire
+// order, as a pipeline diagram sorted by (tid, seq):
 //
-//	t0 seq=102 pc=17    add r3, r1, r2   F---D--I+++RC..X
+//	t0      0 cyc=112     pc=0     ldi r20, 1048576           F---D---I++++CX
 //
 // F fetch, D dispatch, I issue, C complete, X retire; '-' waiting in the
 // rate-matching buffer, '+' executing, '.' waiting to retire.
-func Format(rs []*Record, from, to uint64) string {
-	var b strings.Builder
-	for _, r := range rs {
-		if r.Retire < from || (to > 0 && r.Retire >= to) || r.Retire == 0 {
-			continue
+func Format(evs []Event, n int) string {
+	var instrs []Event
+	for _, ev := range evs {
+		if len(instrs) == n {
+			break
 		}
+		if ev.Kind == KindInstr && ev.Core == 0 {
+			instrs = append(instrs, ev)
+		}
+	}
+	sort.Slice(instrs, func(i, j int) bool {
+		if instrs[i].TID != instrs[j].TID {
+			return instrs[i].TID < instrs[j].TID
+		}
+		return instrs[i].Seq < instrs[j].Seq
+	})
+	var b strings.Builder
+	for _, ev := range instrs {
 		// Each line's diagram starts at its own fetch cycle (printed as a
 		// prefix) so deep traces stay narrow.
-		origin := r.Fetch
+		origin := ev.Cycle
 		line := make([]byte, 0, 64)
 		pos := func(cycle uint64) int {
 			if cycle < origin {
@@ -122,17 +58,17 @@ func Format(rs []*Record, from, to uint64) string {
 				line[p] = ch
 			}
 		}
-		put(pos(r.Fetch), 'F', ' ')
-		put(pos(r.Dispatch), 'D', '-')
-		put(pos(r.Issue), 'I', '-')
-		put(pos(r.Done), 'C', '+')
-		retirePos := pos(r.Retire)
-		if retirePos == pos(r.Done) {
+		put(pos(ev.Cycle), 'F', ' ')
+		put(pos(ev.Dispatch), 'D', '-')
+		put(pos(ev.Issue), 'I', '-')
+		put(pos(ev.Done), 'C', '+')
+		retirePos := pos(ev.End)
+		if retirePos == pos(ev.Done) {
 			retirePos++ // retirement never precedes completion visually
 		}
 		put(retirePos, 'X', '.')
 		fmt.Fprintf(&b, "t%d %6d cyc=%-7d pc=%-5d %-26s %s\n",
-			r.TID, r.Seq, r.Fetch, r.PC, r.Text, line)
+			ev.TID, ev.Seq, ev.Cycle, ev.PC, ev.Text, line)
 	}
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,7 +11,10 @@ import (
 	"repro/internal/vm"
 )
 
-func TestCollectorRendersPipeline(t *testing.T) {
+// TestFormatRendersPipeline draws a short loop on one core and checks the
+// diagram against testdata/pipeline.golden, recorded when the diagram had
+// a collector of its own, so folding it into the EventLog moved no byte.
+func TestFormatRendersPipeline(t *testing.T) {
 	b := isa.NewBuilder("t")
 	b.Ldi(isa.R1, 5)
 	b.Label("top")
@@ -25,41 +30,45 @@ func TestCollectorRendersPipeline(t *testing.T) {
 	core.AddContext(ctx)
 	core.FinalizeQueues()
 
-	c := NewCollector(64)
-	core.Trace = c.Hook()
+	l := NewEventLog(0)
+	core.Trace = l.CoreHook(0)
 	m := &pipeline.Machine{Cores: []*pipeline.Core{core}}
 	if _, err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
 
-	recs := c.Records()
-	if len(recs) == 0 {
-		t.Fatal("no trace records")
-	}
-	for _, r := range recs {
-		if r.Retire == 0 {
+	for _, ev := range l.Events() {
+		if ev.Kind != KindInstr {
 			continue
 		}
-		if !(r.Fetch <= r.Dispatch && r.Dispatch <= r.Issue && r.Issue < r.Done && r.Done <= r.Retire) {
+		if !(ev.Cycle <= ev.Dispatch && ev.Dispatch <= ev.Issue && ev.Issue < ev.Done && ev.Done <= ev.End) {
 			t.Errorf("stage order violated for seq %d: F%d D%d I%d C%d X%d",
-				r.Seq, r.Fetch, r.Dispatch, r.Issue, r.Done, r.Retire)
+				ev.Seq, ev.Cycle, ev.Dispatch, ev.Issue, ev.Done, ev.End)
 		}
 	}
-	out := Format(recs, 0, 0)
-	for _, want := range []string{"F", "D", "I", "C", "X", "ldi", "addi", "bne"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "pipeline.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Format(l.Events(), 64); got != string(want) {
+		t.Errorf("diagram drifted from testdata/pipeline.golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
-func TestCollectorRespectsCap(t *testing.T) {
-	c := NewCollector(2)
-	h := c.Hook()
-	for seq := uint64(0); seq < 10; seq++ {
-		h(pipeline.TraceEvent{TID: 0, Seq: seq, Stage: pipeline.StageFetch})
+// TestFormatRespectsCount: Format draws the first n instruction events of
+// core 0 and skips point events and other cores.
+func TestFormatRespectsCount(t *testing.T) {
+	l := NewEventLog(0)
+	for core := 1; core >= 0; core-- {
+		h := l.CoreHook(core)
+		for seq := uint64(0); seq < 10; seq++ {
+			h(pipeline.TraceEvent{TID: core, Seq: seq, Stage: pipeline.StageFetch})
+			h(pipeline.TraceEvent{TID: core, Seq: seq, Stage: pipeline.StageSquash})
+			h(pipeline.TraceEvent{Cycle: 1, TID: core, Seq: seq, Stage: pipeline.StageRetire})
+		}
 	}
-	if len(c.Records()) != 2 {
-		t.Errorf("records = %d, want cap 2", len(c.Records()))
+	out := Format(l.Events(), 2)
+	if got := strings.Count(out, "\n"); got != 2 || strings.Count(out, "t0 ") != 2 {
+		t.Errorf("want 2 lines of core 0's thread 0, got:\n%s", out)
 	}
 }

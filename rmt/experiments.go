@@ -3,7 +3,6 @@ package rmt
 import (
 	"repro/internal/exp"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -44,14 +43,7 @@ type Experiment struct {
 // experiment are fanned across WithParallelism workers; the output is
 // identical at any parallelism.
 func (e Experiment) Run(opts ...Option) (*Table, map[string]float64, error) {
-	c := newConfig(opts)
-	p := c.expParams()
-	p.Parallelism = c.parallelism
-	p.Progress = c.progress
-	if c.report != nil {
-		p.OnReport = func(r runner.Report) { c.report(fromRunnerReport(r)) }
-	}
-	tab, summary, err := e.run(p)
+	tab, summary, err := e.run(newConfig(opts).expParams())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -66,14 +58,15 @@ func ExperimentSizes(opts ...Option) (budget, warmup uint64) {
 	return p.Budget, p.Warmup
 }
 
-// expParams resolves the experiment sizes the options select: full sizes
+// expParams resolves the experiment sizes the options select (full sizes
 // by default, WithQuick's cut-down ones, explicit WithBudget/WithWarmup
-// winning.
+// winning) and carries the run policy over unchanged.
 func (c config) expParams() exp.Params {
 	p := exp.Full()
 	if c.quick {
 		p = exp.Quick()
 	}
+	p.Options = c.Options
 	if c.budget > 0 {
 		p.Budget = c.budget
 	}

@@ -26,8 +26,6 @@ package rmt
 import (
 	"bytes"
 	"context"
-	"runtime"
-	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/progen"
@@ -135,15 +133,16 @@ func (s Spec) toSim(budget, warmup uint64) sim.Spec {
 
 // config collects the option-controlled execution parameters.
 type config struct {
-	budget      uint64 // 0 = default
-	warmup      uint64 // 0 = default
-	quick       bool
-	parallelism int
-	progress    func(done, total int)
-	report      func(Report)
-	metrics     bool
-	trace       bool
-	traceCap    int
+	// Options is the run policy WithParallelism, WithProgress and
+	// WithReport set; Sweep and Campaign add ctx's cancellation.
+	runner.Options
+
+	budget   uint64 // 0 = default
+	warmup   uint64 // 0 = default
+	quick    bool
+	metrics  bool
+	trace    bool
+	traceCap int
 
 	checkpointEvery uint64
 	checkpointSink  func(cycle uint64, snapshot []byte) error
@@ -191,7 +190,7 @@ func WithWarmup(w uint64) Option { return func(c *config) { c.warmup = w } }
 // WithParallelism caps the worker goroutines a sweep fans its independent
 // simulations across. n <= 0 selects runtime.GOMAXPROCS(0); 1 runs
 // serially. Results never depend on this value.
-func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
+func WithParallelism(n int) Option { return func(c *config) { c.Parallelism = n } }
 
 // WithQuick selects the cut-down experiment sizes used by tests and smoke
 // runs. Explicit WithBudget/WithWarmup still win.
@@ -199,12 +198,11 @@ func WithQuick() Option { return func(c *config) { c.quick = true } }
 
 // WithProgress installs a callback receiving (done, total) job counts as a
 // sweep advances. Calls are serialized.
-func WithProgress(fn func(done, total int)) Option {
-	return func(c *config) { c.progress = fn }
-}
+func WithProgress(fn func(done, total int)) Option { return func(c *config) { c.Progress = fn } }
 
-// WithReport installs a callback receiving each sweep's timing Report.
-func WithReport(fn func(Report)) Option { return func(c *config) { c.report = fn } }
+// WithReport installs a callback receiving each sweep's timing Report,
+// once the sweep ends, whether or not it failed.
+func WithReport(fn func(Report)) Option { return func(c *config) { c.OnReport = fn } }
 
 // WithMetrics attaches the observability metrics registry to each
 // simulation: every pipeline structure's counters and occupancy histograms
@@ -248,24 +246,11 @@ func Resume(snapshot []byte) Option {
 	return func(c *config) { c.resume = snapshot }
 }
 
-// Report describes how a sweep spent its time.
-type Report struct {
-	// Jobs is the number of independent simulations; Parallelism the
-	// resolved worker count.
-	Jobs, Parallelism int
-	// Wall is elapsed wall-clock time; Busy the summed per-job time —
-	// approximately a serial run's cost.
-	Wall, Busy time.Duration
-}
-
-// Speedup returns Busy/Wall — the effective speedup over a serial run.
-func (r Report) Speedup() float64 {
-	return runner.Report{Wall: r.Wall, Busy: r.Busy}.Speedup()
-}
-
-func fromRunnerReport(r runner.Report) Report {
-	return Report{Jobs: r.Jobs, Parallelism: r.Parallelism, Wall: r.Wall, Busy: r.Busy}
-}
+// Report describes how a sweep or campaign spent its time: jobs
+// submitted and run, the resolved worker count, wall time and summed
+// per-job (busy) time. It is internal/runner's report, so the figure
+// sweeps, campaigns and Sweep all report through one type.
+type Report = runner.Report
 
 // PairChecks aggregates one redundant pair's sphere-of-replication
 // activity: everything that crossed the boundary was replicated on the way
@@ -324,18 +309,17 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
 // Sweep executes the independent simulations described by specs across a
 // worker pool and returns their results in input order — byte-identical
 // assembly at any parallelism. The first failure cancels unstarted jobs;
-// cancelling ctx aborts running simulations between simulated cycles.
+// cancelling ctx cancels them too and aborts running simulations between
+// simulated cycles.
 func Sweep(ctx context.Context, specs []Spec, opts ...Option) ([]*Result, error) {
 	c := newConfig(opts)
+	c.Cancel = ctx.Err
 	jobs := make([]func() (*Result, error), len(specs))
 	for i := range specs {
 		s := specs[i]
 		jobs[i] = func() (*Result, error) { return runOne(ctx, s, c) }
 	}
-	results, rep, err := runner.Run(jobs, runner.Options{Parallelism: c.parallelism, Progress: c.progress})
-	if c.report != nil {
-		c.report(fromRunnerReport(rep))
-	}
+	results, _, err := runner.Run(jobs, c.Options)
 	return results, err
 }
 
@@ -377,15 +361,6 @@ func Kernels() []string { return program.Names() }
 // entry accepted here runs identically in single runs, multi-program
 // mixes, fault campaigns, and rmtd requests.
 func KnownKernel(name string) bool { return progen.Known(name) }
-
-// Parallelism resolves an option-style parallelism value: n if positive,
-// otherwise runtime.GOMAXPROCS(0).
-func Parallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 func runOne(ctx context.Context, spec Spec, c config) (*Result, error) {
 	simSpec := spec.toSim(c.sizes())

@@ -82,6 +82,37 @@ func TestSweepOrderingAndReport(t *testing.T) {
 	}
 }
 
+// TestReportFromCampaignAndExperiment: WithReport reaches Campaign and
+// Experiment.Run as it reaches Sweep, once per batch they run, with every
+// job of a completed batch counted as run.
+func TestReportFromCampaignAndExperiment(t *testing.T) {
+	var reps []Report
+	onReport := WithReport(func(r Report) { reps = append(reps, r) })
+	check := func(what string, batches int) {
+		t.Helper()
+		if len(reps) != batches {
+			t.Fatalf("%s: %d reports, want %d", what, len(reps), batches)
+		}
+		for _, r := range reps {
+			if r.Jobs == 0 || r.Ran != r.Jobs {
+				t.Errorf("%s: report jobs=%d ran=%d, want every job run", what, r.Jobs, r.Ran)
+			}
+		}
+		reps = nil
+	}
+	if _, err := Campaign(context.Background(), CampaignSpec{
+		Spec: Spec{Mode: SRT, PSR: true, Programs: []string{"compress"}}, N: 8, Seed: 7,
+	}, testOpts(onReport)...); err != nil {
+		t.Fatal(err)
+	}
+	check("campaign", 1)
+	fig6 := Experiments()[0]
+	if _, _, err := fig6.Run(WithBudget(300), WithWarmup(300), onReport); err != nil {
+		t.Fatal(err)
+	}
+	check(fig6.ID, 1)
+}
+
 // TestSweepDeterministicAcrossParallelism: the same sweep yields identical
 // numbers serially and fanned out.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {

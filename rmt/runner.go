@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/fault"
-	"repro/internal/runner"
 )
 
 // Runner abstracts where simulations execute: Local runs them in-process,
@@ -57,9 +56,11 @@ const (
 // cycle, and each trial restores a snapshot and replays only the divergent
 // suffix. The summary — including per-trial outcome order — is identical
 // at any parallelism and matches what an rmtd daemon serves for the same
-// request. Cancelling ctx aborts the campaign between trials.
+// request. Cancelling ctx aborts the campaign within one checkpoint
+// interval of its fault-free run, or between trials.
 func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSummary, error) {
 	c := newConfig(opts)
+	c.Cancel = ctx.Err
 	budget, warmup := c.budget, c.warmup
 	if budget == 0 {
 		budget = DefaultCampaignBudget
@@ -67,16 +68,7 @@ func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSu
 	if warmup == 0 {
 		warmup = DefaultCampaignWarmup
 	}
-	fopts := fault.CampaignOptions{
-		Parallelism: c.parallelism,
-		Progress:    c.progress,
-		Cancel:      ctx.Err,
-	}
-	if c.report != nil {
-		report := c.report
-		fopts.OnReport = func(r runner.Report) { report(fromRunnerReport(r)) }
-	}
-	sum, err := fault.Campaign(cs.Spec.toSim(budget, warmup), cs.N, cs.Seed, fopts)
+	sum, err := fault.Campaign(cs.Spec.toSim(budget, warmup), cs.N, cs.Seed, c.Options)
 	if err != nil {
 		return nil, err
 	}
