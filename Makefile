@@ -137,7 +137,8 @@ serve-smoke:
 	echo "serve-smoke: ok"
 
 # CI-sized performance gate: every benchmark must still run (one iteration
-# at -short sizes — this drives the batched campaign-replay and
+# at -short sizes — this drives each paired mode's fork-on-fault campaign,
+# SRTR's rollback replays included, and the batched campaign-replay and
 # characterisation paths), a warm simulator must allocate nothing per
 # cycle and be cycle-identical with instruction recycling off, in every
 # mode, a snapshot into a recycled buffer must allocate nothing, a

@@ -104,30 +104,38 @@ func BenchmarkFig12_Lock_CRT4(b *testing.B) { benchExperiment(b, exp.Fig12) }
 func BenchmarkCoverage_Faults(b *testing.B) { benchExperiment(b, exp.Coverage) }
 
 // BenchmarkCampaign_ForkOnFault measures one serial fault-injection
-// campaign: 96 trials on SRT/compress over a doubled cycle budget (a
-// from-scratch engine's cost scales with run length × trials; the fork
-// engine pays the run once, so a campaign-sized workload is where the
-// design shows). The golden run is simulated once with periodic state
+// campaign per paired mode: 96 trials on compress over a doubled cycle
+// budget (a from-scratch engine's cost scales with run length × trials;
+// the fork engine pays the run once, so a campaign-sized workload is where
+// the design shows). The golden run is simulated once with periodic state
 // checkpoints; each trial restores the checkpoint before its injection and
 // replays only the suffix, exiting early when its state rejoins the golden
-// run bytewise.
+// run bytewise or, under SRTR, when it rolls back to a checkpoint taken
+// before its fault fired.
 func BenchmarkCampaign_ForkOnFault(b *testing.B) {
 	p := benchParams(b)
-	spec := sim.Spec{
-		Mode: sim.ModeSRT, Programs: []string{"compress"},
-		Budget: 2 * p.Budget, Warmup: p.Warmup,
-		Config: pipeline.DefaultConfig(), PSR: true,
+	for _, mode := range []sim.Mode{sim.ModeSRT, sim.ModeCRT, sim.ModeSRTR, sim.ModeAdaptive} {
+		b.Run(mode.String(), func(b *testing.B) {
+			spec := sim.Spec{
+				Mode: mode, Programs: []string{"compress"},
+				Budget: 2 * p.Budget, Warmup: p.Warmup,
+				Config: pipeline.DefaultConfig(), PSR: true,
+			}
+			if mode == sim.ModeAdaptive {
+				spec.AdaptiveThreshold = 0.5
+			}
+			var total uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum, err := fault.Campaign(spec, 96, 0xC0FFEE, runner.Options{Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				total = sum.TotalCycles
+			}
+			b.ReportMetric(float64(total), "simcycles")
+		})
 	}
-	var total uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, err := fault.Campaign(spec, 96, 0xC0FFEE, runner.Options{Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = sum.TotalCycles
-	}
-	b.ReportMetric(float64(total), "simcycles")
 }
 
 // BenchmarkFunctionalCampaignReplay measures the batched functional

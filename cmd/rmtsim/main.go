@@ -91,7 +91,10 @@ func main() {
 		m.EnableMetrics()
 	}
 	if *traceF != "" || *traceN > 0 {
-		m.EnableTrace(0)
+		l := m.EnableTrace(0)
+		if *traceF == "" {
+			l.KeepFirst(*traceN)
+		}
 	}
 	rs, err := m.Run()
 	if err != nil {

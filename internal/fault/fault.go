@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -363,7 +364,7 @@ func chunkByCheckpoint(replays []int, prep *forkPrep) [][]int {
 	byBase := make(map[uint64][]int)
 	var bases []uint64
 	for _, i := range replays {
-		base := prep.restoreBase(i)
+		base := prep.base(i)
 		if byBase[base] == nil {
 			bases = append(bases, base)
 		}
@@ -431,18 +432,11 @@ const checkpointInterval = 1024
 // the snapshot-encode cost of trials that genuinely diverge.
 const convergenceChecks = 2
 
-// srtrReplayHistory is how many extra checkpoint intervals of golden
-// snapshot history an SRTR replay keeps (and restores) below each fire's
-// checkpoint base. Two intervals comfortably cover the checkpoint
-// validation lag (bounded by the pair's slack: RVQ/LPQ depth worth of
-// commits plus store-comparator drain), so by the time the fault fires the
-// replayed machine has re-validated a rollback target at the same cycle the
-// from-scratch (legacy) run holds as its newest validated checkpoint.
-const srtrReplayHistory = 2
-
-// errConverged aborts a replay whose state has become byte-identical to the
-// golden run: the rest of the trial is provably the golden suffix, so its
-// outcome is known without simulating it.
+// errConverged ends a replay whose remaining cycles are provably the golden
+// run's: its state became byte-identical to a golden checkpoint, or (SRTR)
+// it rolled back to a checkpoint taken before its fault fired. Either way
+// the one-shot transient cannot act again, so the trial's outcome is known
+// without simulating the rest.
 var errConverged = errors.New("fault: replay converged with golden run")
 
 // forkPrep carries what the golden pass learned: per fault, whether it
@@ -451,25 +445,27 @@ var errConverged = errors.New("fault: replay converged with golden run")
 // pool of machines recycled across replay trials.
 type forkPrep struct {
 	fired    []bool
-	fireIter []uint64          // machine iteration (Machine.Cycles) at fire
-	snaps    map[uint64][]byte // checkpoint iteration -> snapshot
-	pool     sync.Pool         // recycled *replayMachine for replay trials
+	fireIter []uint64              // machine iteration (Machine.Cycles) at fire
+	snaps    map[uint64]goldenCkpt // checkpoint iteration -> checkpoint
+	pool     sync.Pool             // recycled *replayMachine for replay trials
 
 	endCycle     uint64 // Cores[0].Cycle() at golden completion
 	detections   int    // golden detections (0 in a healthy machine)
 	haltDiverged []bool // per logical: lead/trail halt states diverged
 
-	// history widens the replay window below each fire's checkpoint base
-	// (SRTR only, 0 otherwise): a restored SRTR machine must re-validate
-	// its entry checkpoint before it can roll back to it, so the replay
-	// starts early enough that validation completes — and the machine holds
-	// the same newest-validated rollback target a from-scratch run would —
-	// before the fault fires.
-	history uint64
 	// golden, when non-nil (adaptive only), is the fault-free run's final
 	// architectural digest, the reference undetected trials are classified
 	// against (Masked vs UnprotectedSDC).
 	golden *[32]byte
+}
+
+// goldenCkpt is one checkpoint of the golden run: its machine snapshot and,
+// in SRTR campaigns, the run's SRTR checkpoint list in force there, which
+// a replay restored from the snapshot resumes so that it validates and
+// rolls back exactly as the unbroken run does.
+type goldenCkpt struct {
+	snap []byte
+	list sim.CheckpointList
 }
 
 // replayMachine is a machine the replay pool recycles across trials, with
@@ -480,26 +476,10 @@ type replayMachine struct {
 	scratch []byte
 }
 
-// restoreBase returns the checkpoint iteration a fired trial replays from:
-// the last checkpoint at or before its fire iteration, walked down by up to
-// history cycles of retained earlier checkpoints (see forkPrep.history).
-// The golden run reached the fire iteration, so every checkpoint boundary
-// in the window was crossed and the lookups cannot miss.
-func (p *forkPrep) restoreBase(i int) uint64 {
-	base := p.fireIter[i] - p.fireIter[i]%checkpointInterval
-	lo := uint64(0)
-	if base > p.history {
-		lo = base - p.history
-	}
-	for base > lo && p.snaps[base-checkpointInterval] != nil {
-		base -= checkpointInterval
-	}
-	return base
-}
-
-// checkpointFor returns the snapshot trial i replays from.
-func (p *forkPrep) checkpointFor(i int) []byte {
-	return p.snaps[p.restoreBase(i)]
+// base returns the checkpoint iteration a fired trial replays from: the
+// last checkpoint at or before its fire iteration.
+func (p *forkPrep) base(i int) uint64 {
+	return p.fireIter[i] - p.fireIter[i]%checkpointInterval
 }
 
 // classifyUnfired reproduces runArmed's classification for a trial whose
@@ -522,20 +502,18 @@ func (p *forkPrep) classifyUnfired(f Transient) Result {
 // forkPrepare runs the golden simulation once, doing two things at the same
 // time: read-only observers record (without perturbing) the machine
 // iteration where each planned fault first fires, and the OnCycle hook
-// captures a state checkpoint every checkpointInterval iterations. The
-// observers return every value unchanged and snapshot encoding only reads
-// state, so the pass executes the identical fault-free run. cancel is
-// polled at every checkpoint boundary, so a cancelled campaign stops within
+// captures a state checkpoint every checkpointInterval iterations, with
+// the SRTR checkpoint list in force there. The observers return every
+// value unchanged and snapshot encoding only reads state, so the pass
+// executes the identical fault-free run. cancel is polled at every
+// checkpoint boundary, so a cancelled campaign stops within
 // checkpointInterval cycles. Checkpoints no fired fault replays from are
 // dropped afterwards, and the golden machine itself seeds the replay pool.
 func forkPrepare(spec sim.Spec, faults []Transient, cancel func() error) (*forkPrep, error) {
 	p := &forkPrep{
 		fired:    make([]bool, len(faults)),
 		fireIter: make([]uint64, len(faults)),
-		snaps:    make(map[uint64][]byte),
-	}
-	if spec.Mode == sim.ModeSRTR {
-		p.history = srtrReplayHistory * checkpointInterval
+		snaps:    make(map[uint64]goldenCkpt),
 	}
 	g, err := sim.Build(spec)
 	if err != nil {
@@ -602,7 +580,11 @@ func forkPrepare(spec sim.Spec, faults []Transient, cancel func() error) (*forkP
 		if err != nil {
 			return err
 		}
-		p.snaps[cycle] = snap
+		c := goldenCkpt{snap: snap}
+		if spec.Mode == sim.ModeSRTR {
+			c.list = g.Checkpoints()
+		}
+		p.snaps[cycle] = c
 		return nil
 	}
 	if _, err := g.Run(); err != nil {
@@ -620,30 +602,30 @@ func forkPrepare(spec sim.Spec, faults []Transient, cancel func() error) (*forkP
 		d := g.ArchDigest()
 		p.golden = &d
 	}
+	// SRTR replays resume the golden run's checkpoint lists and end at a
+	// rollback to a pre-fire checkpoint as golden state: both hold only for
+	// a fault-free run that itself never needed a rollback.
+	if spec.Mode == sim.ModeSRTR && (p.detections > 0 || slices.Contains(p.haltDiverged, true)) {
+		return nil, fmt.Errorf("SRTR fault-free run ends with %d standing detections (halt divergence: %v): its checkpoints cannot seed replays",
+			p.detections, p.haltDiverged)
+	}
 	// Checkpoints before the earliest replay base serve neither as restore
-	// points nor as convergence references; drop them (for SRTR the window
-	// extends history cycles lower — see restoreBase). Everything later
+	// points nor as convergence references; drop them. Everything later
 	// stays: a trial may replay from it, or compare against it to prove it
 	// has rejoined the golden run.
 	minBase, anyFired := ^uint64(0), false
 	for i := range faults {
 		if p.fired[i] {
-			base := p.fireIter[i] - p.fireIter[i]%checkpointInterval
-			if p.snaps[base] == nil {
+			base := p.base(i)
+			if _, ok := p.snaps[base]; !ok {
 				return nil, fmt.Errorf("golden run has no checkpoint %d for fire cycle %d", base, p.fireIter[i])
 			}
-			if base < minBase {
-				minBase = base
-			}
+			minBase = min(minBase, base)
 			anyFired = true
 		}
 	}
-	keepFrom := uint64(0)
-	if minBase > p.history {
-		keepFrom = minBase - p.history
-	}
 	for cycle := range p.snaps {
-		if !anyFired || cycle < keepFrom {
+		if !anyFired || cycle < minBase {
 			delete(p.snaps, cycle)
 		}
 	}
@@ -672,7 +654,9 @@ func clearCorruptHooks(m *sim.Machine) {
 // fresh build when the pool is empty), arms the fault, and replays the
 // suffix. RestoreState replaces all mutable simulated state, so a machine
 // that just finished another trial restores as cleanly as a fresh one; the
-// machine returns to the pool only after a successful trial.
+// machine returns to the pool only after a successful trial. An SRTR
+// replay also resumes the golden run's checkpoint list at its checkpoint,
+// so it holds the rollback targets the from-scratch run holds.
 //
 // When the golden run is healthy, the replay also watches for convergence:
 // at the first checkpoint boundaries past the fire, the trial's state is
@@ -680,7 +664,9 @@ func clearCorruptHooks(m *sim.Machine) {
 // match proves the fault's effects have died out entirely — every later
 // cycle of the trial IS the golden run — so the trial ends immediately with
 // the masked outcome and the golden end cycle, exactly what simulating the
-// rest would produce.
+// rest would produce. An SRTR rollback to a checkpoint taken at or before
+// the fire cycle ends the trial the same way without restoring it: that
+// checkpoint holds the golden run's state, and the transient has fired.
 func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
 	m, _ := p.pool.Get().(*replayMachine)
 	if m == nil {
@@ -691,18 +677,27 @@ func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
 		m = &replayMachine{Machine: b}
 	}
 	clearCorruptHooks(m.Machine)
-	if err := m.RestoreState(p.checkpointFor(i)); err != nil {
+	ckpt, fire := p.snaps[p.base(i)], p.fireIter[i]
+	if err := m.RestoreState(ckpt.snap); err != nil {
 		return Result{}, err
 	}
-	m.OnCycle = nil
+	m.OnCycle, m.OnRollback = nil, nil
+	if spec.Mode == sim.ModeSRTR {
+		m.ResumeCheckpoints(ckpt.list)
+		m.OnRollback = func(target uint64) error {
+			if target <= fire {
+				return errConverged
+			}
+			return nil
+		}
+	}
 	if p.detections == 0 && !p.haltDiverged[f.Logical] {
-		fire := p.fireIter[i]
 		checks := 0
 		m.OnCycle = func(cycle uint64) error {
 			if cycle%checkpointInterval != 0 || cycle <= fire || checks >= convergenceChecks {
 				return nil
 			}
-			gsnap := p.snaps[cycle]
+			gsnap := p.snaps[cycle].snap
 			if gsnap == nil || len(m.Detections()) > 0 {
 				return nil
 			}
@@ -729,7 +724,7 @@ func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m.OnCycle = nil
+	m.OnCycle, m.OnRollback = nil, nil
 	p.pool.Put(m)
 	return res, nil
 }
@@ -832,10 +827,12 @@ func runArmed(m *sim.Machine, f Transient, golden *[32]byte) (Result, error) {
 		return nv
 	}
 	if _, err := m.Run(); err != nil {
-		// A deadlock after divergence can only follow an unrecorded
-		// divergence; treat any watchdog error with detections as
-		// detected, otherwise propagate.
-		if len(m.Detections()) == 0 {
+		// The fork engine's early exit ends the trial whatever the
+		// detections: an SRTR rollback to a pre-fire checkpoint stops with
+		// its detection standing. Otherwise a deadlock after divergence can
+		// only follow an unrecorded divergence; treat any watchdog error
+		// with detections as detected, otherwise propagate.
+		if errors.Is(err, errConverged) || len(m.Detections()) == 0 {
 			return Result{}, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/progen"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -60,6 +61,15 @@ func TestForkMatchesLegacy(t *testing.T) {
 		s.AdaptiveThreshold = 0.5
 		return s
 	}
+	// SRTR replays resume the golden run's checkpoint list, which must
+	// hold the from-scratch run's rollback targets at any checkpoint
+	// interval, including ones off the engine's 1024-cycle snapshot grid.
+	srtr := func(interval uint64, progs ...string) sim.Spec {
+		s := small(sim.ModeSRTR, progs...)
+		s.CheckpointInterval = interval
+		return s
+	}
+	gen := progen.Name(progen.CorpusSeeds(0xC0FFEE, 1)[0])
 	cases := []struct {
 		name string
 		spec sim.Spec
@@ -71,6 +81,10 @@ func TestForkMatchesLegacy(t *testing.T) {
 		{"crt two programs", small(sim.ModeCRT, "gcc", "swim"), 6, 0xBEEF},
 		{"srtr one program", small(sim.ModeSRTR, "compress"), 6, 0xA11CE},
 		{"srtr two programs", small(sim.ModeSRTR, "gcc", "swim"), 6, 42},
+		{"srtr interval 256", srtr(256, "compress"), 12, 0xA11CE},
+		{"srtr interval 1536", srtr(1536, "gcc"), 12, 42},
+		{"srtr interval 2048 two programs", srtr(2048, "gcc", "swim"), 12, 0xA11CE},
+		{"srtr generated kernel", srtr(0, gen), 12, 0xBEEF},
 		{"adaptive one program", adaptive("compress"), 6, 0xA11CE},
 		{"adaptive two programs", adaptive("gcc", "swim"), 6, 42},
 	}
@@ -166,4 +180,112 @@ func TestCampaignProgressCountsTrials(t *testing.T) {
 	if last != n {
 		t.Errorf("final progress = %d, want %d", last, n)
 	}
+}
+
+// rollbackTarget runs f from scratch on spec and returns the cycle the
+// run's first SRTR rollback restored: the first cycle the machine steps
+// that does not follow the one before it.
+func rollbackTarget(t *testing.T, spec sim.Spec, f Transient) (target uint64, ok bool) {
+	t.Helper()
+	m, err := sim.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, seen := uint64(0), false
+	m.OnCycle = func(cycle uint64) error {
+		if seen && cycle <= last && !ok {
+			target, ok = cycle, true
+		}
+		last, seen = cycle, true
+		return nil
+	}
+	if _, err := runArmed(m, f, nil); err != nil {
+		t.Fatal(err)
+	}
+	return target, ok
+}
+
+// TestForkSRTRCostModel pins where an SRTR campaign's replay cycles go.
+// The golden pass keeps no snapshot below the earliest fire's checkpoint,
+// and a trial whose rollback target was captured before its fault fired
+// ends at that rollback, Recovered, without restoring the target: its
+// machine's cycle never runs backwards.
+func TestForkSRTRCostModel(t *testing.T) {
+	spec := faultSpec(sim.ModeSRTR, "gcc")
+	spec.StopOnDetection = true
+	faults := Plan(spec, 24, 0xC0FFEE)
+	p, err := forkPrepare(spec, faults, func() error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	minBase := ^uint64(0)
+	for i := range faults {
+		if p.fired[i] {
+			minBase = min(minBase, p.fireIter[i]-p.fireIter[i]%checkpointInterval)
+		}
+	}
+	for cycle := range p.snaps {
+		if cycle < minBase {
+			t.Errorf("golden snapshot at cycle %d is kept below the earliest fire's checkpoint %d", cycle, minBase)
+		}
+	}
+
+	checked := 0
+	for i, f := range faults {
+		if !p.fired[i] {
+			continue
+		}
+		target, ok := rollbackTarget(t, spec, f)
+		if !ok || target > p.fireIter[i] {
+			continue
+		}
+		want, err := runOneWith(spec, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hand the replay a machine whose core 0 notes a cycle that does not
+		// follow the one before it. The pool may drop what it is given
+		// (it does at random under the race detector), so retry until the
+		// replay ran on this machine.
+		for attempt := 0; ; attempt++ {
+			m, err := sim.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped, rewound, last := false, false, uint64(0)
+			m.Cores[0].Probe = func() {
+				c := m.Cores[0].Cycle()
+				if stepped && c <= last {
+					rewound = true
+				}
+				stepped, last = true, c
+			}
+			for p.pool.Get() != nil {
+			}
+			p.pool.Put(&replayMachine{Machine: m})
+			got, err := p.replay(spec, f, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stepped {
+				if attempt == 20 {
+					t.Fatal("the replay never took the probed machine from the pool")
+				}
+				continue
+			}
+			if got != want || got.Outcome != Recovered {
+				t.Errorf("trial %d (%v): fork %+v, from scratch %+v, want equal and recovered", i, f, got, want)
+			}
+			if rewound {
+				t.Errorf("trial %d (%v): the replay restored its rollback target (cycle %d), captured before the fire (cycle %d)",
+					i, f, target, p.fireIter[i])
+			}
+			break
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no trial rolled back to a checkpoint captured before its fire")
+	}
+	t.Logf("%d trials rolled back to a pre-fire checkpoint", checked)
 }

@@ -395,11 +395,14 @@ func TestSRTRCampaignRecoversGenCorpus(t *testing.T) {
 
 // TestSRTRSnapshotRestoreAcrossRollback: the snapshot substrate must be
 // transparent to recovery. A faulty SRTR run is snapshotted on the
-// checkpoint grid two intervals before the fault fires (the same margin
-// the fork engine's srtrReplayHistory retains); restoring that snapshot
-// into a fresh machine, re-arming the same transient, and running to
-// completion must go through the identical rollback and finish with
-// machine state byte-identical to the uninterrupted faulty run.
+// checkpoint grid two intervals before the fault fires; restoring that
+// snapshot into a fresh machine, re-arming the same transient, and running
+// to completion must go through the identical rollback and finish with
+// machine state byte-identical to the uninterrupted faulty run. The
+// restored run is given no checkpoint list, so it trusts its entry
+// checkpoint; the two intervals let it validate the rollback target the
+// uninterrupted run holds before the fault fires. (Campaign replays resume
+// the golden run's list instead and need no margin.)
 func TestSRTRSnapshotRestoreAcrossRollback(t *testing.T) {
 	spec := faultSpec(sim.ModeSRTR, "compress")
 	f := Transient{Target: LeadingCopy, AtSeq: 6000, Point: vm.PointStoreData, Bit: 7}

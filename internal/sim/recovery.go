@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -31,7 +33,9 @@ import (
 // transient never re-fires) reconverges bit-for-bit with the golden run.
 type srtrCkpt struct {
 	cycle uint64
-	data  []byte
+	// data is the snapshot a rollback restores; nil in a checkpoint
+	// resumed from a CheckpointList.
+	data []byte
 	// Per-pair validation progress.
 	needSeq   []uint64 // phase 0 target: both copies committed past this
 	needVer   []uint64 // phase 1 target: stores verified past this
@@ -85,9 +89,57 @@ func (m *Machine) capture() *srtrCkpt {
 // release recycles checkpoints the run has dropped: capture reuses them,
 // in this run or the machine's next one. A released checkpoint must no
 // longer be a rollback candidate, since its bytes will be overwritten.
+// Resumed checkpoints hold no buffer to reuse and are not kept.
 func (m *Machine) release(cs ...*srtrCkpt) {
-	m.spareCkpts = append(m.spareCkpts, cs...)
+	for _, c := range cs {
+		if c.data != nil {
+			m.spareCkpts = append(m.spareCkpts, c)
+		}
+	}
 }
+
+// CheckpointList is an SRTR run's checkpoint list without the snapshots'
+// bytes: the cycle each checkpoint was captured at and how far its
+// validation has got. The list lives beside the machine state, not in
+// it, so a machine restored from a snapshot taken mid-run needs the list
+// that was in force when the snapshot was taken (Checkpoints) to go on
+// exactly as the unbroken run does (ResumeCheckpoints).
+type CheckpointList struct {
+	ckpts []srtrCkpt
+}
+
+// meta copies the checkpoint's validation state, without its bytes.
+func (c *srtrCkpt) meta() srtrCkpt {
+	return srtrCkpt{
+		cycle:     c.cycle,
+		needSeq:   slices.Clone(c.needSeq),
+		needVer:   slices.Clone(c.needVer),
+		phase:     slices.Clone(c.phase),
+		validated: c.validated,
+	}
+}
+
+// Checkpoints returns the running SRTR loop's checkpoint list. The list
+// changes only at checkpoint boundaries (and rollbacks), so read from
+// OnCycle at cycle c it is the list recorded at the last boundary at or
+// before c: the one a machine restored from a snapshot taken at c resumes
+// from. Outside a run, and in other modes, the list is empty.
+func (m *Machine) Checkpoints() CheckpointList {
+	l := CheckpointList{ckpts: make([]srtrCkpt, len(m.ckpts))}
+	for i, c := range m.ckpts {
+		l.ckpts[i] = c.meta()
+	}
+	return l
+}
+
+// ResumeCheckpoints sets the checkpoint list the machine's next SRTR run
+// starts from, in place of the trusted entry checkpoint a run captures:
+// the list Checkpoints returned when the snapshot this machine was
+// restored from was taken. The run works on its own copy, so one list
+// can seed any number of runs. Resumed checkpoints hold no bytes: a run
+// that rolls back to one must be ended by OnRollback, or it fails to
+// restore it.
+func (m *Machine) ResumeCheckpoints(l CheckpointList) { m.resume = &l }
 
 // advance moves the checkpoint's validation state machine forward against
 // the machine's current progress counters.
@@ -143,52 +195,72 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 	// machines through RestoreState, which does not touch engine fields.
 	m.Recoveries, m.RecoveryCycles = 0, 0
 
-	// The run-entry checkpoint (cycle 0 of a freshly built machine, or the
-	// restore point of a fault-engine replay) is trusted as validated at
-	// capture: it precedes every instruction this run executes, and an
-	// armed fault cannot have fired before the run started, so no
-	// corruption this run will ever detect can be inside it. Without this,
-	// a detection arriving before the two-phase pipeline validates any
-	// checkpoint (the first couple of intervals) would find no rollback
-	// target at all.
-	entry := m.capture()
-	entry.validated = true
-	ckpts := []*srtrCkpt{entry}
+	m.ckpts = m.ckpts[:0]
+	if m.resume != nil {
+		// Go on from the list the unbroken run held here.
+		for _, c := range m.resume.ckpts {
+			c := c.meta()
+			m.ckpts = append(m.ckpts, &c)
+		}
+		m.resume = nil
+	} else {
+		// The run-entry checkpoint (cycle 0 of a freshly built machine, or
+		// the restore point of a mid-run snapshot) is trusted as validated
+		// at capture: it precedes every instruction this run executes, and
+		// an armed fault cannot have fired before the run started, so no
+		// corruption this run will ever detect can be inside it. Without
+		// this, a detection arriving before the two-phase pipeline
+		// validates any checkpoint (the first couple of intervals) would
+		// find no rollback target at all.
+		entry := m.capture()
+		entry.validated = true
+		m.ckpts = append(m.ckpts, entry)
+	}
 	// Whatever the run still holds when it ends is recycled for the next.
-	defer func() { m.release(ckpts...) }()
+	defer func() {
+		m.release(m.ckpts...)
+		m.ckpts = m.ckpts[:0]
+	}()
 	disabled := false
 
-	recoverTo := func(trigger uint64) bool {
+	// recoverTo rolls back to the newest validated checkpoint and reports
+	// whether it did; an error ends the run.
+	recoverTo := func(trigger uint64) (bool, error) {
 		if disabled || m.Recoveries >= maxRecoveries {
-			return false
+			return false, nil
 		}
 		// Newest validated checkpoint; everything unvalidated is suspect
 		// (it may have captured the not-yet-detected corruption) and is
 		// discarded alongside anything newer than the restore point.
 		var target *srtrCkpt
-		for _, c := range ckpts {
+		for _, c := range m.ckpts {
 			if c.validated {
 				target = c
 			}
 		}
 		if target == nil {
-			return false
+			return false, nil
+		}
+		m.Recoveries++
+		m.RecoveryCycles += trigger - target.cycle
+		if m.OnRollback != nil {
+			if err := m.OnRollback(target.cycle); err != nil {
+				return false, err
+			}
 		}
 		if err := m.RestoreState(target.data); err != nil {
-			return false
+			return false, fmt.Errorf("sim: SRTR rollback to cycle %d: %w", target.cycle, err)
 		}
-		kept := ckpts[:0]
-		for _, c := range ckpts {
+		kept := m.ckpts[:0]
+		for _, c := range m.ckpts {
 			if c.validated {
 				kept = append(kept, c)
 			} else {
 				m.release(c)
 			}
 		}
-		ckpts = kept
-		m.Recoveries++
-		m.RecoveryCycles += trigger - target.cycle
-		return true
+		m.ckpts = kept
+		return true, nil
 	}
 
 	var rs *stats.RunStats
@@ -205,7 +277,11 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 			return rs, err
 		}
 		if len(m.Detections()) > 0 || isDeadlock {
-			if recoverTo(m.Cycles) {
+			ok, rerr := recoverTo(m.Cycles)
+			if rerr != nil {
+				return rs, rerr
+			}
+			if ok {
 				continue
 			}
 			// Unrecoverable: behave like SRT from here on.
@@ -229,7 +305,11 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 				}
 			}
 			if m.haltDiverged() && len(m.Detections()) == 0 && !disabled {
-				if recoverTo(m.Cycles) {
+				ok, rerr := recoverTo(m.Cycles)
+				if rerr != nil {
+					return rs, rerr
+				}
+				if ok {
 					continue
 				}
 				disabled = true
@@ -237,24 +317,24 @@ func (m *Machine) runSRTR(maxCycles uint64) (*stats.RunStats, error) {
 			finished = true
 		}
 		if len(m.Detections()) == 0 {
-			for _, c := range ckpts {
+			for _, c := range m.ckpts {
 				c.advance(m)
 			}
 			// Only the newest validated checkpoint can ever be a restore
 			// target; drop older ones to bound memory at roughly the
 			// validation lag's worth of snapshots.
 			newestValid := -1
-			for i, c := range ckpts {
+			for i, c := range m.ckpts {
 				if c.validated {
 					newestValid = i
 				}
 			}
 			if newestValid > 0 {
-				m.release(ckpts[:newestValid]...)
-				ckpts = append(ckpts[:0], ckpts[newestValid:]...)
+				m.release(m.ckpts[:newestValid]...)
+				m.ckpts = append(m.ckpts[:0], m.ckpts[newestValid:]...)
 			}
 			if !finished && m.Cycles%interval == 0 {
-				ckpts = append(ckpts, m.capture())
+				m.ckpts = append(m.ckpts, m.capture())
 			}
 		}
 		if finished || m.Cycles >= maxCycles {

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -149,5 +152,81 @@ func TestSRTRCheckpointIntervalSweep(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Errorf("interval %d: %v", interval, err)
 		}
+	}
+}
+
+// TestSRTRResumedListMatchesUnbrokenRun: a machine restored from a
+// mid-run snapshot of a fault-free SRTR run and resumed with the
+// checkpoint list in force at that snapshot captures, validates and drops
+// the same checkpoints at the same cycles as the run that never stopped,
+// and ends in the same state. The intervals put the snapshot on a
+// checkpoint boundary (256, 1024) and between two (2048: the list in
+// force at cycle 3072 is the one recorded at 2048).
+func TestSRTRResumedListMatchesUnbrokenRun(t *testing.T) {
+	const mid = 3072
+	for _, interval := range []uint64{256, 1024, 2048} {
+		t.Run(fmt.Sprint(interval), func(t *testing.T) {
+			spec := snapSpec(ModeSRTR, "gcc", "swim")
+			spec.Budget, spec.Warmup = 8000, 2000
+			spec.CheckpointInterval = interval
+			// record notes the list at every boundary from mid on.
+			record := func(m *Machine, lists *[]CheckpointList) {
+				m.OnCycle = func(cycle uint64) error {
+					if cycle >= mid && cycle%interval == 0 {
+						*lists = append(*lists, m.Checkpoints())
+					}
+					return nil
+				}
+			}
+
+			unbroken, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []CheckpointList
+			record(unbroken, &want)
+			var snap []byte
+			var list CheckpointList
+			next := unbroken.OnCycle
+			unbroken.OnCycle = func(cycle uint64) error {
+				if cycle == mid {
+					snap, list = unbroken.AppendSnapshot(nil), unbroken.Checkpoints()
+				}
+				return next(cycle)
+			}
+			if _, err := unbroken.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if snap == nil {
+				t.Fatalf("run ended before cycle %d", mid)
+			}
+
+			resumed, err := Restore(spec, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed.ResumeCheckpoints(list)
+			var got []CheckpointList
+			record(resumed, &got)
+			if _, err := resumed.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) < 3 {
+				t.Fatalf("only %d boundaries past cycle %d; the run is too short to validate anything", len(want), mid)
+			}
+			first, last := want[0].ckpts[0], want[len(want)-1].ckpts[0]
+			if !last.validated || last.cycle <= first.cycle {
+				t.Fatalf("the unbroken run validated nothing past cycle %d: rollback target %d, then %d", mid, first.cycle, last.cycle)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("resumed run's checkpoint lists differ from the unbroken run's:\ngot  %+v\nwant %+v", got, want)
+			}
+			unbroken.OnCycle, resumed.OnCycle = nil, nil
+			a, _ := unbroken.Snapshot()
+			b, _ := resumed.Snapshot()
+			if !bytes.Equal(a, b) {
+				t.Error("resumed run ends in a different state from the unbroken run")
+			}
+		})
 	}
 }

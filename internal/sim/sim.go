@@ -92,6 +92,18 @@ type Machine struct {
 	// spareCkpts holds SRTR checkpoints the machine's runs have dropped,
 	// buffers included, for capture to reuse (recovery.go).
 	spareCkpts []*srtrCkpt //rmtsnap:skip — recycled checkpoint storage, not machine state
+	// ckpts is the running SRTR loop's checkpoint list, oldest first, and
+	// resume the list the next SRTR run starts from (recovery.go).
+	ckpts  []*srtrCkpt     //rmtsnap:skip — SRTR run state, carried beside snapshots as a CheckpointList
+	resume *CheckpointList //rmtsnap:skip — input to the next SRTR run, not machine state
+
+	// OnRollback, when non-nil, runs when an SRTR run rolls back, before
+	// it restores its target, with the cycle the target checkpoint was
+	// captured at; the rollback is already counted in Recoveries and
+	// RecoveryCycles. A non-nil return ends the run with that error
+	// instead of the restore. The fault engine ends a replay there when
+	// the target precedes the fault.
+	OnRollback func(target uint64) error //rmtsnap:skip — engine hook, outside simulated state
 
 	// Recoveries and RecoveryCycles account SRTR rollbacks: how many the
 	// run performed and the total cycles re-executed (trigger cycle minus

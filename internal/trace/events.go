@@ -74,6 +74,9 @@ type EventLog struct {
 
 	evs     []Event
 	pending map[instrKey]*Event
+	// keep, when > 0, ends recording once core0 (the count of core 0's
+	// instruction events) reaches it (KeepFirst).
+	keep, core0 int
 }
 
 type instrKey struct {
@@ -99,6 +102,12 @@ func (l *EventLog) add(ev Event) {
 	l.evs = append(l.evs, ev)
 }
 
+// KeepFirst makes the log stop recording once core 0 has n instruction
+// events, which is all Format(l.Events(), n) draws: a log that only feeds
+// that diagram then stops growing with the run. The events it keeps are
+// the ones a full log holds first, so the diagram is the same.
+func (l *EventLog) KeepFirst(n int) { l.keep = n }
+
 // Inject records a fault-injection event (called by the fault package when
 // a campaign corrupts an instruction's result).
 func (l *EventLog) Inject(core, tid int, cycle, seq, pc uint64, text string) {
@@ -117,6 +126,9 @@ func (l *EventLog) Events() []Event { return l.evs }
 // become point events.
 func (l *EventLog) CoreHook(core int) func(ev pipeline.TraceEvent) {
 	return func(ev pipeline.TraceEvent) {
+		if l.keep > 0 && l.core0 >= l.keep {
+			return
+		}
 		k := instrKey{core, ev.TID, ev.Seq}
 		switch ev.Stage {
 		case pipeline.StageFetch:
@@ -141,6 +153,9 @@ func (l *EventLog) CoreHook(core int) func(ev pipeline.TraceEvent) {
 				p.End = ev.Cycle
 				l.add(*p)
 				delete(l.pending, k)
+				if core == 0 {
+					l.core0++
+				}
 			}
 		case pipeline.StageSquash:
 			l.add(Event{Kind: KindSquash, Core: core, TID: ev.TID,

@@ -11,10 +11,9 @@ import (
 	"repro/internal/vm"
 )
 
-// TestFormatRendersPipeline draws a short loop on one core and checks the
-// diagram against testdata/pipeline.golden, recorded when the diagram had
-// a collector of its own, so folding it into the EventLog moved no byte.
-func TestFormatRendersPipeline(t *testing.T) {
+// traceLoop runs a short loop on one core with l attached to it.
+func traceLoop(t *testing.T, l *EventLog) {
+	t.Helper()
 	b := isa.NewBuilder("t")
 	b.Ldi(isa.R1, 5)
 	b.Label("top")
@@ -30,13 +29,19 @@ func TestFormatRendersPipeline(t *testing.T) {
 	core.AddContext(ctx)
 	core.FinalizeQueues()
 
-	l := NewEventLog(0)
 	core.Trace = l.CoreHook(0)
 	m := &pipeline.Machine{Cores: []*pipeline.Core{core}}
 	if _, err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
+}
 
+// TestFormatRendersPipeline draws a short loop on one core and checks the
+// diagram against testdata/pipeline.golden, recorded when the diagram had
+// a collector of its own, so folding it into the EventLog moved no byte.
+func TestFormatRendersPipeline(t *testing.T) {
+	l := NewEventLog(0)
+	traceLoop(t, l)
 	for _, ev := range l.Events() {
 		if ev.Kind != KindInstr {
 			continue
@@ -52,6 +57,36 @@ func TestFormatRendersPipeline(t *testing.T) {
 	}
 	if got := Format(l.Events(), 64); got != string(want) {
 		t.Errorf("diagram drifted from testdata/pipeline.golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestKeepFirstStopsRecording: a log told to keep the first n instruction
+// events of core 0 stops recording there, and Format draws the same n
+// lines from it as from the full log. The loop retires 12 instructions,
+// so n=64 keeps the whole log.
+func TestKeepFirstStopsRecording(t *testing.T) {
+	full := NewEventLog(0)
+	traceLoop(t, full)
+	for _, n := range []int{1, 5, 64} {
+		kept := NewEventLog(0)
+		kept.KeepFirst(n)
+		traceLoop(t, kept)
+		if got, want := Format(kept.Events(), n), Format(full.Events(), n); got != want {
+			t.Errorf("n=%d: diagram differs from the full log's\n--- got ---\n%s\n--- want ---\n%s", n, got, want)
+		}
+		instrs := 0
+		for _, ev := range kept.Events() {
+			if ev.Kind == KindInstr {
+				instrs++
+			}
+		}
+		switch {
+		case n < 64 && (instrs != n || len(kept.Events()) >= len(full.Events())):
+			t.Errorf("n=%d: kept %d instruction events of %d events, full log %d events",
+				n, instrs, len(kept.Events()), len(full.Events()))
+		case n == 64 && len(kept.Events()) != len(full.Events()):
+			t.Errorf("n=%d, more than the run retires: kept %d events, full log %d", n, len(kept.Events()), len(full.Events()))
+		}
 	}
 }
 
