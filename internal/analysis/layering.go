@@ -14,9 +14,9 @@ import (
 //	layer 2  pipeline; progen (generated workloads: builds on vm for
 //	         characterisation replay and falls through to program for
 //	         registry names)
-//	layer 3  lockstep, trace, vmdiff (batch-vs-scalar differential
-//	         harness: drives vm batches against scalar oracles over
-//	         progen corpora)
+//	layer 3  trace, vmdiff (batch-vs-scalar differential harness:
+//	         drives vm batches against scalar oracles over progen
+//	         corpora)
 //	layer 4  sim (assembles machines and wires trace/metrics observability)
 //	layer 5  fault, cliflags
 //	layer 6  exp
@@ -58,7 +58,6 @@ var layerOf = map[string]int{
 	ModPath + "/internal/analysis": 1,
 	ModPath + "/internal/pipeline": 2,
 	ModPath + "/internal/progen":   2,
-	ModPath + "/internal/lockstep": 3,
 	ModPath + "/internal/trace":    3,
 	ModPath + "/internal/vmdiff":   3,
 	ModPath + "/internal/sim":      4,

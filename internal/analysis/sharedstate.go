@@ -30,7 +30,6 @@ var simPackages = map[string]bool{
 	ModPath + "/internal/mem":      true,
 	ModPath + "/internal/rmt":      true,
 	ModPath + "/internal/pipeline": true,
-	ModPath + "/internal/lockstep": true,
 	ModPath + "/internal/sim":      true,
 	ModPath + "/internal/trace":    true,
 	ModPath + "/internal/fault":    true,

@@ -214,7 +214,7 @@ func Table1(cfg pipeline.Config) *stats.Table {
 		Columns: []string{"unit", "parameter", "value"},
 	}
 	add := func(u, p, v string) { t.AddRow(u, p, v) }
-	add("IBOX", "fetch width", fmt.Sprintf("%d x %d-instruction chunks per cycle (same thread)", cfg.FetchChunks, cfg.ChunkSize))
+	add("IBOX", "fetch width", fmt.Sprintf("%d x %d-instruction chunks per cycle (same thread)", cfg.FetchChunks, rmt.ChunkSize))
 	add("IBOX", "line predictor", fmt.Sprintf("%d entries", 1<<cfg.LinePredictorBits))
 	add("IBOX", "L1 instruction cache", fmt.Sprintf("%d KB, %d-way, %d B blocks, way prediction", cfg.Hier.L1ISize>>10, cfg.Hier.L1IWays, cfg.Hier.BlockBytes))
 	add("IBOX", "branch predictor", fmt.Sprintf("hybrid, 3 x %d x 2-bit tables (~%d Kbit)", 1<<cfg.BranchPredictorBits, 3*(1<<cfg.BranchPredictorBits)*2/1024))

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/runner"
@@ -65,8 +64,10 @@ func (t Transient) String() string {
 
 // Arm attaches the fault to a built machine. The returned function reports
 // whether the fault has fired (some dynamic paths never reach AtSeq with a
-// matching corruption point).
-func (t Transient) Arm(m *sim.Machine) (fired func() bool, err error) {
+// matching corruption point) and, once it has, the machine cycle it fired
+// at: core 0's cycle count when the victim executed the corrupted
+// instruction.
+func (t Transient) Arm(m *sim.Machine) (fired func() (bool, uint64), err error) {
 	if t.Logical < 0 || t.Logical >= len(m.Leads) {
 		return nil, fmt.Errorf("fault: no logical thread %d", t.Logical)
 	}
@@ -88,14 +89,14 @@ func (t Transient) Arm(m *sim.Machine) (fired func() bool, err error) {
 			core = p.LeadCore
 		}
 	}
-	didFire := false
+	didFire, fireCycle := false, uint64(0)
 	prev := ctx.Arch.Corrupt
 	ctx.Arch.Corrupt = func(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
 		if prev != nil {
 			v = prev(point, seq, pc, v)
 		}
 		if !didFire && seq >= t.AtSeq && point == t.Point {
-			didFire = true
+			didFire, fireCycle = true, m.Cores[0].Cycle()
 			if m.Events != nil {
 				m.Events.Inject(core, tid, m.Cores[core].Cycle(), seq, pc,
 					fmt.Sprintf("%v copy, point %d, bit %d", t.Target, int(t.Point), t.Bit))
@@ -104,7 +105,7 @@ func (t Transient) Arm(m *sim.Machine) (fired func() bool, err error) {
 		}
 		return v
 	}
-	return func() bool { return didFire }, nil
+	return func() (bool, uint64) { return didFire, fireCycle }, nil
 }
 
 // Outcome classifies one injection run.
@@ -248,38 +249,31 @@ func Plan(spec sim.Spec, n int, seed uint64) []Transient {
 	return faults
 }
 
-// replayChunkSize bounds how many replay trials ride in one worker job.
-// Trials in a chunk share a golden checkpoint, so a worker restores from
-// the same (cache-hot) snapshot bytes back to back and recycles one pooled
-// machine across the whole chunk instead of bouncing it through the pool
-// per trial. The bound keeps chunks small enough to load-balance across
-// workers when fires cluster around one checkpoint.
-const replayChunkSize = 8
-
 // Campaign runs n injection trials against the configuration described by
 // spec, whose mode must be paired (sim.Mode.Paired). Each trial injects one
 // transient at a pseudo-random point after warmup (trial i injects
 // Plan(spec, n, seed)[i]) and classifies the outcome. n == 0 yields an
 // empty summary; a negative n is an error.
 //
-// Trials run on the fork-on-fault engine, sharded across a worker pool: the
-// fault-free (golden) run is simulated once, with machine-state checkpoints
-// taken at a fixed cycle interval, and each trial restores the last
-// checkpoint before its injection point and replays only the suffix instead
-// of re-simulating the whole prefix. Trials whose fault never fires are
-// classified inline from golden end state; the rest are grouped into chunks
-// sharing a golden checkpoint (see replayChunkSize) and sharded across the
-// pool. Replay machines are recycled through a pool (restore overwrites all
-// mutable state), so steady-state trial cost is one snapshot decode plus the
-// suffix cycles. The fault plan is fixed before the first trial starts and
-// results are written by trial index, so the summary — including per-trial
-// outcome order — is identical at any parallelism, and byte-identical to
-// building and simulating every trial from scratch.
+// Trials run on the fork-on-fault engine: the fault-free (golden) run is
+// simulated once, with machine-state checkpoints taken at a fixed cycle
+// interval, and then every trial is one runner job, in trial order. The
+// job of a trial whose fault never fires classifies it from golden end
+// state; the job of a fired trial restores the last checkpoint before its
+// injection point and replays only the suffix instead of re-simulating the
+// whole prefix. Replay machines are recycled through a pool (restore
+// overwrites all mutable state), so steady-state trial cost is one
+// snapshot decode plus the suffix cycles. The fault plan is fixed before
+// the first trial starts and the runner returns results by trial index, so
+// the summary — including per-trial outcome order — is identical at any
+// parallelism, and byte-identical to building and simulating every trial
+// from scratch.
 //
-// opts is the campaign's run policy: Progress counts trials, not worker
-// jobs; Cancel is polled before the golden pass, at each of its checkpoint
-// boundaries and before each trial; OnReport receives the replay pool's
-// timing report.
+// opts is the campaign's run policy, handed to runner.Run with the trial
+// jobs, so Progress and OnReport count trials and Cancel is polled before
+// each one. Cancel is also polled before the golden pass and at each of
+// its checkpoint boundaries; the golden pass runs outside the pool and
+// its time is not in the report.
 func Campaign(spec sim.Spec, n int, seed uint64, opts runner.Options) (*CampaignSummary, error) {
 	if !spec.Mode.Paired() {
 		return nil, fmt.Errorf("fault: campaign requires a paired mode (a leading/trailing pair to strike), got %v", spec.Mode)
@@ -299,90 +293,24 @@ func Campaign(spec sim.Spec, n int, seed uint64, opts runner.Options) (*Campaign
 	if err != nil {
 		return nil, fmt.Errorf("fault: golden run: %w", err)
 	}
-
-	// Campaign-owned per-trial progress: workers complete whole chunks, but
-	// the caller still sees trial counts.
-	var progMu sync.Mutex
-	doneTrials := 0
-	trialsDone := func(k int) {
-		if opts.Progress == nil || k == 0 {
-			return
-		}
-		progMu.Lock()
-		doneTrials += k
-		opts.Progress(doneTrials, n)
-		progMu.Unlock()
-	}
-
-	// Classify unfired trials inline — their outcome is a function of
-	// golden end state, no replay involved.
-	results := make([]Result, n)
-	var replays []int
+	jobs := make([]func() (Result, error), n)
 	for i, f := range faults {
-		if prep.fired[i] {
-			replays = append(replays, i)
-		} else {
-			results[i] = prep.classifyUnfired(f)
-		}
-	}
-	trialsDone(n - len(replays))
-
-	chunks := chunkByCheckpoint(replays, prep)
-	jobs := make([]func() (struct{}, error), len(chunks))
-	for ci, chunk := range chunks {
-		chunk := chunk
-		jobs[ci] = func() (struct{}, error) {
-			for _, i := range chunk {
-				if err := opts.Cancel(); err != nil {
-					return struct{}{}, err
-				}
-				f := faults[i]
-				res, err := prep.replay(spec, f, i)
-				if err != nil {
-					return struct{}{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
-				}
-				results[i] = res
-				trialsDone(1)
+		jobs[i] = func() (Result, error) {
+			if !prep.fired[i] {
+				return prep.classifyUnfired(f), nil
 			}
-			return struct{}{}, nil
+			res, err := prep.replay(spec, f, i)
+			if err != nil {
+				return Result{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
+			}
+			return res, nil
 		}
 	}
-	pool := opts
-	pool.Progress = nil // trialsDone reports trials, not chunks
-	if _, _, err := runner.Run(jobs, pool); err != nil {
+	results, _, err := runner.Run(jobs, opts)
+	if err != nil {
 		return nil, err
 	}
 	return summarize(n, results), nil
-}
-
-// chunkByCheckpoint groups replay trials by the golden checkpoint they
-// restore from and splits each group into chunks of at most
-// replayChunkSize, in ascending (checkpoint, trial index) order. Chunks
-// write disjoint trial indices, so scheduling order cannot affect the
-// summary.
-func chunkByCheckpoint(replays []int, prep *forkPrep) [][]int {
-	byBase := make(map[uint64][]int)
-	var bases []uint64
-	for _, i := range replays {
-		base := prep.base(i)
-		if byBase[base] == nil {
-			bases = append(bases, base)
-		}
-		byBase[base] = append(byBase[base], i)
-	}
-	sort.Slice(bases, func(a, b int) bool { return bases[a] < bases[b] })
-	var chunks [][]int
-	for _, base := range bases {
-		g := byBase[base]
-		for len(g) > replayChunkSize {
-			chunks = append(chunks, g[:replayChunkSize])
-			g = g[replayChunkSize:]
-		}
-		if len(g) > 0 {
-			chunks = append(chunks, g)
-		}
-	}
-	return chunks
 }
 
 // summarize aggregates per-trial results into the campaign summary; shared
@@ -809,23 +737,6 @@ func runArmed(m *sim.Machine, f Transient, golden *[32]byte) (Result, error) {
 	if tr := m.Trails[f.Logical]; tr != nil {
 		tr.Arch.Tolerant = true
 	}
-	// Record the cycle at which the fault fires by sampling around the arm
-	// closure: wrap again to capture the cycle.
-	var fireCycle uint64
-	ctx := m.Leads[f.Logical]
-	if f.Target == TrailingCopy {
-		ctx = m.Trails[f.Logical]
-	}
-	inner := ctx.Arch.Corrupt
-	armed := false
-	ctx.Arch.Corrupt = func(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
-		nv := inner(point, seq, pc, v)
-		if !armed && nv != v {
-			armed = true
-			fireCycle = m.Cores[0].Cycle()
-		}
-		return nv
-	}
 	if _, err := m.Run(); err != nil {
 		// The fork engine's early exit ends the trial whatever the
 		// detections: an SRTR rollback to a pre-fire checkpoint stops with
@@ -844,6 +755,7 @@ func runArmed(m *sim.Machine, f Transient, golden *[32]byte) (Result, error) {
 	if tr := m.Trails[f.Logical]; tr != nil {
 		haltDivergence = m.Leads[f.Logical].Arch.Halted != tr.Arch.Halted
 	}
+	didFire, fireCycle := fired()
 	res := Result{Fault: f, Cycles: m.Cores[0].Cycle()}
 	switch {
 	case len(m.Detections()) > 0 || haltDivergence:
@@ -854,7 +766,7 @@ func runArmed(m *sim.Machine, f Transient, golden *[32]byte) (Result, error) {
 		if end > fireCycle {
 			res.DetectionCycles = end - fireCycle
 		}
-	case !fired():
+	case !didFire:
 		res.Outcome = NotFired
 	case m.Recoveries > 0:
 		// SRTR rolled back past the corruption and re-executed the golden

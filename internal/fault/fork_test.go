@@ -157,11 +157,13 @@ func TestCampaignCancelStopsGoldenPass(t *testing.T) {
 	}
 }
 
-// TestCampaignProgressCountsTrials: Progress counts trials, unfired ones
-// included, not the replay pool's chunk jobs, and ends at the trial count.
+// TestCampaignProgressCountsTrials: every trial, unfired ones included, is
+// one runner job, so Progress ends at the trial count and the one timing
+// report counts every trial as a job that ran.
 func TestCampaignProgressCountsTrials(t *testing.T) {
 	var mu sync.Mutex
 	last := 0
+	var reports []runner.Report
 	n := 20
 	_, err := Campaign(faultSpec(sim.ModeSRT, "compress"), n, 0xfeedface, runner.Options{
 		Parallelism: 2,
@@ -173,12 +175,16 @@ func TestCampaignProgressCountsTrials(t *testing.T) {
 			}
 			last = done
 		},
+		OnReport: func(r runner.Report) { reports = append(reports, r) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if last != n {
 		t.Errorf("final progress = %d, want %d", last, n)
+	}
+	if len(reports) != 1 || reports[0].Jobs != n || reports[0].Ran != n {
+		t.Errorf("reports = %+v, want one with jobs = ran = %d", reports, n)
 	}
 }
 

@@ -422,7 +422,7 @@ func TestSRTRSnapshotRestoreAcrossRollback(t *testing.T) {
 	}
 	var snaps []boundarySnap
 	m.OnCycle = func(cycle uint64) error {
-		if cycle%1024 == 0 && cycle > 0 && !fired() {
+		if done, _ := fired(); cycle%1024 == 0 && cycle > 0 && !done {
 			data, err := m.Snapshot()
 			if err != nil {
 				return err
@@ -434,7 +434,7 @@ func TestSRTRSnapshotRestoreAcrossRollback(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired() {
+	if done, _ := fired(); !done {
 		t.Fatal("fault never fired; pick an earlier AtSeq")
 	}
 	if m.Recoveries == 0 {

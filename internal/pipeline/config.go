@@ -58,8 +58,6 @@ func (r Role) String() string {
 type Config struct {
 	// FetchChunks is chunks fetched per cycle (from one thread).
 	FetchChunks int
-	// ChunkSize is instructions per fetch chunk.
-	ChunkSize int
 	// RMBCap is the per-thread rate-matching buffer capacity in
 	// instructions.
 	RMBCap int
@@ -71,10 +69,6 @@ type Config struct {
 	IQHalfCap int
 	// IssuePerHalf is the issue bandwidth of each half.
 	IssuePerHalf int
-	// ReservedChunks reserves one chunk's worth of IQ slots per thread
-	// (the paper's deadlock-avoidance measure, §4.3). Disabled only by
-	// the deadlock-demonstration tests.
-	ReservedChunks bool
 
 	// MaxLoads/MaxStores/MaxMem bound memory issue per cycle (Table 1:
 	// four memory ops, at most two stores and three loads).
@@ -184,14 +178,12 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		FetchChunks: 2,
-		ChunkSize:   8,
 		RMBCap:      32,
 
 		MapWidth: 8,
 
-		IQHalfCap:      64,
-		IssuePerHalf:   4,
-		ReservedChunks: true,
+		IQHalfCap:    64,
+		IssuePerHalf: 4,
 
 		MaxLoadsPerCycle:  3,
 		MaxStoresPerCycle: 2,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/predict"
 	"repro/internal/ringq"
+	"repro/internal/rmt"
 	"repro/internal/stats"
 )
 
@@ -48,11 +49,6 @@ type Core struct {
 	// Retired counts total instructions retired on this core (watchdog
 	// progress indicator).
 	Retired uint64
-
-	// DrainTap, when non-nil, observes every RoleSingle store as it leaves
-	// the core for the rest of the system — the signal a lockstep
-	// machine's central checker interposes on (internal/lockstep).
-	DrainTap func(addr, val uint64, size int) //rmtsnap:skip — observer hook, outside simulated state
 
 	// Trace, when non-nil, receives a TraceEvent at each pipeline stage an
 	// instruction passes (internal/trace renders them).
@@ -265,16 +261,13 @@ func (co *Core) iqHasRoom(ctx *Context, upper bool) bool {
 	if co.iqUsed[h] >= co.cfg.IQHalfCap {
 		return false
 	}
-	if !co.cfg.ReservedChunks {
-		return true
-	}
 	reserve := 0
 	for _, o := range co.ctxs {
 		if o == ctx {
 			continue
 		}
-		if n := o.iqN(); n < co.cfg.ChunkSize {
-			reserve += co.cfg.ChunkSize - n
+		if n := o.iqN(); n < rmt.ChunkSize {
+			reserve += rmt.ChunkSize - n
 		}
 	}
 	total := co.iqUsed[0] + co.iqUsed[1]
@@ -287,16 +280,13 @@ func (co *Core) inFlightHasRoom(ctx *Context) bool {
 	if co.inFlight >= co.cfg.InFlightCap {
 		return false
 	}
-	if !co.cfg.ReservedChunks {
-		return true
-	}
 	reserve := 0
 	for _, o := range co.ctxs {
 		if o == ctx {
 			continue
 		}
-		if n := o.rob.Len(); n < co.cfg.ChunkSize {
-			reserve += co.cfg.ChunkSize - n
+		if n := o.rob.Len(); n < rmt.ChunkSize {
+			reserve += rmt.ChunkSize - n
 		}
 	}
 	return co.inFlight+1+reserve <= co.cfg.InFlightCap

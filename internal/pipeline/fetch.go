@@ -28,7 +28,7 @@ func (co *Core) fetchEligible(ctx *Context) bool {
 	if ctx.fetchHalted || ctx.fetchBlockedUntil > co.cycle {
 		return false
 	}
-	if co.cfg.RMBCap-ctx.rmb.Len() < co.cfg.ChunkSize {
+	if co.cfg.RMBCap-ctx.rmb.Len() < rmt.ChunkSize {
 		return false
 	}
 	if ctx.Role == RoleTrailing {
@@ -140,7 +140,7 @@ func (co *Core) fetchLeading(ctx *Context) {
 		if ctx.fetchHalted || ctx.fetchBlockedUntil > co.cycle {
 			return
 		}
-		if co.cfg.RMBCap-ctx.rmb.Len() < co.cfg.ChunkSize {
+		if co.cfg.RMBCap-ctx.rmb.Len() < rmt.ChunkSize {
 			return
 		}
 		co.maybeInterrupt(ctx)
@@ -182,7 +182,7 @@ func (co *Core) fetchLeading(ctx *Context) {
 // the chunk limit, HALT, and branch mispredictions.
 func (co *Core) buildChunk(ctx *Context, chunkStart uint64, bubble uint64) {
 	blockWords := uint64(co.cfg.Hier.BlockBytes / 8)
-	for slot := 0; slot < co.cfg.ChunkSize; slot++ {
+	for slot := 0; slot < rmt.ChunkSize; slot++ {
 		pc := ctx.Arch.PC
 		if slot > 0 && pc/blockWords != chunkStart/blockWords {
 			return // cannot fetch across a cache line in one chunk
@@ -264,7 +264,7 @@ func (co *Core) predictBranch(ctx *Context, d *dynInst) {
 func (co *Core) fetchTrailing(ctx *Context) {
 	pair := ctx.Pair
 	for chunk := 0; chunk < co.cfg.FetchChunks; chunk++ {
-		if ctx.fetchHalted || co.cfg.RMBCap-ctx.rmb.Len() < co.cfg.ChunkSize {
+		if ctx.fetchHalted || co.cfg.RMBCap-ctx.rmb.Len() < rmt.ChunkSize {
 			return
 		}
 		c, ok := pair.LPQ.PeekActive(co.cycle)

@@ -396,11 +396,11 @@ func TestLockstepCheckerSlowsMisses(t *testing.T) {
 	}
 }
 
-// TestReservedChunksPreventStarvation: with reservation disabled, one
-// thread may take the whole instruction queue; the reservation guarantees
-// each thread can always dispatch a chunk eventually. We check the
-// invariant directly: with reservation on, a two-thread run never lets one
-// thread's IQ occupancy exceed capacity minus the other's reserved chunk.
+// TestReservedChunksPreventStarvation: without a reservation, one thread
+// could take the whole instruction queue; the reservation guarantees each
+// thread can always dispatch a chunk eventually. We check the invariant
+// directly: a two-thread run never lets one thread's IQ occupancy exceed
+// capacity minus the other's reserved chunk.
 func TestReservedChunksPreventStarvation(t *testing.T) {
 	cfg := DefaultConfig()
 	prog := tinyLoop(2000)
@@ -415,7 +415,7 @@ func TestReservedChunksPreventStarvation(t *testing.T) {
 		core.Step()
 		total := core.iqUsed[0] + core.iqUsed[1]
 		for _, c := range core.Contexts() {
-			if total-c.iqN() > 2*cfg.IQHalfCap-cfg.ChunkSize {
+			if total-c.iqN() > 2*cfg.IQHalfCap-rmt.ChunkSize {
 				t.Fatalf("cycle %d: thread %d starved (other occupancy %d)",
 					i, c.TID, total-c.iqN())
 			}

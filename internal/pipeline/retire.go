@@ -232,9 +232,6 @@ func (co *Core) releaseStore(ctx *Context, d *dynInst) {
 		if !uncached {
 			ctx.Arch.Mem.Release(d.out.Addr, d.out.Value, d.out.Size, d.out.Seq, true)
 		}
-		if co.DrainTap != nil {
-			co.DrainTap(d.out.Addr, d.out.Value, d.out.Size)
-		}
 	}
 	if ctx.Role == RoleTrailing && !uncached {
 		co.releasePairStore(ctx, d)

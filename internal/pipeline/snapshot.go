@@ -20,7 +20,7 @@ import (
 // Run, is cycle-identical to the machine the snapshot was taken from —
 // same stats, same artifacts, byte-identical later snapshots.
 //
-// What is NOT captured: observer hooks (Trace, Probe, DrainTap, OnCycle),
+// What is NOT captured: observer hooks (Trace, Probe, OnCycle),
 // metrics registries, and event logs — they are attachments of a particular
 // machine instance, not simulated state.
 

@@ -38,9 +38,13 @@ func TestOrdering(t *testing.T) {
 }
 
 // TestErrorCancelsRemaining: after a failure, not-yet-started jobs are
-// skipped and the failing error is propagated.
+// skipped and the failing error is propagated. Job 0 fails; job 1 holds
+// its worker until Progress reports the first completion, which Run
+// delivers only after it has recorded job 0's failure. So the two workers
+// can start jobs 0 and 1 and nothing later, whatever the scheduling.
 func TestErrorCancelsRemaining(t *testing.T) {
 	boom := errors.New("boom")
+	firstDone := make(chan struct{})
 	var ran atomic.Int64
 	n := 100
 	jobs := make([]func() (int, error), n)
@@ -48,23 +52,29 @@ func TestErrorCancelsRemaining(t *testing.T) {
 		i := i
 		jobs[i] = func() (int, error) {
 			ran.Add(1)
-			if i == 3 {
+			switch i {
+			case 0:
 				return 0, boom
+			case 1:
+				<-firstDone
 			}
 			return i, nil
 		}
 	}
-	_, rep, err := Run(jobs, Options{Parallelism: 2})
+	_, rep, err := Run(jobs, Options{Parallelism: 2, Progress: func(done, total int) {
+		if done == 1 {
+			close(firstDone)
+		}
+	}})
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+		t.Fatalf("err = %v, want job 0's %v", err, boom)
 	}
-	// Jobs in flight when the failure lands still finish, but the long
-	// tail must have been cancelled.
-	if got := ran.Load(); got >= int64(n) {
-		t.Errorf("all %d jobs ran despite early failure", got)
+	started := ran.Load()
+	if started > 2 {
+		t.Errorf("%d jobs started, want at most 2: jobs 0 and 1", started)
 	}
-	if rep.Ran >= rep.Jobs {
-		t.Errorf("report ran=%d jobs=%d: expected cancellation", rep.Ran, rep.Jobs)
+	if int64(rep.Ran) != started {
+		t.Errorf("report ran=%d, but %d jobs started", rep.Ran, started)
 	}
 }
 

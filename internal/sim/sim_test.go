@@ -127,8 +127,8 @@ func TestWarmupImprovesMeasuredIPC(t *testing.T) {
 	}
 }
 
-// TestLockstepCheckerSlowsLongRuns: Lock8 must cost cycles vs Lock0 at the
-// sim level too (vortex misses a lot).
+// TestLockstepCheckerCost: Lock8 must cost cycles vs Lock0 at the sim
+// level too (vortex misses a lot).
 func TestLockstepCheckerCost(t *testing.T) {
 	cycles := func(checker uint64) uint64 {
 		m, err := Build(Spec{
