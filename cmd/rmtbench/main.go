@@ -118,12 +118,15 @@ func main() {
 
 		// Progress and the parallel-speedup report are diagnostics: they
 		// depend on wall-clock timing, so they go to stderr and stdout
-		// stays byte-identical across -parallel values.
+		// stays byte-identical across -parallel values. An experiment may
+		// run several sweeps or campaigns one after another; progress
+		// counts its simulations across all of them, adding the jobs of
+		// the runs already reported (agg.Jobs) to the current run's.
 		var agg rmt.Report
 		opts := append([]rmt.Option{}, base...)
 		opts = append(opts,
 			rmt.WithProgress(func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d simulations", e.ID, done, total)
+				fmt.Fprintf(os.Stderr, "\r%s: %d/%d simulations", e.ID, agg.Jobs+done, agg.Jobs+total)
 			}),
 			rmt.WithReport(func(r rmt.Report) {
 				agg.Jobs += r.Jobs

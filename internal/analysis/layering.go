@@ -9,14 +9,14 @@ import (
 
 // Layering enforces the import DAG DESIGN.md draws for the simulator:
 //
-//	layer 0  isa, stats, runner, metrics, snap (leaves: no repro imports)
+//	layer 0  isa, ringq, stats, runner, metrics, trace, snap (leaves: no
+//	         repro imports; the pipeline sends trace its events)
 //	layer 1  vm, program, predict, mem, rmt (branch/LVQ/SQ queues), analysis
 //	layer 2  pipeline; progen (generated workloads: builds on vm for
 //	         characterisation replay and falls through to program for
 //	         registry names)
-//	layer 3  trace, vmdiff (batch-vs-scalar differential harness:
-//	         drives vm batches against scalar oracles over progen
-//	         corpora)
+//	layer 3  vmdiff (batch-vs-scalar differential harness: drives vm
+//	         batches against scalar oracles over progen corpora)
 //	layer 4  sim (assembles machines and wires trace/metrics observability)
 //	layer 5  fault, cliflags
 //	layer 6  exp
@@ -49,6 +49,7 @@ var layerOf = map[string]int{
 	ModPath + "/internal/stats":    0,
 	ModPath + "/internal/runner":   0,
 	ModPath + "/internal/metrics":  0,
+	ModPath + "/internal/trace":    0,
 	ModPath + "/internal/snap":     0,
 	ModPath + "/internal/vm":       1,
 	ModPath + "/internal/program":  1,
@@ -58,7 +59,6 @@ var layerOf = map[string]int{
 	ModPath + "/internal/analysis": 1,
 	ModPath + "/internal/pipeline": 2,
 	ModPath + "/internal/progen":   2,
-	ModPath + "/internal/trace":    3,
 	ModPath + "/internal/vmdiff":   3,
 	ModPath + "/internal/sim":      4,
 	ModPath + "/internal/fault":    5,

@@ -1,8 +1,9 @@
-// Package fault provides the fault models and injection campaigns used to
+// Package fault provides the fault model and injection campaigns used to
 // demonstrate RMT's detection capability: single-bit transient flips
 // injected into one copy of a redundant pair (a cosmic-ray strike on a
-// latch), and the permanent-fault coverage analysis behind preferential
-// space redundancy.
+// latch). Permanent faults, the ones preferential space redundancy guards
+// against, are not injected; Figure 7 measures only a pair's exposure to
+// them.
 //
 // A transient fault is injected into the functional execution of exactly one
 // hardware thread, so the corrupted value propagates through that copy's

@@ -223,6 +223,9 @@ const (
 	ClassHalt
 )
 
+// IsFP reports whether the class issues on the floating-point ports.
+func (c Class) IsFP() bool { return c == ClassFPAdd || c == ClassFPMul || c == ClassFPDiv }
+
 // Role is what one register field of an instruction (Rd, Ra or Rb) means
 // to its opcode.
 type Role uint8
@@ -411,10 +414,7 @@ func (i Instr) IsLoad() bool { return opTable[i.Op].Class == ClassLoad }
 func (i Instr) IsStore() bool { return opTable[i.Op].Class == ClassStore }
 
 // IsFP reports whether the instruction executes on the FP units.
-func (i Instr) IsFP() bool {
-	c := opTable[i.Op].Class
-	return c == ClassFPAdd || c == ClassFPMul || c == ClassFPDiv
-}
+func (i Instr) IsFP() bool { return opTable[i.Op].Class.IsFP() }
 
 // MemBytes returns the access width in bytes for memory instructions, 0
 // otherwise.

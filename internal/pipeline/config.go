@@ -15,7 +15,10 @@
 // simplification.
 package pipeline
 
-import "repro/internal/mem"
+import (
+	"repro/internal/isa"
+	"repro/internal/mem"
+)
 
 // Stage latencies from Figure 2 of the paper.
 const (
@@ -225,20 +228,20 @@ func DefaultConfig() Config {
 }
 
 // classLat returns the execution latency for an instruction class.
-func (c *Config) classLat(cl classKind) uint64 {
+func (c *Config) classLat(cl isa.Class) uint64 {
 	var l uint64
 	switch cl {
-	case kindIntALU:
+	case isa.ClassIntALU:
 		l = c.IntALULat
-	case kindIntMul:
+	case isa.ClassIntMul:
 		l = c.IntMulLat
-	case kindIntDiv:
+	case isa.ClassIntDiv:
 		l = c.IntDivLat
-	case kindFPAdd:
+	case isa.ClassFPAdd:
 		l = c.FPAddLat
-	case kindFPMul:
+	case isa.ClassFPMul:
 		l = c.FPMulLat
-	case kindFPDiv:
+	case isa.ClassFPDiv:
 		l = c.FPDivLat
 	default:
 		l = 1

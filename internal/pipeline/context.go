@@ -71,11 +71,14 @@ type Context struct {
 
 	// freeInsts is the context's dynInst recycling pool: instructions are
 	// returned here after retirement (stores: after drain) and reused by
-	// fetch, so the steady-state per-cycle path allocates nothing.
+	// fetch, so the steady-state per-cycle path allocates nothing. It is
+	// allocator state, not simulated state: a snapshot does not hold it,
+	// and a restore refills it with the records it has no use for.
 	freeInsts []*dynInst
 	// poolDisabled turns recycling off (testing knob: the pooled and
-	// unpooled machines must be cycle-identical).
-	poolDisabled bool //rmtsnap:skip — testing knob, not simulated state
+	// unpooled machines must be cycle-identical and write identical
+	// snapshots).
+	poolDisabled bool
 
 	// snapTable numbers the context's instructions for a snapshot pass and
 	// keeps the tombstone restores share (snapshot.go).

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ringq"
 	"repro/internal/rmt"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Core is one SMT processor core: shared fetch/rename/issue/retire hardware
@@ -50,9 +51,11 @@ type Core struct {
 	// progress indicator).
 	Retired uint64
 
-	// Trace, when non-nil, receives a TraceEvent at each pipeline stage an
-	// instruction passes (internal/trace renders them).
-	Trace func(ev TraceEvent) //rmtsnap:skip — observer hook, outside simulated state
+	// Trace, when non-nil, receives one event per retired instruction,
+	// spanning its fetch to its retirement, and a point event per squash
+	// and sphere-of-replication comparison (internal/trace records and
+	// renders them).
+	Trace func(ev trace.Event) //rmtsnap:skip — observer hook, outside simulated state
 
 	// Probe, when non-nil, runs at the end of every Step — the hook the
 	// observability layer uses to sample occupancy histograms. It must not
@@ -60,67 +63,41 @@ type Core struct {
 	Probe func() //rmtsnap:skip — observer hook, outside simulated state
 }
 
-// TraceStage identifies a pipeline event for tracing.
-type TraceStage uint8
-
-// Trace stages.
-const (
-	StageFetch TraceStage = iota
-	StageDispatch
-	StageIssue
-	StageDone
-	StageRetire
-	// StageSquash marks a mispredicted branch resolving: fetch was stalled
-	// on the wrong-path bubble and restarts down the correct path.
-	StageSquash
-	// StageCompare marks a sphere-of-replication output comparison: a store
-	// verified against its trailing copy, a trailing load's address checked
-	// at the LVQ, or a control-flow divergence caught at trailing fetch.
-	// Mismatch reports whether the comparison detected a fault.
-	StageCompare
-)
-
-// TraceEvent is one instruction passing one pipeline stage.
-type TraceEvent struct {
-	Cycle uint64
-	TID   int
-	Seq   uint64
-	PC    uint64
-	Text  string
-	Stage TraceStage
-	// Mismatch is set on StageCompare events that detected a divergence.
-	Mismatch bool
-}
-
-// emit sends a trace event if tracing is enabled. Done events are emitted
-// at issue time with the (already decided) completion cycle.
-func (co *Core) emit(ctx *Context, d *dynInst, stage TraceStage, cycle uint64) {
+// emitSpan sends d's span, from fetch to retirement, to the trace hook
+// when one is attached. The event carries the cycles d recorded at each
+// stage.
+func (co *Core) emitSpan(ctx *Context, d *dynInst) {
 	if co.Trace == nil {
 		return
 	}
-	co.Trace(TraceEvent{
-		Cycle: cycle,
-		TID:   ctx.TID,
-		Seq:   d.out.Seq,
-		PC:    d.out.PC,
-		Text:  d.out.Instr.String(),
-		Stage: stage,
-	})
-}
-
-// emitCompare sends a StageCompare trace event carrying the comparison
-// outcome.
-func (co *Core) emitCompare(ctx *Context, d *dynInst, cycle uint64, mismatch bool) {
-	if co.Trace == nil {
-		return
-	}
-	co.Trace(TraceEvent{
-		Cycle:    cycle,
+	co.Trace(trace.Event{
+		Kind:     trace.KindInstr,
 		TID:      ctx.TID,
+		Cycle:    d.fetchCycle,
+		End:      d.retireCycle,
 		Seq:      d.out.Seq,
 		PC:       d.out.PC,
 		Text:     d.out.Instr.String(),
-		Stage:    StageCompare,
+		Dispatch: d.renameCycle,
+		Issue:    d.issueCycle,
+		Done:     d.doneCycle,
+	})
+}
+
+// emitPoint sends a point event about d at cycle to the trace hook when
+// one is attached: a squash, or a comparison and whether it detected a
+// mismatch.
+func (co *Core) emitPoint(ctx *Context, d *dynInst, kind trace.EventKind, cycle uint64, mismatch bool) {
+	if co.Trace == nil {
+		return
+	}
+	co.Trace(trace.Event{
+		Kind:     kind,
+		TID:      ctx.TID,
+		Cycle:    cycle,
+		Seq:      d.out.Seq,
+		PC:       d.out.PC,
+		Text:     d.out.Instr.String(),
 		Mismatch: mismatch,
 	})
 }

@@ -6,18 +6,14 @@ import "repro/internal/isa"
 const noReg = 0xff
 
 // decodedInst is the static decode record for one program instruction:
-// everything the per-cycle path previously re-derived from the opcode for
-// every dynamic instance (class, execution latency, source/destination
-// registers, port class). It is computed once per static instruction at
-// program load and indexed by PC, so fetch, rename and issue read a flat
-// table instead of running the isa switch chains per dynamic instruction.
+// what the per-cycle path would otherwise re-derive from the opcode and
+// the configuration for every dynamic instance (execution latency,
+// source/destination registers). It is computed once per static
+// instruction at program load and indexed by PC, so rename and issue read
+// a flat table.
 type decodedInst struct {
-	kind classKind
 	// lat is the execution latency after register read (classLat applied).
 	lat uint64
-	// isFP marks the FP port class (kindFPAdd/Mul/Div) for the issue-stage
-	// FP bandwidth limit.
-	isFP bool
 
 	// Source registers (noReg = absent) and their register-file selectors.
 	srcA, srcB, srcD uint8
@@ -34,15 +30,12 @@ type decodedInst struct {
 // tables and for the out-of-image fallback path (a corrupted jump target in
 // a fault-injection run can fetch from outside the code image).
 func decodeOne(cfg *Config, ins isa.Instr) decodedInst {
-	kind := kindOf(ins.Op)
+	row := ins.Op.Info()
 	dec := decodedInst{
-		kind: kind,
-		lat:  cfg.classLat(kind),
-		isFP: kind == kindFPAdd || kind == kindFPMul || kind == kindFPDiv,
+		lat:  cfg.classLat(row.Class),
 		srcA: noReg, srcB: noReg, srcD: noReg,
 		dest: noReg,
 	}
-	row := ins.Op.Info()
 	dec.srcA, dec.aFP = srcSlot(ins.Ra, row.Ra)
 	dec.srcB, dec.bFP = srcSlot(ins.Rb, row.Rb)
 	dec.srcD, dec.dFP = srcSlot(ins.Rd, row.Rd) // a store's data
@@ -81,15 +74,6 @@ func (c *Context) decodeOf(cfg *Config, d *dynInst, scratch *decodedInst) *decod
 	}
 	*scratch = decodeOne(cfg, d.out.Instr)
 	return scratch
-}
-
-// kindAt returns the instruction class at pc (table hit) or derives it from
-// the opcode (fallback).
-func (c *Context) kindAt(pc uint64, op isa.Op) classKind {
-	if pc < uint64(len(c.decode)) {
-		return c.decode[pc].kind
-	}
-	return kindOf(op)
 }
 
 // latOf returns the execution latency of d's class.

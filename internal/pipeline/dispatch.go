@@ -43,7 +43,6 @@ func (co *Core) dispatchStage() {
 		co.inFlight++
 		ctx.rob.Push(d)
 
-		co.emit(ctx, d, StageDispatch, co.cycle)
 		co.renameSources(ctx, d)
 		co.place(ctx, d)
 		if d.isMem() {

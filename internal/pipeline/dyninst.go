@@ -5,58 +5,13 @@ import (
 	"repro/internal/vm"
 )
 
-// classKind is the pipeline-internal instruction class used for latency and
-// port selection.
-type classKind uint8
-
-const (
-	kindIntALU classKind = iota
-	kindIntMul
-	kindIntDiv
-	kindLoad
-	kindStore
-	kindFPAdd
-	kindFPMul
-	kindFPDiv
-	kindBranch
-	kindBarrier
-	kindHalt
-	kindNop
-)
-
-func kindOf(op isa.Op) classKind {
-	switch op.Info().Class {
-	case isa.ClassIntALU:
-		return kindIntALU
-	case isa.ClassIntMul:
-		return kindIntMul
-	case isa.ClassIntDiv:
-		return kindIntDiv
-	case isa.ClassLoad:
-		return kindLoad
-	case isa.ClassStore:
-		return kindStore
-	case isa.ClassFPAdd:
-		return kindFPAdd
-	case isa.ClassFPMul:
-		return kindFPMul
-	case isa.ClassFPDiv:
-		return kindFPDiv
-	case isa.ClassBranch, isa.ClassJump:
-		return kindBranch
-	case isa.ClassBarrier:
-		return kindBarrier
-	case isa.ClassHalt:
-		return kindHalt
-	}
-	return kindNop
-}
-
 // dynInst is one dynamic instruction flowing through the timing model.
 type dynInst struct {
-	out  vm.Outcome
-	tid  int
-	kind classKind
+	out vm.Outcome
+	tid int
+	// kind is the opcode's class, read from the opcode table at fetch and
+	// again on restore.
+	kind isa.Class
 
 	// Pipeline event cycles.
 	fetchCycle  uint64
@@ -167,9 +122,9 @@ func (r instRef) get() *dynInst {
 // pointer non-nilness without dereferencing).
 func (r instRef) wasSet() bool { return r.d != nil }
 
-func (d *dynInst) isLoad() bool  { return d.kind == kindLoad }
-func (d *dynInst) isStore() bool { return d.kind == kindStore }
-func (d *dynInst) isMem() bool   { return d.kind == kindLoad || d.kind == kindStore }
+func (d *dynInst) isLoad() bool  { return d.kind == isa.ClassLoad }
+func (d *dynInst) isStore() bool { return d.kind == isa.ClassStore }
+func (d *dynInst) isMem() bool   { return d.isLoad() || d.isStore() }
 
 // overlaps reports whether two memory accesses touch any common byte.
 func overlaps(a1 uint64, s1 int, a2 uint64, s2 int) bool {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"repro/internal/isa"
 	"repro/internal/rmt"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -84,7 +85,7 @@ func (co *Core) newDynInst(ctx *Context, out *vm.Outcome) *dynInst {
 	d := ctx.allocInst()
 	d.out = *out
 	d.tid = ctx.TID
-	d.kind = ctx.kindAt(out.PC, out.Instr.Op)
+	d.kind = out.Instr.Op.Info().Class
 	d.fetchCycle = co.cycle
 	d.rmbReadyAt = co.cycle + IBOXLatency
 	return d
@@ -193,7 +194,6 @@ func (co *Core) buildChunk(ctx *Context, chunkStart uint64, bubble uint64) {
 		d.rmbReadyAt += bubble
 		d.fetchSlot = slot
 		ctx.rmb.Push(d)
-		co.emit(ctx, d, StageFetch, co.cycle)
 
 		if out.Halted {
 			ctx.fetchHalted = true
@@ -296,13 +296,13 @@ func (co *Core) fetchTrailing(ctx *Context) {
 				TrailAddr: ctx.Arch.PC,
 			})
 			if co.Trace != nil {
-				co.Trace(TraceEvent{
-					Cycle:    co.cycle,
+				co.Trace(trace.Event{
+					Kind:     trace.KindCompare,
 					TID:      ctx.TID,
+					Cycle:    co.cycle,
 					Seq:      ctx.Arch.Seq,
 					PC:       ctx.Arch.PC,
 					Text:     "control-flow divergence",
-					Stage:    StageCompare,
 					Mismatch: true,
 				})
 			}
@@ -313,7 +313,6 @@ func (co *Core) fetchTrailing(ctx *Context) {
 			d := co.newDynInst(ctx, out)
 			d.rmbReadyAt += bubble
 			d.fetchSlot = slot
-			co.emit(ctx, d, StageFetch, co.cycle)
 			d.hasLeadInfo = true
 			d.leadUpper = c.UpperHalf[slot]
 			d.leadFU = c.FUs[slot]

@@ -1,6 +1,10 @@
 package pipeline
 
-import "repro/internal/rmt"
+import (
+	"repro/internal/isa"
+	"repro/internal/rmt"
+	"repro/internal/trace"
+)
 
 // issueStage implements the QBOX scheduler: each instruction-queue half
 // issues up to four ready instructions per cycle in age order, subject to
@@ -33,7 +37,7 @@ func (co *Core) issueStage() {
 				link = &d.wakeNext
 				continue
 			}
-			isFP := d.kind == kindFPAdd || d.kind == kindFPMul || d.kind == kindFPDiv
+			isFP := d.kind.IsFP()
 			if isFP && fps >= co.cfg.MaxFPPerCycle {
 				link = &d.wakeNext
 				continue
@@ -141,9 +145,9 @@ func (co *Core) memReady(ctx *Context, d *dynInst) bool {
 func (co *Core) execute(ctx *Context, d *dynInst) {
 	base := co.cycle + RBOXLatency
 	switch d.kind {
-	case kindLoad:
+	case isa.ClassLoad:
 		d.doneCycle = co.executeLoad(ctx, d, base)
-	case kindStore:
+	case isa.ClassStore:
 		// Address at base+1; data arrives two cycles after the address
 		// (§3.4), or when the data producer's result reaches the bypass
 		// network, whichever is later.
@@ -162,14 +166,14 @@ func (co *Core) execute(ctx *Context, d *dynInst) {
 				ReadyAt: d.doneCycle + ctx.Pair.Lat.StoreForward,
 			})
 		}
-	case kindBranch:
+	case isa.ClassBranch, isa.ClassJump:
 		d.doneCycle = base + 1
 		if d.mispredicted {
 			// Resolve: fetch restarts down the correct path next cycle.
 			if ctx.fetchBlockedUntil == neverUnblock && ctx.pendingBranch == d {
 				ctx.fetchBlockedUntil = d.doneCycle + 1
 				ctx.pendingBranch = nil
-				co.emit(ctx, d, StageSquash, d.doneCycle)
+				co.emitPoint(ctx, d, trace.KindSquash, d.doneCycle, false)
 			}
 		}
 	default:
@@ -181,8 +185,6 @@ func (co *Core) execute(ctx *Context, d *dynInst) {
 	if ctx.Role == RoleTrailing && d.hasLeadInfo {
 		ctx.Pair.ObserveSpaceRedundancy(d.leadUpper, d.upperHalf, int(d.leadFU), int(d.fu))
 	}
-	co.emit(ctx, d, StageIssue, d.issueCycle)
-	co.emit(ctx, d, StageDone, d.doneCycle)
 }
 
 // executeLoad resolves a load's completion: store-queue forwarding, LVQ
@@ -205,7 +207,7 @@ func (co *Core) executeLoad(ctx *Context, d *dynInst, base uint64) uint64 {
 				Tag:      d.loadTag,
 				LeadAddr: e.Addr, TrailAddr: d.out.Addr,
 			})
-			co.emitCompare(ctx, d, co.cycle, true)
+			co.emitPoint(ctx, d, trace.KindCompare, co.cycle, true)
 		}
 		// The LVQ lookup is a store-queue-like CAM probe (§4.1).
 		return base + 1 + MBOXLatency

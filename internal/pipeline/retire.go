@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"repro/internal/isa"
 	"repro/internal/rmt"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // retireStage implements the QBOX completion unit: up to RetireWidth
@@ -50,7 +52,7 @@ func (co *Core) retireOne(ctx *Context) bool {
 	}
 	pair := ctx.Pair
 
-	if d.kind == kindBarrier && ctx.hasUndrainedOlderStores(d.out.Seq) {
+	if d.kind == isa.ClassBarrier && ctx.hasUndrainedOlderStores(d.out.Seq) {
 		if ctx.Role == RoleLeading {
 			// The oldest leading instruction is a memory barrier blocked on
 			// stores that cannot drain until their trailing copies are
@@ -89,7 +91,7 @@ func (co *Core) retireOne(ctx *Context) bool {
 	ctx.rob.Pop()
 	d.retired = true
 	d.retireCycle = co.cycle
-	co.emit(ctx, d, StageRetire, co.cycle)
+	co.emitSpan(ctx, d)
 	co.inFlight--
 	co.Retired++
 	ctx.committed++
@@ -153,7 +155,7 @@ func (co *Core) retireOne(ctx *Context) bool {
 				ctx.retiredStores.Push(d)
 			}
 		}
-		if d.kind == kindHalt {
+		if d.kind == isa.ClassHalt {
 			// Nothing retires after HALT: push the final partial chunk so
 			// the trailing thread sees the end of the stream.
 			pair.Agg.ForceFlush(co.cycle, pair.Lat.LPQForward)
@@ -304,7 +306,7 @@ func (co *Core) drainLeading(ctx *Context) {
 				}
 				d.verified = true
 				pair.StoresVerified++
-				co.emitCompare(ctx, d, co.cycle, mismatch != nil)
+				co.emitPoint(ctx, d, trace.KindCompare, co.cycle, mismatch != nil)
 				if mismatch != nil {
 					pair.Detected = append(pair.Detected, mismatch)
 					d.verifiedAt = co.cycle

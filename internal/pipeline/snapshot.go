@@ -12,23 +12,29 @@ import (
 // Machine-state snapshot/restore. Snap visits everything that changes as
 // the machine steps — cycle counters, committed memories, cache and
 // predictor state, per-context architectural state, every pipeline queue's
-// dynamic instructions (with their pointer graph and recycling
-// generations), the redundant-pair structures, and statistics — in a fixed
-// deterministic order. Restoring targets a machine freshly built from the
-// same spec, whose static structure (configs, decode tables, closures,
-// queue wiring) it reuses. The contract: a restored machine, resumed with
-// Run, is cycle-identical to the machine the snapshot was taken from —
-// same stats, same artifacts, byte-identical later snapshots.
+// dynamic instructions (with their pointer graph), the redundant-pair
+// structures, and statistics — in a fixed deterministic order. Restoring
+// targets a machine built from the same spec, whose static structure
+// (configs, decode tables, closures, queue wiring) it reuses. The
+// contract: a restored machine, resumed with Run, is cycle-identical to the
+// machine the snapshot was taken from — same stats, same artifacts,
+// byte-identical later snapshots.
+//
+// A snapshot holds simulated state only. The instruction-record pool and
+// the generations that guard references to recycled records are allocator
+// state: they decide only whether a reference still reads its target, and
+// the snapshot records that outcome directly. A machine that recycles its
+// records and one that does not (Config.DisableInstPool) therefore write
+// the same bytes.
 //
 // What is NOT captured: observer hooks (Trace, Probe, OnCycle),
 // metrics registries, and event logs — they are attachments of a particular
 // machine instance, not simulated state.
 
-// instRef encoding tags. A reference is either never set, live within the
-// owning context's serialized instruction set (with its generation, which
-// may lag the target's — that mismatch IS the "producer already recycled"
-// signal), or a dangling pointer to an instruction that was dropped from
-// the pool entirely (wasSet must stay true, get must stay nil).
+// instRef encoding tags. A reference is either never set, live (it reads
+// an instruction the context's serialized set lists), or dead: set, but
+// its target has retired and left the pipeline, so wasSet stays true and
+// get stays nil.
 const (
 	refNil uint64 = iota
 	refLive
@@ -36,12 +42,12 @@ const (
 )
 
 // instTable numbers one context's dynamic instructions for a pass. Every
-// pass starts by enumerating the records the context holds, assigning
-// first-encounter indices over its queues. Encoding writes that list;
-// decoding reuses those records for the ones the stream lists, allocating
-// only the shortfall, with the context's one tombstone standing for every
-// dangling reference. Each context keeps its table, map and all, for the
-// next pass.
+// pass starts by enumerating the records in flight, assigning
+// first-encounter indices over the context's queues. Encoding writes that
+// list; decoding reuses those records and the free pool's for the ones the
+// stream lists, allocating only the shortfall, with the context's one
+// tombstone standing for every dead reference. Each context keeps its
+// table, map and all, for the next pass.
 type instTable struct {
 	insts []*dynInst
 	index map[*dynInst]int
@@ -76,10 +82,34 @@ func (c *Context) enumerate() *instTable {
 		}
 	}
 	t.add(c.pendingBranch)
-	for _, d := range c.freeInsts {
-		t.add(d)
-	}
 	return t
+}
+
+// reuseRecords gives a decoding table the stream's n records. Every
+// instruction exists before any is visited: references point forward as
+// well as back. The records the context holds, in flight or free, take the
+// stream's first indices, the shortfall comes from one fresh array, and
+// the records left over return to the free pool. The caller zeroes each
+// listed record before reading its fields, so none keeps a wakeup link or
+// a generation from its earlier life.
+func (c *Context) reuseRecords(t *instTable, n int) {
+	t.insts = append(t.insts, c.freeInsts...)
+	clear(c.freeInsts)
+	c.freeInsts = c.freeInsts[:0]
+	if have := len(t.insts); n > have {
+		fresh := make([]dynInst, n-have)
+		for i := range fresh {
+			t.insts = append(t.insts, &fresh[i])
+		}
+	}
+	for _, d := range t.insts[n:] {
+		c.freeInst(d)
+	}
+	clear(t.insts[n:])
+	t.insts = t.insts[:n]
+	if t.dead == nil {
+		t.dead = &dynInst{gen: 1}
+	}
 }
 
 // instQueues returns the context's dynInst rings in serialization order.
@@ -166,21 +196,19 @@ func (c *Context) snapIQ(s *snap.Stream, t *instTable) {
 }
 
 // ref visits one instruction reference: its tag, then for a live one the
-// target's index and the reference's generation.
+// target's index. A reference is live only while it reads its target; a
+// set reference that no longer does is written dead.
 func (t *instTable) ref(s *snap.Stream, r *instRef) {
-	tag, idx, gen := refNil, 0, r.gen
-	if !s.Decoding() && r.d != nil {
-		// A target missing from the table was recycled and dropped from
-		// the pool; only wasSet/get semantics survive.
+	tag, idx := refNil, 0
+	if !s.Decoding() && r.wasSet() {
 		tag = refDead
-		if i, ok := t.index[r.d]; ok {
+		if i, ok := t.index[r.d]; ok && r.get() != nil {
 			tag, idx = refLive, i
 		}
 	}
 	s.U64(&tag)
 	if tag == refLive {
 		s.Int(&idx)
-		s.U64(&gen)
 	}
 	if !s.Decoding() {
 		return
@@ -197,7 +225,7 @@ func (t *instTable) ref(s *snap.Stream, r *instRef) {
 		s.Failf("instruction reference %d out of range", idx)
 		*r = instRef{}
 	default:
-		*r = instRef{d: t.insts[idx], gen: gen}
+		*r = instRef{d: t.insts[idx]} // restored records start at generation 0
 	}
 }
 
@@ -253,8 +281,10 @@ func (t *instTable) queue(s *snap.Stream, q *ringq.Ring[*dynInst]) {
 
 func (t *instTable) inst(s *snap.Stream, d *dynInst) {
 	d.out.Snap(s)
+	if s.Decoding() {
+		d.kind = d.out.Instr.Op.Info().Class
+	}
 	s.Int(&d.tid)
-	snap.Word(s, &d.kind)
 	s.U64(&d.fetchCycle)
 	s.U64(&d.rmbReadyAt)
 	s.U64(&d.renameCycle)
@@ -286,7 +316,6 @@ func (t *instTable) inst(s *snap.Stream, d *dynInst) {
 	s.Bool(&d.hasLeadInfo)
 	s.Bool(&d.leadUpper)
 	snap.Word(s, &d.leadFU)
-	s.U64(&d.gen)
 }
 
 func snapThreadStats(s *snap.Stream, ts *stats.ThreadStats) {
@@ -337,22 +366,7 @@ func (c *Context) snap(s *snap.Stream) {
 	n := len(t.insts)
 	s.Count(&n, 8)
 	if s.Decoding() {
-		// Every instruction exists before any is visited: references
-		// point forward as well as back. The records the context held
-		// take the stream's first indices, and the rest come from one
-		// fresh array; every listed record is zeroed before its fields
-		// are read, so none keeps a wakeup link from its earlier life.
-		if have := len(t.insts); n > have {
-			fresh := make([]dynInst, n-have)
-			for i := range fresh {
-				t.insts = append(t.insts, &fresh[i])
-			}
-		}
-		clear(t.insts[n:])
-		t.insts = t.insts[:n]
-		if t.dead == nil {
-			t.dead = &dynInst{gen: 1}
-		}
+		c.reuseRecords(t, n)
 	}
 	for _, d := range t.insts {
 		if s.Decoding() {
@@ -372,20 +386,6 @@ func (c *Context) snap(s *snap.Stream) {
 	}
 	for i := range c.lastFP {
 		t.ref(s, &c.lastFP[i])
-	}
-	nf := len(c.freeInsts)
-	s.Int(&nf)
-	if s.Decoding() {
-		if s.Err() != nil || nf < 0 || nf > cap(c.freeInsts) {
-			s.Failf("free pool length %d exceeds capacity %d", nf, cap(c.freeInsts))
-			return
-		}
-		c.freeInsts = c.freeInsts[:nf]
-	}
-	for i := range c.freeInsts {
-		if !t.elem(s, &c.freeInsts[i], false, "free pool") {
-			return
-		}
 	}
 }
 
@@ -477,16 +477,4 @@ func (m *Machine) Snap(s *snap.Stream) {
 	for _, p := range m.Pairs {
 		p.Snap(s)
 	}
-}
-
-// PoolGenerations returns the recycling generation of every instruction in
-// the context's free pool, in pool order — a debug accessor for the
-// snapshot regression tests (generations must survive restore, or stale
-// instRefs would alias recycled instructions).
-func (c *Context) PoolGenerations() []uint64 {
-	gens := make([]uint64, len(c.freeInsts))
-	for i, d := range c.freeInsts {
-		gens[i] = d.gen
-	}
-	return gens
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -103,6 +105,51 @@ func TestSteadyStateAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s: %.2f allocations per simulated cycle after warmup, want 0", mode, allocs)
+			}
+		})
+	}
+}
+
+// TestPooledSnapshotMatchesUnpooled: a snapshot holds simulated state
+// only. Recycling instruction records never changes timing
+// (TestPoolDisabledIsCycleIdentical), so a machine that recycles them and
+// one that does not write byte-identical snapshots at every cycle, in
+// every mode.
+func TestPooledSnapshotMatchesUnpooled(t *testing.T) {
+	cycles := []uint64{700, 1500, 2500}
+	for _, mode := range Modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			capture := func(disablePool bool) [][]byte {
+				spec := snapSpec(mode, "gcc")
+				spec.Config.DisableInstPool = disablePool
+				m, err := Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snaps [][]byte
+				m.OnCycle = func(cycle uint64) error {
+					if !slices.Contains(cycles, cycle) {
+						return nil
+					}
+					s, err := m.Snapshot()
+					snaps = append(snaps, s)
+					return err
+				}
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if len(snaps) != len(cycles) {
+					t.Fatalf("run took %d of %d snapshots", len(snaps), len(cycles))
+				}
+				return snaps
+			}
+			pooled, unpooled := capture(false), capture(true)
+			for i, cycle := range cycles {
+				if !bytes.Equal(pooled[i], unpooled[i]) {
+					t.Errorf("cycle %d: pooled machine writes %d bytes, unpooled %d, not byte-identical",
+						cycle, len(pooled[i]), len(unpooled[i]))
+				}
 			}
 		})
 	}

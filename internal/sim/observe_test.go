@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -111,5 +112,62 @@ func TestObservabilityArtifactsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
 		t.Error("event traces of identical runs differ")
+	}
+}
+
+// TestResumedTraceKeepsInFlightInstructions: the event log records each
+// instruction's span from the cycles the instruction itself carries, so a
+// traced run resumed from a mid-run snapshot records exactly the spans the
+// uninterrupted run records from the snapshot cycle on, the instructions
+// in flight at the snapshot included.
+func TestResumedTraceKeepsInFlightInstructions(t *testing.T) {
+	const at = 1500
+	for _, mode := range Modes() {
+		spec := gateSpec(mode, 3000, 1000, pipeline.DefaultConfig())
+		t.Run(mode.String(), func(t *testing.T) {
+			m, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := m.EnableTrace(0)
+			var snapshot []byte
+			m.OnCycle = func(cycle uint64) error {
+				if cycle == at {
+					snapshot, err = m.Snapshot()
+					return err
+				}
+				return nil
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if snapshot == nil {
+				t.Fatalf("run finished before cycle %d", at)
+			}
+			resumed, err := Restore(spec, snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail := resumed.EnableTrace(0)
+			if _, err := resumed.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var want []trace.Event
+			for _, ev := range full.Events() {
+				if ev.Kind == trace.KindInstr && ev.End >= at {
+					want = append(want, ev)
+				}
+			}
+			var got []trace.Event
+			for _, ev := range tail.Events() {
+				if ev.Kind == trace.KindInstr {
+					got = append(got, ev)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("resumed run records %d instruction spans, the uninterrupted run %d from cycle %d on",
+					len(got), len(want), at)
+			}
+		})
 	}
 }

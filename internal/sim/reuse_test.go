@@ -16,14 +16,15 @@ import (
 // allocates nothing and restoring allocates a fixed handful of objects.
 
 // holdings counts the instruction records a machine's contexts hold (in
-// flight or in their recycling pools) and the pages of its committed
-// memories.
+// flight or in their recycling pools, whose length the test reads through
+// reflection) and the pages of its committed memories.
 func holdings(m *Machine) (records, pages int) {
 	seen := map[*vm.Memory]bool{}
 	for _, co := range m.Cores {
 		for _, c := range co.Contexts() {
 			rob, rmb, _, _, _ := c.Occupancy()
-			records += rob + rmb + len(c.PoolGenerations())
+			pool := reflect.ValueOf(c).Elem().FieldByName("freeInsts").Len()
+			records += rob + rmb + pool
 			if b := c.Arch.Mem.Backing(); !seen[b] {
 				seen[b] = true
 				pages += b.Pages()

@@ -9,8 +9,9 @@ import (
 // snapshotVersion frames the sim-level snapshot: the pipeline state plus
 // the machine assembly's own mutable pieces (pseudo-devices and uncached
 // I/O replication bridges). Version 2 encodes caches and predictor word
-// tables sparsely.
-const snapshotVersion = 2
+// tables sparsely. Version 3 holds simulated state only: no free pool, and
+// no generation or class per instruction.
+const snapshotVersion = 3
 
 // Snapshot serializes the machine's complete simulated state into fresh
 // bytes the caller owns. The snapshot pairs with the Spec the machine was

@@ -144,42 +144,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestRestorePreservesPoolGenerations: dynInst recycling correctness after
-// restore depends on every pool slot keeping its generation counter; a
-// restore that reset generations would silently revive stale instRefs.
-func TestRestorePreservesPoolGenerations(t *testing.T) {
-	spec := snapSpec(ModeSRT, "li")
-	snapshot, _ := runToCycle(t, spec, 3000)
-	m, err := Restore(spec, snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anyNonZero := false
-	for ci, co := range m.Cores {
-		for xi, ctx := range co.Contexts() {
-			gens := ctx.PoolGenerations()
-			for _, g := range gens {
-				if g > 0 {
-					anyNonZero = true
-				}
-			}
-			// Restoring the same snapshot again must reproduce the same
-			// generations exactly.
-			m2, err := Restore(spec, snapshot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gens2 := m2.Cores[ci].Contexts()[xi].PoolGenerations()
-			if !reflect.DeepEqual(gens, gens2) {
-				t.Fatalf("core %d ctx %d pool generations not reproducible", ci, xi)
-			}
-		}
-	}
-	if !anyNonZero {
-		t.Fatal("no pool slot was ever recycled by cycle 3000; test is vacuous")
-	}
-}
-
 // TestRestoreRejectsWrongSpec: a snapshot taken under one machine geometry
 // must not silently restore into another.
 func TestRestoreRejectsWrongSpec(t *testing.T) {

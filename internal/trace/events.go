@@ -3,8 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-
-	"repro/internal/pipeline"
 )
 
 // EventKind classifies a structured trace event.
@@ -72,17 +70,10 @@ type EventLog struct {
 	Cap     int
 	Dropped uint64
 
-	evs     []Event
-	pending map[instrKey]*Event
+	evs []Event
 	// keep, when > 0, ends recording once core0 (the count of core 0's
 	// instruction events) reaches it (KeepFirst).
 	keep, core0 int
-}
-
-type instrKey struct {
-	core int
-	tid  int
-	seq  uint64
 }
 
 // NewEventLog returns a log holding up to cap events (0 = 1<<20).
@@ -90,7 +81,7 @@ func NewEventLog(cap int) *EventLog {
 	if cap <= 0 {
 		cap = 1 << 20
 	}
-	return &EventLog{Cap: cap, pending: make(map[instrKey]*Event)}
+	return &EventLog{Cap: cap}
 }
 
 // add appends an event, honouring the cap.
@@ -116,54 +107,22 @@ func (l *EventLog) Inject(core, tid int, cycle, seq, pc uint64, text string) {
 }
 
 // Events returns the stored events in emission order. Instruction events
-// appear at their retire point (when the span closes); unretired
-// instructions at the end of a run are not included.
+// appear at their retire point; instructions still in flight at the end of
+// a run are not included.
 func (l *EventLog) Events() []Event { return l.evs }
 
 // CoreHook returns the function to install as pipeline.Core.Trace for the
-// core with the given ID. Stage events are folded into one spanning
-// instruction event per dynamic instruction; squash and compare stages
-// become point events.
-func (l *EventLog) CoreHook(core int) func(ev pipeline.TraceEvent) {
-	return func(ev pipeline.TraceEvent) {
+// core with the given ID: it stamps each event with the core and records
+// it.
+func (l *EventLog) CoreHook(core int) func(ev Event) {
+	return func(ev Event) {
 		if l.keep > 0 && l.core0 >= l.keep {
 			return
 		}
-		k := instrKey{core, ev.TID, ev.Seq}
-		switch ev.Stage {
-		case pipeline.StageFetch:
-			l.pending[k] = &Event{
-				Kind: KindInstr, Core: core, TID: ev.TID,
-				Cycle: ev.Cycle, Seq: ev.Seq, PC: ev.PC, Text: ev.Text,
-			}
-		case pipeline.StageDispatch:
-			if p := l.pending[k]; p != nil {
-				p.Dispatch = ev.Cycle
-			}
-		case pipeline.StageIssue:
-			if p := l.pending[k]; p != nil {
-				p.Issue = ev.Cycle
-			}
-		case pipeline.StageDone:
-			if p := l.pending[k]; p != nil {
-				p.Done = ev.Cycle
-			}
-		case pipeline.StageRetire:
-			if p := l.pending[k]; p != nil {
-				p.End = ev.Cycle
-				l.add(*p)
-				delete(l.pending, k)
-				if core == 0 {
-					l.core0++
-				}
-			}
-		case pipeline.StageSquash:
-			l.add(Event{Kind: KindSquash, Core: core, TID: ev.TID,
-				Cycle: ev.Cycle, Seq: ev.Seq, PC: ev.PC, Text: ev.Text})
-		case pipeline.StageCompare:
-			l.add(Event{Kind: KindCompare, Core: core, TID: ev.TID,
-				Cycle: ev.Cycle, Seq: ev.Seq, PC: ev.PC, Text: ev.Text,
-				Mismatch: ev.Mismatch})
+		ev.Core = core
+		l.add(ev)
+		if ev.Kind == KindInstr && core == 0 {
+			l.core0++
 		}
 	}
 }

@@ -4,35 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/pipeline"
 )
-
-func TestEventLogFoldsInstrSpans(t *testing.T) {
-	l := NewEventLog(0)
-	hook := l.CoreHook(0)
-	hook(pipeline.TraceEvent{Cycle: 10, TID: 1, Seq: 5, PC: 7, Text: "add", Stage: pipeline.StageFetch})
-	hook(pipeline.TraceEvent{Cycle: 12, TID: 1, Seq: 5, Stage: pipeline.StageIssue})
-	hook(pipeline.TraceEvent{Cycle: 20, TID: 1, Seq: 5, Stage: pipeline.StageRetire})
-	hook(pipeline.TraceEvent{Cycle: 15, TID: 1, Seq: 6, PC: 8, Text: "br", Stage: pipeline.StageSquash})
-	hook(pipeline.TraceEvent{Cycle: 16, TID: 1, Seq: 7, PC: 9, Text: "stq", Stage: pipeline.StageCompare, Mismatch: true})
-	// A fetched-but-never-retired instruction stays pending.
-	hook(pipeline.TraceEvent{Cycle: 30, TID: 1, Seq: 9, Stage: pipeline.StageFetch})
-
-	evs := l.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3: %+v", len(evs), evs)
-	}
-	if evs[0].Kind != KindInstr || evs[0].Cycle != 10 || evs[0].Issue != 12 || evs[0].End != 20 || evs[0].Text != "add" {
-		t.Errorf("instr span wrong: %+v", evs[0])
-	}
-	if evs[1].Kind != KindSquash || evs[1].Cycle != 15 {
-		t.Errorf("squash wrong: %+v", evs[1])
-	}
-	if evs[2].Kind != KindCompare || !evs[2].Mismatch {
-		t.Errorf("compare wrong: %+v", evs[2])
-	}
-}
 
 func TestEventLogCapDrops(t *testing.T) {
 	l := NewEventLog(2)
@@ -47,10 +19,9 @@ func TestEventLogCapDrops(t *testing.T) {
 func TestChromeJSONExport(t *testing.T) {
 	l := NewEventLog(0)
 	hook := l.CoreHook(2)
-	hook(pipeline.TraceEvent{Cycle: 1, TID: 0, Seq: 1, PC: 4, Text: "ldq", Stage: pipeline.StageFetch})
-	hook(pipeline.TraceEvent{Cycle: 9, TID: 0, Seq: 1, Stage: pipeline.StageRetire})
+	hook(Event{Kind: KindInstr, Cycle: 1, End: 9, TID: 0, Seq: 1, PC: 4, Text: "ldq"})
 	l.Inject(2, 0, 5, 1, 4, "bit 3")
-	hook(pipeline.TraceEvent{Cycle: 11, TID: 0, Seq: 2, PC: 5, Text: "stq", Stage: pipeline.StageCompare, Mismatch: false})
+	hook(Event{Kind: KindCompare, Cycle: 11, TID: 0, Seq: 2, PC: 5, Text: "stq"})
 
 	var buf bytes.Buffer
 	if err := l.WriteChromeJSON(&buf); err != nil {

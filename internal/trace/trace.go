@@ -1,10 +1,11 @@
 // Package trace records pipeline events and renders them. An EventLog
-// attached to a machine's cores folds each dynamic instruction's stage
-// events into one instruction event, which keeps the cycles it was
-// fetched, dispatched, issued, completed and retired; squashes,
-// sphere-of-replication comparisons and fault injections become point
-// events. Format draws instruction events as a pipeline diagram, and
-// WriteChromeJSON exports the whole log for Perfetto.
+// attached to a machine's cores receives one instruction event per retired
+// instruction, which carries the cycles it was fetched, dispatched,
+// issued, completed and retired; squashes, sphere-of-replication
+// comparisons and fault injections are point events. Format draws
+// instruction events as a pipeline diagram, and WriteChromeJSON exports
+// the whole log for Perfetto. The package imports nothing of the
+// simulator's, so any layer may record into it.
 package trace
 
 import (

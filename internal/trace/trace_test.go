@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"os"
@@ -8,11 +8,12 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 // traceLoop runs a short loop on one core with l attached to it.
-func traceLoop(t *testing.T, l *EventLog) {
+func traceLoop(t *testing.T, l *trace.EventLog) {
 	t.Helper()
 	b := isa.NewBuilder("t")
 	b.Ldi(isa.R1, 5)
@@ -40,10 +41,10 @@ func traceLoop(t *testing.T, l *EventLog) {
 // diagram against testdata/pipeline.golden, recorded when the diagram had
 // a collector of its own, so folding it into the EventLog moved no byte.
 func TestFormatRendersPipeline(t *testing.T) {
-	l := NewEventLog(0)
+	l := trace.NewEventLog(0)
 	traceLoop(t, l)
 	for _, ev := range l.Events() {
-		if ev.Kind != KindInstr {
+		if ev.Kind != trace.KindInstr {
 			continue
 		}
 		if !(ev.Cycle <= ev.Dispatch && ev.Dispatch <= ev.Issue && ev.Issue < ev.Done && ev.Done <= ev.End) {
@@ -55,7 +56,7 @@ func TestFormatRendersPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Format(l.Events(), 64); got != string(want) {
+	if got := trace.Format(l.Events(), 64); got != string(want) {
 		t.Errorf("diagram drifted from testdata/pipeline.golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
@@ -65,18 +66,18 @@ func TestFormatRendersPipeline(t *testing.T) {
 // lines from it as from the full log. The loop retires 12 instructions,
 // so n=64 keeps the whole log.
 func TestKeepFirstStopsRecording(t *testing.T) {
-	full := NewEventLog(0)
+	full := trace.NewEventLog(0)
 	traceLoop(t, full)
 	for _, n := range []int{1, 5, 64} {
-		kept := NewEventLog(0)
+		kept := trace.NewEventLog(0)
 		kept.KeepFirst(n)
 		traceLoop(t, kept)
-		if got, want := Format(kept.Events(), n), Format(full.Events(), n); got != want {
+		if got, want := trace.Format(kept.Events(), n), trace.Format(full.Events(), n); got != want {
 			t.Errorf("n=%d: diagram differs from the full log's\n--- got ---\n%s\n--- want ---\n%s", n, got, want)
 		}
 		instrs := 0
 		for _, ev := range kept.Events() {
-			if ev.Kind == KindInstr {
+			if ev.Kind == trace.KindInstr {
 				instrs++
 			}
 		}
@@ -93,16 +94,15 @@ func TestKeepFirstStopsRecording(t *testing.T) {
 // TestFormatRespectsCount: Format draws the first n instruction events of
 // core 0 and skips point events and other cores.
 func TestFormatRespectsCount(t *testing.T) {
-	l := NewEventLog(0)
+	l := trace.NewEventLog(0)
 	for core := 1; core >= 0; core-- {
 		h := l.CoreHook(core)
 		for seq := uint64(0); seq < 10; seq++ {
-			h(pipeline.TraceEvent{TID: core, Seq: seq, Stage: pipeline.StageFetch})
-			h(pipeline.TraceEvent{TID: core, Seq: seq, Stage: pipeline.StageSquash})
-			h(pipeline.TraceEvent{Cycle: 1, TID: core, Seq: seq, Stage: pipeline.StageRetire})
+			h(trace.Event{Kind: trace.KindSquash, TID: core, Seq: seq})
+			h(trace.Event{Kind: trace.KindInstr, End: 1, TID: core, Seq: seq})
 		}
 	}
-	out := Format(l.Events(), 2)
+	out := trace.Format(l.Events(), 2)
 	if got := strings.Count(out, "\n"); got != 2 || strings.Count(out, "t0 ") != 2 {
 		t.Errorf("want 2 lines of core 0's thread 0, got:\n%s", out)
 	}

@@ -150,7 +150,8 @@ type config struct {
 }
 
 // Default sizes for Run/Sweep/BaseIPC when no WithBudget/WithWarmup option
-// is given: long enough for steady-state behaviour at interactive cost.
+// is given, chosen for interactive cost. They do not reach steady state:
+// the window sits in most kernels' first, cold sweep over their data.
 const (
 	DefaultBudget uint64 = 30000
 	DefaultWarmup uint64 = 20000
