@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 						continue
 					}
 					checked++
-					if !matchesAny(re, names) {
+					if !slices.ContainsFunc(names, re.MatchString) {
 						t.Errorf("%s:%d: %q matches no Test or Fuzz function in the module", file, i+1, alt)
 					}
 				}
@@ -123,13 +124,4 @@ func moduleTestNames(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	return names
-}
-
-func matchesAny(re *regexp.Regexp, names []string) bool {
-	for _, n := range names {
-		if re.MatchString(n) {
-			return true
-		}
-	}
-	return false
 }
