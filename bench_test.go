@@ -184,8 +184,8 @@ func BenchmarkFunctionalCampaignReplay(b *testing.B) {
 // BenchmarkCorpusBatchReplay measures the corpus-verification shape
 // behind the metamorphic and differential batteries: fault-free functional
 // replay of 64 lanes each of 8 fixed-corpus kernels, run as one SoA
-// vm.Batch per kernel with no Observer — the column fast path, where live
-// lanes bucket by PC and each distinct PC costs one handler call.
+// vm.Batch per kernel: live lanes bucket by PC and each distinct PC costs
+// one column-handler call.
 // Reported like BenchmarkFunctionalCampaignReplay.
 func BenchmarkCorpusBatchReplay(b *testing.B) {
 	const lanes = 64
@@ -283,7 +283,9 @@ func BenchmarkAblation_SlackFetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cycles = 0
 		lpq = ablationEff(b, p, sim.Spec{Mode: sim.ModeSRT, PSR: true, Programs: []string{"gcc"}}, &cycles)
-		slack = ablationEff(b, p, sim.Spec{Mode: sim.ModeSRT, PSR: true, SlackFetch: 64, Programs: []string{"gcc"}}, &cycles)
+		slackCfg := p.Config
+		slackCfg.SlackFetch = 64
+		slack = ablationEff(b, p, sim.Spec{Mode: sim.ModeSRT, PSR: true, Config: slackCfg, Programs: []string{"gcc"}}, &cycles)
 	}
 	b.ReportMetric(lpq, "eff-lpq-priority")
 	b.ReportMetric(slack, "eff-slack-64")

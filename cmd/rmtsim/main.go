@@ -71,17 +71,18 @@ func main() {
 	budget, warmup := sf.Sizes(50000, 20000, 8000, 5000)
 	progs := cliflags.SplitProgs(*progsFlag)
 
+	cfg := pipeline.DefaultConfig()
+	cfg.SlackFetch = *slack
 	spec := sim.Spec{
 		Mode:              mode,
 		Programs:          progs,
 		Budget:            budget,
 		Warmup:            warmup,
-		Config:            pipeline.DefaultConfig(),
+		Config:            cfg,
 		PSR:               *psr,
 		PerThreadSQ:       *ptsq,
 		NoStoreComparison: *nosc,
 		CheckerLatency:    *checker,
-		SlackFetch:        *slack,
 	}
 	m, err := sim.Build(spec)
 	if err != nil {

@@ -54,13 +54,22 @@ type Core struct {
 	// Trace, when non-nil, receives one event per retired instruction,
 	// spanning its fetch to its retirement, and a point event per squash
 	// and sphere-of-replication comparison (internal/trace records and
-	// renders them).
-	Trace func(ev trace.Event) //rmtsnap:skip — observer hook, outside simulated state
+	// renders them). A hook that returns false records nothing more, and
+	// the core drops it.
+	Trace func(ev trace.Event) bool //rmtsnap:skip — observer hook, outside simulated state
 
 	// Probe, when non-nil, runs at the end of every Step — the hook the
 	// observability layer uses to sample occupancy histograms. It must not
 	// mutate machine state.
 	Probe func() //rmtsnap:skip — observer hook, outside simulated state
+}
+
+// emit sends ev to the trace hook, dropping the hook once it reports that
+// it records nothing more.
+func (co *Core) emit(ev trace.Event) {
+	if !co.Trace(ev) {
+		co.Trace = nil
+	}
 }
 
 // emitSpan sends d's span, from fetch to retirement, to the trace hook
@@ -70,7 +79,7 @@ func (co *Core) emitSpan(ctx *Context, d *dynInst) {
 	if co.Trace == nil {
 		return
 	}
-	co.Trace(trace.Event{
+	co.emit(trace.Event{
 		Kind:     trace.KindInstr,
 		TID:      ctx.TID,
 		Cycle:    d.fetchCycle,
@@ -91,7 +100,7 @@ func (co *Core) emitPoint(ctx *Context, d *dynInst, kind trace.EventKind, cycle 
 	if co.Trace == nil {
 		return
 	}
-	co.Trace(trace.Event{
+	co.emit(trace.Event{
 		Kind:     kind,
 		TID:      ctx.TID,
 		Cycle:    cycle,

@@ -296,7 +296,7 @@ func (co *Core) fetchTrailing(ctx *Context) {
 				TrailAddr: ctx.Arch.PC,
 			})
 			if co.Trace != nil {
-				co.Trace(trace.Event{
+				co.emit(trace.Event{
 					Kind:     trace.KindCompare,
 					TID:      ctx.TID,
 					Cycle:    co.cycle,

@@ -47,10 +47,25 @@ func (c *Context) hasUndrainedOlderStores(seq uint64) bool {
 // retireOne retires the oldest instruction of ctx if possible.
 func (co *Core) retireOne(ctx *Context) bool {
 	d := ctx.robHead()
-	if d == nil || !d.issued || d.doneCycle > co.cycle {
+	if d == nil {
 		return false
 	}
 	pair := ctx.Pair
+	if !d.issued && d.partial && ctx.Role == RoleLeading && !co.cfg.NoStoreComparison {
+		// A load partially overlapping an older store issues only once the
+		// store drains, after its trailing copy is compared. A store that
+		// retired before the load dispatched missed forceTerm, so it can
+		// sit in the pending chunk that only this load's retirement would
+		// push: push it now (§4.4.2's deadlock fix). A full LPQ drains on
+		// its own.
+		if s := d.depStore.get(); s != nil && s.retired && !s.drained &&
+			pair.Agg.HoldsStore(s.storeTag) && pair.Agg.CanAdd() {
+			pair.Agg.ForceFlush(co.cycle, pair.Lat.LPQForward)
+		}
+	}
+	if !d.issued || d.doneCycle > co.cycle {
+		return false
+	}
 
 	if d.kind == isa.ClassBarrier && ctx.hasUndrainedOlderStores(d.out.Seq) {
 		if ctx.Role == RoleLeading {
@@ -161,9 +176,6 @@ func (co *Core) retireOne(ctx *Context) bool {
 			pair.Agg.ForceFlush(co.cycle, pair.Lat.LPQForward)
 		}
 	case RoleTrailing:
-		if d.isLoad() {
-			// LVQ entry was consumed at issue; no load queue entry.
-		}
 		if pair.RVQ != nil && d.out.Instr.HasDest() {
 			// SRTR register value check: the trailing result must match
 			// the leading copy's committed result instruction-for-

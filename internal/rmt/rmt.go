@@ -324,6 +324,21 @@ func (a *Aggregator) ForceFlush(now uint64, fwdLat uint64) {
 	}
 }
 
+// HoldsStore reports whether the store with correlation tag tag sits in
+// the unflushed chunk, where the trailing thread cannot yet fetch it. Tag
+// 0 (an untagged store, and every non-store slot) is never held.
+func (a *Aggregator) HoldsStore(tag uint64) bool {
+	if !a.started || tag == 0 {
+		return false
+	}
+	for _, t := range a.cur.StoreTags[:a.cur.Count] {
+		if t == tag {
+			return true
+		}
+	}
+	return false
+}
+
 // Pending returns the number of instructions buffered in the unflushed
 // chunk.
 func (a *Aggregator) Pending() int {

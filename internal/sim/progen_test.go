@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -277,6 +278,40 @@ func FuzzGenModeEquivalence(f *testing.F) {
 		}
 		if got := digest(ModeAdaptive, 0.5); got != srt {
 			t.Error("adaptive architectural outcome diverges from SRT")
+		}
+	})
+}
+
+// FuzzGenLiveness: every paired mode must finish any generated kernel
+// without tripping the watchdog. On each seed's kernel, a leading load
+// that partially overlaps an older store waits for that store to drain,
+// and the store, retired before the load dispatched, once waited for its
+// comparison in the unflushed chunk that only the load's retirement would
+// push (§4.4.2's partial-forward deadlock): every paired mode ran into a
+// DeadlockError.
+func FuzzGenLiveness(f *testing.F) {
+	f.Add(uint64(15549336683840783627))
+	f.Add(uint64(11946754872439844712))
+	f.Add(uint64(14646540178394605744))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		for _, mode := range Modes() {
+			if !mode.Paired() {
+				continue
+			}
+			m, err := Build(Spec{
+				Mode: mode, Programs: []string{progen.Name(seed)},
+				Budget: 6000, Warmup: 3000,
+				Config: pipeline.DefaultConfig(), PSR: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.Run()
+			if dead := (*pipeline.DeadlockError)(nil); errors.As(err, &dead) {
+				t.Errorf("%v: %s: no forward progress by cycle %d", mode, progen.Name(seed), dead.Cycle)
+			} else if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
 		}
 	})
 }

@@ -39,8 +39,6 @@ type Spec struct {
 	NoStoreComparison bool
 	// CheckerLatency is the lockstep checker delay (0 = Lock0, 8 = Lock8).
 	CheckerLatency uint64
-	// SlackFetch enables the original-SRT slack fetch policy (ablation).
-	SlackFetch uint64
 
 	// StopOnDetection ends the run at the first detected fault. In SRTR
 	// mode a detection first triggers rollback; the run only stops on a
@@ -143,7 +141,6 @@ func (m *Machine) Rebuild(spec Spec) error {
 	cfg := spec.Config
 	cfg.PerThreadSQ = spec.PerThreadSQ
 	cfg.NoStoreComparison = spec.NoStoreComparison
-	cfg.SlackFetch = spec.SlackFetch
 	if spec.Mode == ModeLockstep {
 		cfg.Hier.CheckerMissPenalty = spec.CheckerLatency
 		cfg.CheckerStorePenalty = spec.CheckerLatency

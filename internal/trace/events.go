@@ -113,19 +113,24 @@ func (l *EventLog) Events() []Event { return l.evs }
 
 // CoreHook returns the function to install as pipeline.Core.Trace for the
 // core with the given ID: it stamps each event with the core and records
-// it.
-func (l *EventLog) CoreHook(core int) func(ev Event) {
-	return func(ev Event) {
-		if l.keep > 0 && l.core0 >= l.keep {
-			return
+// it. It returns false once KeepFirst has stopped the log, so the core
+// stops building events; a log that is only full keeps counting Dropped.
+func (l *EventLog) CoreHook(core int) func(ev Event) bool {
+	return func(ev Event) bool {
+		if l.stopped() {
+			return false
 		}
 		ev.Core = core
 		l.add(ev)
 		if ev.Kind == KindInstr && core == 0 {
 			l.core0++
 		}
+		return !l.stopped()
 	}
 }
+
+// stopped reports whether KeepFirst has ended recording.
+func (l *EventLog) stopped() bool { return l.keep > 0 && l.core0 >= l.keep }
 
 // chromeEvent is one entry of the Chrome trace_event JSON format
 // (consumed by Perfetto / chrome://tracing). Field order here fixes the

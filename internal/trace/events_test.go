@@ -6,12 +6,18 @@ import (
 	"testing"
 )
 
+// TestEventLogCapDrops: a full log drops and counts events, and its core
+// hooks keep reporting true so the cores keep sending them to be counted.
 func TestEventLogCapDrops(t *testing.T) {
 	l := NewEventLog(2)
+	hook := l.CoreHook(0)
 	for i := 0; i < 5; i++ {
 		l.Inject(0, 0, uint64(i), 0, 0, "flip")
+		if !hook(Event{Kind: KindInstr}) {
+			t.Fatalf("full log's hook returned false at event %d", i)
+		}
 	}
-	if len(l.Events()) != 2 || l.Dropped != 3 {
+	if len(l.Events()) != 2 || l.Dropped != 8 {
 		t.Errorf("cap not honoured: len=%d dropped=%d", len(l.Events()), l.Dropped)
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"repro/internal/vm"
 )
 
-// traceLoop runs a short loop on one core with l attached to it.
-func traceLoop(t *testing.T, l *trace.EventLog) {
+// traceLoop runs a short loop on one core with l attached to it and
+// returns the core.
+func traceLoop(t *testing.T, l *trace.EventLog) *pipeline.Core {
 	t.Helper()
 	b := isa.NewBuilder("t")
 	b.Ldi(isa.R1, 5)
@@ -35,6 +36,7 @@ func traceLoop(t *testing.T, l *trace.EventLog) {
 	if _, err := m.Run(100000); err != nil {
 		t.Fatal(err)
 	}
+	return core
 }
 
 // TestFormatRendersPipeline draws a short loop on one core and checks the
@@ -64,14 +66,17 @@ func TestFormatRendersPipeline(t *testing.T) {
 // TestKeepFirstStopsRecording: a log told to keep the first n instruction
 // events of core 0 stops recording there, and Format draws the same n
 // lines from it as from the full log. The loop retires 12 instructions,
-// so n=64 keeps the whole log.
+// so n=64 keeps the whole log; a log that stopped has the core drop its
+// hook, so the rest of the run builds no events.
 func TestKeepFirstStopsRecording(t *testing.T) {
 	full := trace.NewEventLog(0)
 	traceLoop(t, full)
 	for _, n := range []int{1, 5, 64} {
 		kept := trace.NewEventLog(0)
 		kept.KeepFirst(n)
-		traceLoop(t, kept)
+		if core := traceLoop(t, kept); (core.Trace == nil) != (n < 12) {
+			t.Errorf("n=%d: core kept its hook %v after the log stopped", n, core.Trace != nil)
+		}
 		if got, want := trace.Format(kept.Events(), n), trace.Format(full.Events(), n); got != want {
 			t.Errorf("n=%d: diagram differs from the full log's\n--- got ---\n%s\n--- want ---\n%s", n, got, want)
 		}

@@ -12,13 +12,13 @@ import (
 // overlay per lane over a single shared committed memory. The layout keeps
 // each register column cache-resident while a round sweeps the lanes, and
 // the per-PC handler table is shared by every lane, so campaign replays
-// (N trials of one kernel, one injection each), corpus verification, and
-// characterisation sweeps amortize predecode across the whole batch.
+// (N trials of one kernel, one injection each) and corpus verification
+// amortize predecode across the whole batch.
 //
-// Lane semantics are exactly Thread semantics — same handler specialiser
-// over the same semOf decode, same corruption-point order, same trap and
-// halt behaviour — and the vmdiff battery holds a Batch bit-equal to N
-// scalar oracle threads after every step.
+// A round runs through per-PC column handlers (colops.go), specialised
+// from the same semOf decode as Thread's handlers: same corruption-point
+// order, same trap and halt behaviour. The vmdiff battery holds every lane
+// bit-equal to a scalar oracle thread, instruction by instruction.
 type Batch struct {
 	// Prog is the program every lane executes.
 	Prog *isa.Program
@@ -50,27 +50,20 @@ type Batch struct {
 	// the same program against the same device model). nil reads as zero.
 	IORead func(addr uint64) uint64
 
-	// Observer, when non-nil, receives every executed instruction's
-	// outcome (including tolerant traps). The outcome buffer is reused
-	// across calls; implementations must copy what they keep.
-	Observer func(lane int, out *Outcome)
-
-	ops  []laneFn
-	cols []colFn // unobserved fast path: one handler call per PC-group
+	cols []colFn // one handler call per PC group
 	// colHalts[pc] marks instructions that can halt a lane (HALT); rounds
 	// executing only non-halting in-image instructions skip live-list
 	// compaction.
 	colHalts []bool
 
 	regBack []uint64 // one backing array for all register columns
-	out     Outcome  // scratch outcome, reused every step
 
 	// liveList holds the lanes not yet halted, ascending. Step maintains
 	// it (Halted is engine-written state; campaigns park lanes by letting
 	// them run to HALT or trap).
 	liveList []int32
 
-	// PC-grouping scratch for diverged unobserved rounds: live lanes are
+	// PC-grouping scratch for diverged rounds: live lanes are
 	// bucketed by PC (headByPC chains through nextLane), and each bucket
 	// executes through one column-handler call. All preallocated; the hot
 	// loop does not grow them.
@@ -98,7 +91,6 @@ func NewBatch(prog *isa.Program, mem *Memory, n int) *Batch {
 		Trapped: make([]bool, n),
 		Mem:     make([]*Overlay, n),
 		Corrupt: make([]CorruptFunc, n),
-		ops:     buildLaneOps(prog),
 		regBack: make([]uint64, (isa.NumIntRegs+isa.NumFPRegs)*n),
 	}
 	for r := 0; r < isa.NumIntRegs; r++ {
@@ -132,51 +124,6 @@ func NewBatch(prog *isa.Program, mem *Memory, n int) *Batch {
 	return b
 }
 
-// Reset rewinds every lane to the program entry over mem, clearing
-// registers, overlays, flags, and hooks, so a pooled batch can be reused
-// across campaigns without reallocating its columns (overlay maps keep
-// their buckets).
-func (b *Batch) Reset(mem *Memory) {
-	for i := range b.regBack {
-		b.regBack[i] = 0
-	}
-	for lane := 0; lane < b.N; lane++ {
-		b.PC[lane] = b.Prog.Entry
-		b.Seq[lane] = 0
-		b.Halted[lane] = false
-		b.Trapped[lane] = false
-		b.Corrupt[lane] = nil
-		b.Mem[lane].Reset(mem)
-	}
-	b.Observer = nil
-	b.liveList = b.liveList[:0]
-	for lane := 0; lane < b.N; lane++ {
-		b.liveList = append(b.liveList, int32(lane))
-	}
-}
-
-func (b *Batch) readInt(r isa.Reg, lane int) uint64 { return b.IntReg[r][lane] }
-func (b *Batch) readFP(r isa.Reg, lane int) uint64  { return b.FPReg[r][lane] }
-
-func (b *Batch) writeInt(r isa.Reg, lane int, v uint64) {
-	if r != isa.ZeroReg {
-		b.IntReg[r][lane] = v
-	}
-}
-
-func (b *Batch) writeFP(r isa.Reg, lane int, v uint64) {
-	if r != isa.ZeroReg {
-		b.FPReg[r][lane] = v
-	}
-}
-
-func (b *Batch) corrupt(lane int, p CorruptPoint, pc uint64, v uint64) uint64 {
-	if c := b.Corrupt[lane]; c != nil {
-		return c(p, b.Seq[lane], pc, v)
-	}
-	return v
-}
-
 // Live returns the number of lanes still running.
 func (b *Batch) Live() int {
 	live := 0
@@ -194,20 +141,14 @@ func (b *Batch) Live() int {
 // scalar state equal). A lane whose PC has left the code image traps
 // (Tolerant) or panics, exactly as Thread.StepInto does.
 //
-// With no Observer attached, the round runs SIMT-style: live lanes are
-// bucketed by PC and each bucket executes through one column-handler call,
-// so dispatch is paid once per distinct PC instead of once per lane, the
-// handler sweeps contiguous register columns, and no Outcome is
-// materialised. Campaign replays keep most lanes at the same PC for most
-// rounds (one injected bit flip rarely redirects control flow at once), so
-// a round is typically one or two handler calls. With an Observer the
-// per-lane handlers run in ascending lane order and report every executed
-// instruction; both paths are held bit-equal to the scalar oracle by the
-// vm and vmdiff differential batteries.
+// The round runs SIMT-style: live lanes are bucketed by PC and each bucket
+// executes through one column-handler call, so dispatch is paid once per
+// distinct PC instead of once per lane, the handler sweeps contiguous
+// register columns, and no Outcome is materialised. Campaign replays keep
+// most lanes at the same PC for most rounds (one injected bit flip rarely
+// redirects control flow at once), so a round is typically one or two
+// handler calls.
 func (b *Batch) Step() int {
-	if b.Observer != nil {
-		return b.stepObserved()
-	}
 	live := b.liveList
 	if len(live) == 0 {
 		return 0
@@ -242,7 +183,7 @@ func (b *Batch) stepDiverged(live []int32, codeLen uint64) {
 	for _, lane := range live {
 		pc := b.PC[lane]
 		if pc >= codeLen {
-			b.trapLane(int(lane), &b.out)
+			b.trapLane(int(lane))
 			continue
 		}
 		if b.headByPC[pc] < 0 {
@@ -277,34 +218,6 @@ func (b *Batch) compactLive() int {
 	return k
 }
 
-// stepObserved is the per-lane round: ascending lane order, full Outcome
-// per executed instruction, Observer called for each. It rebuilds the live
-// list afterwards so observed and unobserved rounds can interleave.
-func (b *Batch) stepObserved() int {
-	out := &b.out
-	codeLen := uint64(len(b.Prog.Code))
-	for lane := 0; lane < b.N; lane++ {
-		if b.Halted[lane] {
-			continue
-		}
-		pc := b.PC[lane]
-		if pc >= codeLen {
-			b.trapLane(lane, out)
-			continue
-		}
-		b.ops[pc](b, lane, out)
-		b.Observer(lane, out)
-	}
-	live := b.liveList[:0]
-	for lane := 0; lane < b.N; lane++ {
-		if !b.Halted[lane] {
-			live = append(live, int32(lane))
-		}
-	}
-	b.liveList = live
-	return len(live)
-}
-
 // Run executes up to maxRounds lockstep rounds (one instruction per live
 // lane per round), stopping early when every lane has halted, and returns
 // the number of rounds executed.
@@ -317,195 +230,13 @@ func (b *Batch) Run(maxRounds uint64) uint64 {
 	return rounds
 }
 
-func (b *Batch) trapLane(lane int, out *Outcome) {
+// trapLane halts a lane whose PC has left the code image, or panics when
+// the batch is not Tolerant.
+func (b *Batch) trapLane(lane int) {
 	if !b.Tolerant {
 		panic(fmt.Sprintf("vm: batch lane %d PC %d outside %q code (len %d)",
 			lane, b.PC[lane], b.Prog.Name, len(b.Prog.Code)))
 	}
 	b.Halted[lane] = true
 	b.Trapped[lane] = true
-	*out = Outcome{Seq: b.Seq[lane], PC: b.PC[lane], Instr: isa.Instr{Op: isa.HALT}, NextPC: b.PC[lane], Halted: true, Trap: true}
-	if b.Observer != nil {
-		b.Observer(lane, out)
-	}
-}
-
-// laneFn is one compiled batch handler: the lane-indexed form of stepFn.
-type laneFn func(b *Batch, lane int, out *Outcome)
-
-// buildLaneOps compiles prog into the batch per-PC handler table. It is
-// the same specialisation as scalarFn over the same semOf decode, acting
-// on SoA columns instead of a Thread.
-func buildLaneOps(prog *isa.Program) []laneFn {
-	ops := make([]laneFn, len(prog.Code))
-	for pc := range prog.Code {
-		ops[pc] = laneFnOf(semOf(prog.Code[pc]), uint64(pc))
-	}
-	return ops
-}
-
-func laneFnOf(s sem, pc uint64) laneFn {
-	ins := s.ins
-	next := pc + 1
-	switch s.shape {
-	case shNop:
-		return func(b *Batch, lane int, out *Outcome) {
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: next}
-			b.PC[lane] = next
-			b.Seq[lane]++
-		}
-
-	case shHalt:
-		return func(b *Batch, lane int, out *Outcome) {
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: next, Halted: true}
-			b.Halted[lane] = true
-			b.Seq[lane]++
-		}
-
-	case shALU:
-		fn, ra, rb, rd := s.fn, ins.Ra, ins.Rb, ins.Rd
-		aFP, bFP, bImm, noA, noB, destFP := s.aFP, s.bFP, s.bImm, s.noA, s.noB, s.destFP
-		imm := uint64(ins.Imm)
-		return func(b *Batch, lane int, out *Outcome) {
-			var a, bv uint64
-			if !noA {
-				if aFP {
-					a = b.readFP(ra, lane)
-				} else {
-					a = b.readInt(ra, lane)
-				}
-			}
-			if bImm {
-				bv = imm
-			} else if !noB {
-				if bFP {
-					bv = b.readFP(rb, lane)
-				} else {
-					bv = b.readInt(rb, lane)
-				}
-			}
-			v := b.corrupt(lane, PointResult, pc, fn(a, bv))
-			if destFP {
-				b.writeFP(rd, lane, v)
-			} else {
-				b.writeInt(rd, lane, v)
-			}
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: next, DestVal: v}
-			b.PC[lane] = next
-			b.Seq[lane]++
-		}
-
-	case shLoad:
-		ra, rd := ins.Ra, ins.Rd
-		imm := uint64(ins.Imm)
-		byteOp, destFP, size := s.byteOp, s.destFP, s.size
-		return func(b *Batch, lane int, out *Outcome) {
-			addr := b.readInt(ra, lane) + imm
-			var v uint64
-			if byteOp {
-				v = uint64(b.Mem[lane].Byte(addr))
-			} else {
-				v = b.Mem[lane].Read64(addr)
-			}
-			v = b.corrupt(lane, PointLoadValue, pc, v)
-			v = b.corrupt(lane, PointResult, pc, v)
-			if destFP {
-				b.writeFP(rd, lane, v)
-			} else {
-				b.writeInt(rd, lane, v)
-			}
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: next, Addr: addr, Size: size, Value: v, DestVal: v}
-			b.PC[lane] = next
-			b.Seq[lane]++
-		}
-
-	case shLoadIO:
-		ra, rd := ins.Ra, ins.Rd
-		imm := uint64(ins.Imm)
-		size := s.size
-		return func(b *Batch, lane int, out *Outcome) {
-			addr := b.readInt(ra, lane) + imm
-			var v uint64
-			if b.IORead != nil {
-				v = b.IORead(addr)
-			}
-			v = b.corrupt(lane, PointLoadValue, pc, v)
-			v = b.corrupt(lane, PointResult, pc, v)
-			b.writeInt(rd, lane, v)
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: next, Addr: addr, Size: size, Value: v, DestVal: v}
-			b.PC[lane] = next
-			b.Seq[lane]++
-		}
-
-	case shStore, shStoreIO:
-		ra, rd := ins.Ra, ins.Rd
-		imm := uint64(ins.Imm)
-		srcFP, byteOp, size := s.srcFP, s.byteOp, s.size
-		cached := s.shape == shStore
-		return func(b *Batch, lane int, out *Outcome) {
-			addr := b.corrupt(lane, PointStoreAddr, pc, b.readInt(ra, lane)+imm)
-			var v uint64
-			switch {
-			case srcFP:
-				v = b.readFP(rd, lane)
-			case byteOp:
-				v = b.readInt(rd, lane) & 0xff
-			default:
-				v = b.readInt(rd, lane)
-			}
-			v = b.corrupt(lane, PointStoreData, pc, v)
-			if cached {
-				b.Mem[lane].Store(addr, v, size, b.Seq[lane])
-			}
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: next, Addr: addr, Size: size, Value: v}
-			b.PC[lane] = next
-			b.Seq[lane]++
-		}
-
-	case shBR:
-		target := ins.BranchTarget(pc)
-		return func(b *Batch, lane int, out *Outcome) {
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: target, Taken: true}
-			b.PC[lane] = target
-			b.Seq[lane]++
-		}
-
-	case shCondBr:
-		cond, ra := s.cond, ins.Ra
-		target := ins.BranchTarget(pc)
-		return func(b *Batch, lane int, out *Outcome) {
-			npc := next
-			taken := cond(b.readInt(ra, lane))
-			if taken {
-				npc = target
-			}
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: npc, Taken: taken}
-			b.PC[lane] = npc
-			b.Seq[lane]++
-		}
-
-	case shJSR:
-		rd := ins.Rd
-		target := ins.BranchTarget(pc)
-		return func(b *Batch, lane int, out *Outcome) {
-			link := b.corrupt(lane, PointResult, pc, next)
-			b.writeInt(rd, lane, link)
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: target, Taken: true, DestVal: link}
-			b.PC[lane] = target
-			b.Seq[lane]++
-		}
-
-	case shJMP:
-		ra, rd := ins.Ra, ins.Rd
-		return func(b *Batch, lane int, out *Outcome) {
-			// Jump target read before the link writeback (rd may alias ra).
-			npc := b.readInt(ra, lane)
-			link := b.corrupt(lane, PointResult, pc, next)
-			b.writeInt(rd, lane, link)
-			*out = Outcome{Seq: b.Seq[lane], PC: pc, Instr: ins, NextPC: npc, Taken: true, DestVal: link}
-			b.PC[lane] = npc
-			b.Seq[lane]++
-		}
-	}
-	panic(fmt.Sprintf("vm: no batch handler shape for opcode %v", s.ins.Op))
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // lockstep runs prog on an n-lane batch against n scalar switch oracles
-// (vmdiff.Lockstep with the exhaustive every-round register sweep) for at
+// (vmdiff.Lockstep, which checks every lane against its oracle's outcome
+// each round, here with the exhaustive every-round register sweep) for at
 // most rounds rounds, failing the test at the first divergence.
 func lockstep(t *testing.T, prog *isa.Program, n int, rounds uint64, corrupt func(lane int) vm.CorruptFunc) *vmdiff.Lockstep {
 	t.Helper()
@@ -28,9 +29,10 @@ func lockstep(t *testing.T, prog *isa.Program, n int, rounds uint64, corrupt fun
 // TestBatchMatchesScalar: a Batch over random programs — one per opcode,
 // each forced to contain that opcode — must stay bit-equal to N
 // independent scalar oracle threads after every lockstep round, with
-// distinct per-lane corruption hooks driving the lanes apart. The shadow
-// batch inside vmdiff.Lockstep extends the identity to the column fast
-// path for every handler shape.
+// distinct per-lane corruption hooks driving the lanes apart. Every
+// instruction's register write and store bytes are checked as it
+// executes, so each column handler shape is held to the oracle at the
+// instruction that goes wrong.
 func TestBatchMatchesScalar(t *testing.T) {
 	for i, op := range allOps() {
 		seed := uint64(i + 1)
@@ -52,8 +54,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 }
 
 // TestBatchTrapParity: lanes that run off the code image must trap exactly
-// like scalar tolerant threads — Halted+Trapped set, trap outcome emitted,
-// Seq frozen — and the intolerant batch must panic.
+// like scalar tolerant threads — Halted+Trapped set, Seq frozen — and the
+// intolerant batch must panic.
 func TestBatchTrapParity(t *testing.T) {
 	// Lane behaviour diverges on r1: LDI loads the lane-corrupted jump
 	// target, so some lanes jump out of the image and trap.
@@ -97,7 +99,7 @@ func TestBatchTrapParity(t *testing.T) {
 }
 
 // storeLoop is an infinite store/load/branch kernel for the steady-state
-// alloc and reuse gates: it keeps the overlay hot without ever halting.
+// alloc gate: it keeps the overlay hot without ever halting.
 func storeLoop() *isa.Program {
 	return &isa.Program{Name: "storeloop", Code: []isa.Instr{
 		{Op: isa.LDI, Rd: 1, Imm: 64},
@@ -119,45 +121,5 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("batched Step allocates %.2f per round in steady state, want 0", allocs)
-	}
-}
-
-// TestBatchResetReuse: Reset must rewind a pooled batch without
-// reallocating its columns or overlay buckets, so a whole
-// reset-and-replay cycle is allocation-free after the first campaign.
-func TestBatchResetReuse(t *testing.T) {
-	prog := &isa.Program{Name: "resetloop", Code: []isa.Instr{
-		{Op: isa.LDI, Rd: 1, Imm: 64},
-		{Op: isa.STQ, Rd: 1, Ra: 1, Imm: 0},
-		{Op: isa.STQ, Rd: 1, Ra: 1, Imm: 8},
-		{Op: isa.HALT},
-	}}
-	mem := vm.NewMemory()
-	vm.Load(prog, mem)
-	b := vm.NewBatch(prog, mem, 8)
-	b.Run(16) // first campaign grows the overlay maps
-	allocs := testing.AllocsPerRun(50, func() {
-		b.Reset(mem)
-		b.Run(16)
-	})
-	if allocs != 0 {
-		t.Fatalf("Reset+Run allocates %.2f per campaign after warmup, want 0", allocs)
-	}
-
-	// Reset really rewinds: state after Reset equals a fresh batch.
-	b.Reset(mem)
-	for lane := 0; lane < b.N; lane++ {
-		if b.PC[lane] != prog.Entry || b.Seq[lane] != 0 || b.Halted[lane] || b.Trapped[lane] {
-			t.Fatalf("lane %d not rewound: pc %d seq %d halted %v trapped %v",
-				lane, b.PC[lane], b.Seq[lane], b.Halted[lane], b.Trapped[lane])
-		}
-		for r := 0; r < isa.NumIntRegs; r++ {
-			if b.IntReg[r][lane] != 0 {
-				t.Fatalf("lane %d r%d = %#x after Reset, want 0", lane, r, b.IntReg[r][lane])
-			}
-		}
-		if got := b.Mem[lane].Read64(64); got != 0 {
-			t.Fatalf("lane %d overlay survived Reset: mem[64] = %#x", lane, got)
-		}
 	}
 }

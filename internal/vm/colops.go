@@ -2,16 +2,16 @@ package vm
 
 import "repro/internal/isa"
 
-// Column handlers: the unobserved batch fast path. A colFn executes one
-// static instruction for a whole group of lanes parked at its PC — the
-// lane loop lives inside the handler, so dispatch cost is paid once per
-// distinct PC per round, operand reads sweep the contiguous SoA register
-// columns, and no Outcome is materialised (there is no Observer to hand it
-// to). Each handler is specialised from the same semOf decode as the
-// scalar and per-lane paths — identical corruption-point order, ZeroReg
-// discard, trap/halt behaviour — and the shadow-batch differential
-// batteries (internal/vm dispatch tests, internal/vmdiff) hold the column
-// path bit-equal to the scalar switch oracle after every round.
+// Column handlers: the batch's engine. A colFn executes one static
+// instruction for a whole group of lanes parked at its PC — the lane loop
+// lives inside the handler, so dispatch cost is paid once per distinct PC
+// per round, operand reads sweep the contiguous SoA register columns, and
+// no Outcome is materialised. Each handler is specialised from the same
+// semOf decode as the scalar handlers — identical corruption-point order,
+// ZeroReg discard, trap/halt behaviour — and vmdiff.Lockstep holds every
+// lane to the scalar switch oracle after every round: control state, the
+// register each instruction writes and the bytes each store leaves in the
+// lane's overlay.
 //
 // Lane order within a group is unspecified (diverged rounds chain PC
 // buckets in reverse lane order): lanes are architecturally independent —
@@ -20,9 +20,9 @@ import "repro/internal/isa"
 // arguments, so group execution order cannot be observed in final state.
 //
 // The handlers capture the batch's column slices and per-lane arrays at
-// build time (they are allocated once in NewBatch and reused by Reset), so
-// the hot loops index through closure locals instead of re-loading slice
-// headers through the Batch pointer every iteration.
+// build time (NewBatch allocates them once), so the hot loops index
+// through closure locals instead of re-loading slice headers through the
+// Batch pointer every iteration.
 
 // colFn executes one instruction for every lane in lanes.
 type colFn func(lanes []int32)

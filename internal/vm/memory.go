@@ -170,7 +170,7 @@ type Overlay struct {
 	// clear bit proves the word was never stored, letting loads from
 	// never-stored addresses skip the map probe entirely (the common case —
 	// kernels read far more addresses than they write). Conservative: bits
-	// are set on store and only cleared wholesale on Reset/restore, so
+	// are set on store and only cleared wholesale on restore, so
 	// a released byte may leave a stale bit, which costs one redundant map
 	// probe and nothing else.
 	filter uint64 // derived presence summary, rebuilt from words on restore
@@ -196,23 +196,10 @@ func NewOverlay(mem *Memory) *Overlay {
 	return &Overlay{mem: mem, words: make(map[uint64]*overlayWord)}
 }
 
-// Reset repoints the overlay at mem and clears its pending bytes in place.
-// Released and cleared words stay in the map as empty entries so a recycled
-// overlay re-stores to the same addresses without allocating (Batch pool
-// reuse); the footprint is bounded by the distinct words ever stored.
-func (o *Overlay) Reset(mem *Memory) {
-	o.mem = mem
-	for _, w := range o.words {
-		w.mask = 0
-	}
-	o.n = 0
-	o.filter = 0
-}
-
 // recycleWords empties the overlay: every word record moves, zeroed, to
 // the spare list for wordFor to reuse, and the word cache that points at
-// them is dropped. Unlike Reset, it leaves no empty entries in the map,
-// so a restored overlay holds only the words its stream lists.
+// them is dropped. It leaves no empty entries in the map, so a restored
+// overlay holds only the words its stream lists.
 func (o *Overlay) recycleWords() {
 	for _, w := range o.words {
 		*w = overlayWord{}

@@ -2,18 +2,18 @@
 // engine. It holds the switch oracle (SwitchStep, the original
 // decode-per-step interpreter) and drives an N-lane vm.Batch and N
 // independent scalar oracle threads stepped by it over the same program in
-// lockstep. Every round it compares the full Outcome (which carries the
-// destination write), control state (PC, Seq, halt and trap flags) and the
-// pending-store byte count; full register-file sweeps run on a fixed
-// cadence (SweepEvery rounds) and at each lane's halt, so the terminal
-// state is always checked bit-for-bit while the per-round cost stays O(1)
-// per lane — registers only change through destination writes, which the
-// outcome compare covers, so the sweep cadence only bounds how long a
-// write to the *wrong* register column could hide. An unobserved shadow
-// batch runs alongside so the PC-grouped column fast path (taken only when
-// no Observer is attached) is held to the same state identity. The vm,
-// sim and fault batteries and the FuzzBatchStep fuzz target all go through
-// this harness, so "batch equals scalar" is checked in one place.
+// lockstep. Every round it checks each lane against the architectural
+// effects of its oracle's outcome: control state (PC, Seq, halt and trap
+// flags), the pending-store byte count, the register the instruction
+// wrote and the bytes a cached store left in the lane's overlay. Full
+// register-file sweeps run on a fixed cadence (SweepEvery rounds) and at
+// each lane's halt, so the terminal state is always checked bit-for-bit
+// while the per-round cost stays O(1) per lane — registers only change
+// through destination writes, which the per-round check covers, so the
+// sweep cadence only bounds how long a write to the *wrong* register
+// column could hide. The vm, sim and fault batteries and the FuzzBatchStep
+// fuzz target all go through this harness, so "batch equals scalar" is
+// checked in one place.
 package vmdiff
 
 import (
@@ -34,20 +34,14 @@ type Options struct {
 	IORead func(addr uint64) uint64
 	// Corrupt, when non-nil, supplies each lane's fault-injection hook
 	// (shared by the lane and its oracle; nil return = fault-free lane).
+	// Hooks must be pure functions of their arguments: the batch and the
+	// oracle each call them.
 	Corrupt func(lane int) vm.CorruptFunc
 }
 
-// Lockstep pairs a Batch with its per-lane scalar oracles. A second,
-// unobserved Shadow batch rides along: with no Observer attached a batch
-// round takes the PC-grouped column fast path instead of the per-lane
-// handlers, and the shadow holds that path to the same bit-identity as the
-// observed one (state only — an unobserved round materialises no
-// outcomes). Shadow lanes share the observed lanes' corruption hooks,
-// which is sound because hooks are required to be pure functions of their
-// arguments.
+// Lockstep pairs a Batch with its per-lane scalar oracles.
 type Lockstep struct {
 	Batch   *vm.Batch
-	Shadow  *vm.Batch
 	Oracles []*vm.Thread
 
 	// SweepEvery is the full register-file sweep cadence in rounds (halt
@@ -55,8 +49,6 @@ type Lockstep struct {
 	// the default keeps long-kernel batteries affordable under -race.
 	SweepEvery uint64
 
-	outs  []vm.Outcome
-	seen  []bool
 	round uint64
 }
 
@@ -68,20 +60,11 @@ func NewLockstep(prog *isa.Program, n int, opts Options) *Lockstep {
 	vm.Load(prog, mem)
 	l := &Lockstep{
 		Batch:      vm.NewBatch(prog, mem, n),
-		Shadow:     vm.NewBatch(prog, mem, n),
 		Oracles:    make([]*vm.Thread, n),
 		SweepEvery: 64,
-		outs:       make([]vm.Outcome, n),
-		seen:       make([]bool, n),
 	}
 	l.Batch.Tolerant = opts.Tolerant
 	l.Batch.IORead = opts.IORead
-	l.Batch.Observer = func(lane int, out *vm.Outcome) {
-		l.outs[lane] = *out
-		l.seen[lane] = true
-	}
-	l.Shadow.Tolerant = opts.Tolerant
-	l.Shadow.IORead = opts.IORead
 	for i := 0; i < n; i++ {
 		th := vm.NewThread(i, prog, mem)
 		th.Tolerant = opts.Tolerant
@@ -90,7 +73,6 @@ func NewLockstep(prog *isa.Program, n int, opts Options) *Lockstep {
 			c := opts.Corrupt(i)
 			th.Corrupt = c
 			l.Batch.Corrupt[i] = c
-			l.Shadow.Corrupt[i] = c
 		}
 		l.Oracles[i] = th
 	}
@@ -99,63 +81,79 @@ func NewLockstep(prog *isa.Program, n int, opts Options) *Lockstep {
 
 // Round advances the batch and every live lane's oracle by one instruction
 // and compares them, returning the number of live lanes and the first
-// divergence found (nil when bit-equal). Outcome, control state and
-// pending-byte counts are checked every round; the full register sweep
-// runs every SweepEvery rounds and whenever a lane halts.
+// divergence found (nil when bit-equal). Control state, pending-byte
+// counts, the destination register and a cached store's bytes are checked
+// every round; the full register sweep runs every SweepEvery rounds and
+// whenever a lane halts.
 func (l *Lockstep) Round() (int, error) {
-	for i := range l.seen {
-		l.seen[i] = false
-	}
-	wasLive := make([]bool, l.Batch.N)
-	for i := range wasLive {
-		wasLive[i] = !l.Batch.Halted[i]
-	}
+	b := l.Batch
 	l.round++
 	sweepRound := l.SweepEvery <= 1 || l.round%l.SweepEvery == 0
-	live := l.Batch.Step()
-	l.Shadow.Step()
+	live := b.Step()
 	for i, th := range l.Oracles {
-		if !wasLive[i] {
-			continue // batch skips halted lanes; a halted oracle step is a state no-op
+		if th.Halted {
+			// The batch skips halted lanes, and every earlier round held
+			// the lane's halt flag equal to its oracle's.
+			continue
 		}
 		want := SwitchStep(th)
-		if !l.seen[i] {
-			return live, fmt.Errorf("vmdiff: lane %d: batch emitted no outcome at seq %d", i, want.Seq)
-		}
-		if want != l.outs[i] {
-			return live, fmt.Errorf("vmdiff: lane %d seq %d: outcome diverged\noracle: %+v\nbatch:  %+v", i, want.Seq, want, l.outs[i])
-		}
-		sweep := sweepRound || l.Batch.Halted[i] || l.Shadow.Halted[i]
-		if err := compareLane(l.Batch, "batch", i, th, sweep); err != nil {
+		if err := checkLane(b, i, th, &want); err != nil {
 			return live, err
 		}
-		if err := compareLane(l.Shadow, "shadow", i, th, sweep); err != nil {
-			return live, err
+		if sweepRound || th.Halted {
+			if err := sweepLane(b, i, th); err != nil {
+				return live, err
+			}
 		}
 	}
 	return live, nil
 }
 
-func compareLane(b *vm.Batch, label string, i int, th *vm.Thread, sweep bool) error {
+// checkLane compares lane i of b, just stepped, with the architectural
+// effects of its oracle's outcome want.
+func checkLane(b *vm.Batch, i int, th *vm.Thread, want *vm.Outcome) error {
 	if th.PC != b.PC[i] || th.Seq != b.Seq[i] ||
 		th.Halted != b.Halted[i] || th.Trapped != b.Trapped[i] {
-		return fmt.Errorf("vmdiff: %s lane %d: control state diverged: oracle pc %d seq %d halted %v trapped %v, %s pc %d seq %d halted %v trapped %v",
-			label, i, th.PC, th.Seq, th.Halted, th.Trapped, label, b.PC[i], b.Seq[i], b.Halted[i], b.Trapped[i])
+		return fmt.Errorf("vmdiff: lane %d seq %d: control state diverged: oracle pc %d seq %d halted %v trapped %v, batch pc %d seq %d halted %v trapped %v",
+			i, want.Seq, th.PC, th.Seq, th.Halted, th.Trapped, b.PC[i], b.Seq[i], b.Halted[i], b.Trapped[i])
 	}
 	if op, bp := th.Mem.PendingBytes(), b.Mem[i].PendingBytes(); op != bp {
-		return fmt.Errorf("vmdiff: %s lane %d: overlay diverged: oracle %d pending bytes, got %d", label, i, op, bp)
+		return fmt.Errorf("vmdiff: lane %d seq %d: oracle has %d pending bytes, batch %d", i, want.Seq, op, bp)
 	}
-	if !sweep {
+	if want.Trap {
 		return nil
 	}
+	ins := want.Instr
+	if ins.HasDest() && !ins.DestDiscarded() {
+		col, file := b.IntReg[ins.Rd], "r"
+		if ins.DestIsFP() {
+			col, file = b.FPReg[ins.Rd], "f"
+		}
+		if col[i] != want.DestVal {
+			return fmt.Errorf("vmdiff: lane %d seq %d: %s%d = %#x, oracle %#x", i, want.Seq, file, ins.Rd, col[i], want.DestVal)
+		}
+	}
+	if ins.IsStore() && !ins.IsUncached() {
+		for k := 0; k < want.Size; k++ {
+			addr := want.Addr + uint64(k)
+			if got, exp := b.Mem[i].Byte(addr), byte(want.Value>>(8*k)); got != exp {
+				return fmt.Errorf("vmdiff: lane %d seq %d: store byte %#x = %#x, oracle %#x", i, want.Seq, addr, got, exp)
+			}
+		}
+	}
+	return nil
+}
+
+// sweepLane compares every register of lane i of b with its oracle's.
+func sweepLane(b *vm.Batch, i int, th *vm.Thread) error {
 	for r := 0; r < isa.NumIntRegs; r++ {
 		if th.IntReg[r] != b.IntReg[r][i] {
-			return fmt.Errorf("vmdiff: %s lane %d: r%d = %#x, got %#x", label, i, r, th.IntReg[r], b.IntReg[r][i])
+			return fmt.Errorf("vmdiff: lane %d: r%d = %#x, oracle %#x", i, r, b.IntReg[r][i], th.IntReg[r])
 		}
 	}
 	for r := 0; r < isa.NumFPRegs; r++ {
 		if th.FPReg[r] != b.FPReg[r][i] {
-			return fmt.Errorf("vmdiff: %s lane %d: f%d = %#x, got %#x", label, i, r, th.FPReg[r], b.FPReg[r][i])
+			return fmt.Errorf("vmdiff: lane %d: f%d = %#x, oracle %#x", i, r, b.FPReg[r][i], th.FPReg[r])
 		}
 	}
 	return nil
