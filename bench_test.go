@@ -11,6 +11,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/exp"
@@ -103,38 +104,46 @@ func BenchmarkFig12_Lock_CRT4(b *testing.B) { benchExperiment(b, exp.Fig12) }
 // BenchmarkCoverage_Faults regenerates the fault-injection campaigns.
 func BenchmarkCoverage_Faults(b *testing.B) { benchExperiment(b, exp.Coverage) }
 
-// BenchmarkCampaign_ForkOnFault measures one serial fault-injection
-// campaign per paired mode: 96 trials on compress over a doubled cycle
-// budget (a from-scratch engine's cost scales with run length × trials;
-// the fork engine pays the run once, so a campaign-sized workload is where
-// the design shows). The golden run is simulated once with periodic state
-// checkpoints; each trial restores the checkpoint before its injection and
-// replays only the suffix, exiting early when its state rejoins the golden
-// run bytewise or, under SRTR, when it rolls back to a checkpoint taken
-// before its fault fired.
+// BenchmarkCampaign_ForkOnFault measures one fault-injection campaign per
+// paired mode: 96 trials on compress over a doubled cycle budget (a
+// from-scratch engine's cost scales with run length × trials; the fork
+// engine pays the run once, so a campaign-sized workload is where the
+// design shows). The golden run is simulated once with periodic state
+// checkpoints; each trial starts from the golden state at its fault's
+// fire cycle and replays only the suffix, exiting early when its state
+// rejoins the golden run bytewise or, under SRTR, when it rolls back to a
+// checkpoint taken before its fault fired. The sub-benchmarks named after
+// a mode run serially, so the golden pass ends before the first replay;
+// the -p2 ones run on two workers, one replaying beside the golden pass.
 func BenchmarkCampaign_ForkOnFault(b *testing.B) {
 	p := benchParams(b)
-	for _, mode := range []sim.Mode{sim.ModeSRT, sim.ModeCRT, sim.ModeSRTR, sim.ModeAdaptive} {
-		b.Run(mode.String(), func(b *testing.B) {
-			spec := sim.Spec{
-				Mode: mode, Programs: []string{"compress"},
-				Budget: 2 * p.Budget, Warmup: p.Warmup,
-				Config: pipeline.DefaultConfig(), PSR: true,
+	for _, workers := range []int{1, 2} {
+		for _, mode := range []sim.Mode{sim.ModeSRT, sim.ModeCRT, sim.ModeSRTR, sim.ModeAdaptive} {
+			name := mode.String()
+			if workers > 1 {
+				name += fmt.Sprintf("-p%d", workers)
 			}
-			if mode == sim.ModeAdaptive {
-				spec.AdaptiveThreshold = 0.5
-			}
-			var total uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sum, err := fault.Campaign(spec, 96, 0xC0FFEE, runner.Options{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				spec := sim.Spec{
+					Mode: mode, Programs: []string{"compress"},
+					Budget: 2 * p.Budget, Warmup: p.Warmup,
+					Config: pipeline.DefaultConfig(), PSR: true,
 				}
-				total = sum.TotalCycles
-			}
-			b.ReportMetric(float64(total), "simcycles")
-		})
+				if mode == sim.ModeAdaptive {
+					spec.AdaptiveThreshold = 0.5
+				}
+				var total uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sum, err := fault.Campaign(spec, 96, 0xC0FFEE, runner.Options{Parallelism: workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					total = sum.TotalCycles
+				}
+				b.ReportMetric(float64(total), "simcycles")
+			})
+		}
 	}
 }
 

@@ -256,26 +256,53 @@ func Plan(spec sim.Spec, n int, seed uint64) []Transient {
 // Plan(spec, n, seed)[i]) and classifies the outcome. n == 0 yields an
 // empty summary; a negative n is an error.
 //
-// Trials run on the fork-on-fault engine: the fault-free (golden) run is
-// simulated once, with machine-state checkpoints taken at a fixed cycle
-// interval, and then every trial is one runner job, in trial order. The
-// job of a trial whose fault never fires classifies it from golden end
-// state; the job of a fired trial restores the last checkpoint before its
-// injection point and replays only the suffix instead of re-simulating the
-// whole prefix. Replay machines are recycled through a pool (restore
-// overwrites all mutable state), so steady-state trial cost is one
-// snapshot decode plus the suffix cycles. The fault plan is fixed before
-// the first trial starts and the runner returns results by trial index, so
-// the summary — including per-trial outcome order — is identical at any
-// parallelism, and byte-identical to building and simulating every trial
-// from scratch.
+// Trials run on the fork-on-fault engine, as n+1 runner jobs. Job 0 is the
+// golden pass: it simulates the fault-free run once, publishes a state
+// checkpoint every checkpointInterval cycles, and queues each trial, in
+// fire order, as soon as its fault fires; trials whose fault never fires
+// are queued when the pass ends. Jobs 1..n each take the next queued
+// trial, so replays run beside the golden pass. An unfired trial is
+// classified from golden end state. A fired trial starts from the golden
+// state at its fire cycle: its machine restores the latest golden state it
+// holds at or before the fire (the state it saved at its previous trial's
+// fire, or the coarse checkpoint), steps fault-free to the fire, saves that
+// state, arms the fault and replays only the suffix. Machines are recycled
+// across replays, and the golden machine joins them when its pass ends. A
+// replay whose state becomes byte-identical to a golden checkpoint ends
+// early; what only the end of the golden pass tells (the end cycle, the
+// adaptive reference digest, the golden run's health) is applied to the
+// results once every job is done. The fault plan is fixed before the first
+// job starts and results are assembled by trial index, so the summary —
+// including per-trial outcome order — is identical at any parallelism, and
+// byte-identical to building and simulating every trial from scratch.
 //
-// opts is the campaign's run policy, handed to runner.Run with the trial
-// jobs, so Progress and OnReport count trials and Cancel is polled before
-// each one. Cancel is also polled before the golden pass and at each of
-// its checkpoint boundaries; the golden pass runs outside the pool and
-// its time is not in the report.
+// opts is the campaign's run policy, handed to runner.Run with the jobs,
+// so Progress and OnReport count the golden pass and the trials, and the
+// report's Busy includes the golden pass. Cancel is polled before each job
+// and at each checkpoint boundary of the golden pass; a Cancel error or a
+// failed job ends the campaign and wakes every job waiting on the golden
+// pass with that error.
 func Campaign(spec sim.Spec, n int, seed uint64, opts runner.Options) (*CampaignSummary, error) {
+	return runCampaign(spec, n, seed, opts, hooks{})
+}
+
+// hooks are probes the package's tests hang into the engine; Campaign sets
+// none.
+type hooks struct {
+	// armed runs as a fired replay arms its fault, with the trial index
+	// and the machine.
+	armed func(trial int, m *sim.Machine)
+	// waiting runs, under the campaign's lock, each time a trial job
+	// blocks on the golden pass.
+	waiting func()
+	// distrustGolden treats the golden run as unhealthy for every pair,
+	// whatever its end state: every trial that took a convergence exit
+	// is replayed again without checks.
+	distrustGolden bool
+}
+
+// runCampaign is Campaign with test hooks.
+func runCampaign(spec sim.Spec, n int, seed uint64, opts runner.Options, h hooks) (*CampaignSummary, error) {
 	if !spec.Mode.Paired() {
 		return nil, fmt.Errorf("fault: campaign requires a paired mode (a leading/trailing pair to strike), got %v", spec.Mode)
 	}
@@ -283,33 +310,42 @@ func Campaign(spec sim.Spec, n int, seed uint64, opts runner.Options) (*Campaign
 		return nil, fmt.Errorf("fault: campaign trial count %d is negative", n)
 	}
 	spec.StopOnDetection = true
-	if opts.Cancel == nil {
-		opts.Cancel = func() error { return nil }
-	}
-	if err := opts.Cancel(); err != nil {
-		return nil, err
-	}
-	faults := Plan(spec, n, seed)
-	prep, err := forkPrepare(spec, faults, opts.Cancel)
-	if err != nil {
-		return nil, fmt.Errorf("fault: golden run: %w", err)
-	}
-	jobs := make([]func() (Result, error), n)
-	for i, f := range faults {
-		jobs[i] = func() (Result, error) {
-			if !prep.fired[i] {
-				return prep.classifyUnfired(f), nil
+	c := newForkCampaign(spec, Plan(spec, n, seed), h)
+	if cancel := opts.Cancel; cancel != nil {
+		c.cancel = func() error {
+			if err := cancel(); err != nil {
+				c.fail(err)
+				return err
 			}
-			res, err := prep.replay(spec, f, i)
-			if err != nil {
-				return Result{}, fmt.Errorf("fault: trial %d (%v): %w", i, f, err)
-			}
-			return res, nil
+			return nil
 		}
 	}
-	results, _, err := runner.Run(jobs, opts)
+	opts.Cancel = c.cancel
+	jobs := make([]func() (replayed, error), n+1)
+	jobs[0] = func() (replayed, error) {
+		if err := c.runGolden(); err != nil {
+			return replayed{}, c.fail(fmt.Errorf("fault: golden run: %w", err))
+		}
+		return replayed{}, nil
+	}
+	for k := range n {
+		jobs[k+1] = func() (replayed, error) {
+			r, err := c.trial(k)
+			if err != nil {
+				return replayed{}, c.fail(err)
+			}
+			return r, nil
+		}
+	}
+	out, _, err := runner.Run(jobs, opts)
 	if err != nil {
 		return nil, err
+	}
+	results := make([]Result, n)
+	for k, i := range c.queue {
+		if results[i], err = c.settle(i, out[k+1]); err != nil {
+			return nil, err
+		}
 	}
 	return summarize(n, results), nil
 }
@@ -346,11 +382,11 @@ func summarize(n int, results []Result) *CampaignSummary {
 }
 
 // checkpointInterval is the golden-run checkpoint spacing in machine
-// iterations. A trial replays from the last checkpoint at or before its
-// fire iteration; an armed fault is silent until its exact injection point,
-// so the replayed prefix re-executes the golden run bit-for-bit and the
-// interval trades at most this many re-simulated cycles per trial against
-// the cost of encoding checkpoints nobody replays from.
+// iterations. A replay that holds no later golden state restores the last
+// checkpoint at or before its fire iteration and steps from there; an
+// armed fault is silent until its exact injection point, so the stepped
+// prefix re-executes the golden run bit-for-bit. The interval also sets
+// where convergence checks compare a replay with the golden run.
 const checkpointInterval = 1024
 
 // convergenceChecks bounds how many checkpoint boundaries past its fire a
@@ -368,47 +404,182 @@ const convergenceChecks = 2
 // without simulating the rest.
 var errConverged = errors.New("fault: replay converged with golden run")
 
-// forkPrep carries what the golden pass learned: per fault, whether it
-// fires and at which machine iteration; periodic checkpoints covering every
-// fire; the golden run's end state for classifying unfired trials; and a
-// pool of machines recycled across replay trials.
-type forkPrep struct {
-	fired    []bool
-	fireIter []uint64              // machine iteration (Machine.Cycles) at fire
-	snaps    map[uint64]goldenCkpt // checkpoint iteration -> checkpoint
-	pool     sync.Pool             // recycled *replayMachine for replay trials
+// forkCampaign is one fork-on-fault campaign in flight: the fault plan,
+// what the golden pass has published so far, and the machines idle
+// between replays. The golden pass is the only writer of fire records and
+// checkpoints; trial jobs read them under mu, and wait on cond for what
+// the pass has not reached yet. The golden pass never waits on a trial.
+type forkCampaign struct {
+	spec   sim.Spec
+	faults []Transient
+	// cancel is the run's Cancel poll; a failing poll fails the campaign.
+	cancel func() error
+	hooks  hooks
 
-	endCycle     uint64 // Cores[0].Cycle() at golden completion
+	mu sync.Mutex
+	// cond is broadcast when the golden pass publishes, ends, or the
+	// campaign fails.
+	cond sync.Cond
+
+	// queue lists trials in dispatch order: the fired ones in fire order,
+	// then, once the pass ends, the unfired ones. Trial i's fire record
+	// (fired, fireIter, lists) is written before i is queued.
+	queue    []int
+	fired    []bool
+	fireIter []uint64             // machine iteration (Machine.Cycles) at fire
+	lists    []sim.CheckpointList // SRTR: the run's checkpoint list at fire
+	// snaps maps a checkpoint iteration to the golden snapshot there, and
+	// reached is the last boundary the pass has published: every
+	// checkpoint it keeps at or below reached is in snaps.
+	snaps   map[uint64][]byte
+	reached uint64
+	ended   bool
+	end     goldenEnd // valid once ended
+	err     error     // the campaign's first failure
+
+	idle []*replayMachine
+}
+
+// goldenEnd is what only the end of the golden pass tells.
+type goldenEnd struct {
+	cycle        uint64 // Cores[0].Cycle() at golden completion
 	detections   int    // golden detections (0 in a healthy machine)
 	haltDiverged []bool // per logical: lead/trail halt states diverged
-
-	// golden, when non-nil (adaptive only), is the fault-free run's final
+	// digest, when non-nil (adaptive only), is the fault-free run's final
 	// architectural digest, the reference undetected trials are classified
 	// against (Masked vs UnprotectedSDC).
-	golden *[32]byte
+	digest *[32]byte
 }
 
-// goldenCkpt is one checkpoint of the golden run: its machine snapshot and,
-// in SRTR campaigns, the run's SRTR checkpoint list in force there, which
-// a replay restored from the snapshot resumes so that it validates and
-// rolls back exactly as the unbroken run does.
-type goldenCkpt struct {
-	snap []byte
-	list sim.CheckpointList
-}
-
-// replayMachine is a machine the replay pool recycles across trials, with
-// the buffer its convergence checks encode into: the buffer grows to a
-// snapshot's size once and is reused by every later check.
+// replayMachine is a machine the campaign recycles across replays. saved
+// holds the golden state at iteration savedAt, the fire of the last trial
+// it ran (empty before its first), for a later replay to start from;
+// scratch is the buffer its convergence checks encode into. Both grow to a
+// snapshot's size once and are reused.
 type replayMachine struct {
 	*sim.Machine
+	saved   []byte
+	savedAt uint64
 	scratch []byte
 }
 
-// base returns the checkpoint iteration a fired trial replays from: the
-// last checkpoint at or before its fire iteration.
-func (p *forkPrep) base(i int) uint64 {
-	return p.fireIter[i] - p.fireIter[i]%checkpointInterval
+// replayed is one trial job's product: the result as far as the trial can
+// tell, and what the end of the golden pass must still settle.
+type replayed struct {
+	Result
+	// converged marks a trial that ended at a convergence exit: its Cycles
+	// are the golden end cycle, and the exit holds only if the golden run
+	// ends healthy.
+	converged bool
+	// digest, for an undetected adaptive trial, is its final architectural
+	// digest, which decides Masked vs UnprotectedSDC against the golden
+	// run's.
+	digest *[32]byte
+}
+
+func newForkCampaign(spec sim.Spec, faults []Transient, h hooks) *forkCampaign {
+	c := &forkCampaign{
+		spec:     spec,
+		faults:   faults,
+		cancel:   func() error { return nil },
+		hooks:    h,
+		fired:    make([]bool, len(faults)),
+		fireIter: make([]uint64, len(faults)),
+		lists:    make([]sim.CheckpointList, len(faults)),
+		snaps:    make(map[uint64][]byte),
+	}
+	c.cond.L = &c.mu
+	return c
+}
+
+// fail records err as the campaign's failure unless one is recorded
+// already, wakes every waiting job, and returns the recorded failure:
+// every job a failure stops returns the same error.
+func (c *forkCampaign) fail(err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+		c.cond.Broadcast()
+	}
+	return c.err
+}
+
+// wait blocks on cond; the caller holds mu.
+func (c *forkCampaign) wait() {
+	if c.hooks.waiting != nil {
+		c.hooks.waiting()
+	}
+	c.cond.Wait()
+}
+
+// trial is the job at queue position k: it waits for the golden pass to
+// queue its trial, then classifies it (unfired) or replays it on an idle
+// machine, which it returns to the idle list after a successful replay.
+func (c *forkCampaign) trial(k int) (replayed, error) {
+	c.mu.Lock()
+	for c.err == nil && len(c.queue) <= k {
+		c.wait()
+	}
+	i, err := 0, c.err
+	if err == nil {
+		i = c.queue[k]
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return replayed{}, err
+	}
+	if !c.fired[i] {
+		return replayed{Result: c.classifyUnfired(c.faults[i])}, nil
+	}
+	return c.replayIdle(i, true)
+}
+
+// replayIdle replays fired trial i on a machine from the idle list, and
+// returns the machine there after a successful replay.
+func (c *forkCampaign) replayIdle(i int, checks bool) (replayed, error) {
+	m, err := c.take(c.fireIter[i])
+	var r replayed
+	if err == nil {
+		r, err = c.replay(m, i, checks)
+	}
+	if err != nil {
+		return replayed{}, fmt.Errorf("fault: trial %d (%v): %w", i, c.faults[i], err)
+	}
+	c.put(m)
+	return r, nil
+}
+
+// settle applies to trial i's job product what the end of the golden pass
+// tells: a convergence exit holds only for a healthy golden run, otherwise
+// the trial is replayed again without checks; a converged trial ran the
+// golden suffix to the golden end cycle; an undetected adaptive trial is
+// masked only if its final state matches the golden run's.
+func (c *forkCampaign) settle(i int, r replayed) (Result, error) {
+	if r.converged && !c.trusted(c.faults[i].Logical) {
+		if err := c.cancel(); err != nil {
+			return Result{}, err
+		}
+		var err error
+		if r, err = c.replayIdle(i, false); err != nil {
+			return Result{}, err
+		}
+	}
+	if r.converged {
+		r.Cycles = c.end.cycle
+	}
+	if r.digest != nil && *r.digest != *c.end.digest {
+		r.Outcome = UnprotectedSDC
+	}
+	return r.Result, nil
+}
+
+// trusted reports whether the golden run ended healthy for the pair a
+// fault strikes: no detection, and its two copies agree on having halted.
+// Only then does a convergence exit mean the trial is masked: a trial that
+// rejoins an unhealthy golden run inherits its detection or divergence.
+func (c *forkCampaign) trusted(logical int) bool {
+	return c.end.detections == 0 && !c.end.haltDiverged[logical] && !c.hooks.distrustGolden
 }
 
 // classifyUnfired reproduces runArmed's classification for a trial whose
@@ -416,51 +587,49 @@ func (p *forkPrep) base(i int) uint64 {
 // bit-for-bit (an armed-but-silent fault and oracle tolerance change
 // nothing on a fault-free path), so its outcome is a function of golden end
 // state alone.
-func (p *forkPrep) classifyUnfired(f Transient) Result {
-	res := Result{Fault: f, Cycles: p.endCycle}
+func (c *forkCampaign) classifyUnfired(f Transient) Result {
+	res := Result{Fault: f, Cycles: c.end.cycle}
 	switch {
-	case p.detections > 0 || p.haltDiverged[f.Logical]:
+	case c.end.detections > 0 || c.end.haltDiverged[f.Logical]:
 		res.Outcome = Detected
-		res.DetectionCycles = p.endCycle // fireCycle 0, end > 0
+		res.DetectionCycles = c.end.cycle // fireCycle 0, end > 0
 	default:
 		res.Outcome = NotFired
 	}
 	return res
 }
 
-// forkPrepare runs the golden simulation once, doing two things at the same
-// time: read-only observers record (without perturbing) the machine
-// iteration where each planned fault first fires, and the OnCycle hook
-// captures a state checkpoint every checkpointInterval iterations, with
-// the SRTR checkpoint list in force there. The observers return every
-// value unchanged and snapshot encoding only reads state, so the pass
-// executes the identical fault-free run. cancel is polled at every
-// checkpoint boundary, so a cancelled campaign stops within
-// checkpointInterval cycles. Checkpoints no fired fault replays from are
-// dropped afterwards, and the golden machine itself seeds the replay pool.
-func forkPrepare(spec sim.Spec, faults []Transient, cancel func() error) (*forkPrep, error) {
-	p := &forkPrep{
-		fired:    make([]bool, len(faults)),
-		fireIter: make([]uint64, len(faults)),
-		snaps:    make(map[uint64]goldenCkpt),
-	}
-	g, err := sim.Build(spec)
+// runGolden is the golden pass: the fault-free run, simulated once. A
+// read-only observer per victim context records, without perturbing, the
+// machine iteration where each planned fault first fires, with the SRTR
+// checkpoint list in force there, and queues the trial. At every
+// checkpointInterval boundary the pass polls cancel, stops if the campaign
+// has failed, and publishes a state checkpoint with the cycle it has
+// reached. The observers return every value unchanged and snapshot
+// encoding only reads state, so the pass executes the identical fault-free
+// run. Until the first fault fires only the newest checkpoint is kept (no
+// replay can start below the earliest fire's); once every fault has fired,
+// checkpoints past the last fire's convergence checks are not taken. When
+// the run ends, the pass publishes its end state, queues the unfired
+// trials, and hands its machine to the idle list.
+func (c *forkCampaign) runGolden() error {
+	g, err := sim.Build(c.spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// firedCount and maxFire track fire discovery as the golden run
-	// progresses, so checkpointing can stop once no future checkpoint could
-	// be replayed from or converged against.
+	srtr := c.spec.Mode == sim.ModeSRTR
+	// firedCount and maxFire track fire discovery on this goroutine, so
+	// checkpointing can stop once no future checkpoint could be replayed
+	// from or converged against.
 	firedCount, maxFire := 0, uint64(0)
 	// Group fault indices by victim context in deterministic (logical,
 	// target) order and install one read-only observer per victim. The
 	// observer mirrors Arm's trigger condition per fault — first call with
-	// seq >= AtSeq at the matching point — and records the machine
-	// iteration, which is the cycle to snapshot before.
+	// seq >= AtSeq at the matching point.
 	for logical := 0; logical < len(g.Leads); logical++ {
 		for _, target := range []Copy{LeadingCopy, TrailingCopy} {
 			var mine []int
-			for i, f := range faults {
+			for i, f := range c.faults {
 				if f.Logical == logical && f.Target == target {
 					mine = append(mine, i)
 				}
@@ -473,97 +642,163 @@ func forkPrepare(spec sim.Spec, faults []Transient, cancel func() error) (*forkP
 				ctx = g.Trails[logical]
 			}
 			if ctx == nil {
-				return nil, fmt.Errorf("no %v copy for logical thread %d (mode %v)",
-					target, logical, spec.Mode)
+				return fmt.Errorf("no %v copy for logical thread %d (mode %v)",
+					target, logical, c.spec.Mode)
 			}
 			ctx.Arch.Corrupt = func(point vm.CorruptPoint, seq, pc, v uint64) uint64 {
 				for _, i := range mine {
-					if !p.fired[i] && seq >= faults[i].AtSeq && point == faults[i].Point {
-						p.fired[i] = true
-						p.fireIter[i] = g.Cycles
-						firedCount++
-						if g.Cycles > maxFire {
-							maxFire = g.Cycles
-						}
+					if c.fired[i] || seq < c.faults[i].AtSeq || point != c.faults[i].Point {
+						continue
 					}
+					var list sim.CheckpointList
+					if srtr {
+						list = g.Checkpoints()
+					}
+					firedCount++
+					maxFire = max(maxFire, g.Cycles)
+					c.mu.Lock()
+					c.fired[i], c.fireIter[i], c.lists[i] = true, g.Cycles, list
+					c.queue = append(c.queue, i)
+					c.cond.Broadcast()
+					c.mu.Unlock()
 				}
 				return v
 			}
 		}
 	}
+	var newest []byte // the last checkpoint taken
 	g.OnCycle = func(cycle uint64) error {
 		if cycle%checkpointInterval != 0 {
 			return nil
 		}
-		if err := cancel(); err != nil {
+		if err := c.cancel(); err != nil {
 			return err
 		}
-		// Once every fault has fired, checkpoints are only useful as
-		// convergence references for the latest fire; past that horizon
-		// nothing can replay from or compare against them.
-		if firedCount == len(faults) &&
-			cycle > maxFire-maxFire%checkpointInterval+convergenceChecks*checkpointInterval {
-			return nil
-		}
-		snap, err := g.Snapshot()
+		c.mu.Lock()
+		err := c.err
+		c.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		c := goldenCkpt{snap: snap}
-		if spec.Mode == sim.ModeSRTR {
-			c.list = g.Checkpoints()
+		// Past the last fire's convergence checks nothing can replay from
+		// or compare against a checkpoint.
+		take := firedCount < len(c.faults) ||
+			cycle <= maxFire-maxFire%checkpointInterval+convergenceChecks*checkpointInterval
+		if take {
+			if firedCount == 0 && newest != nil {
+				// Nothing can replay from the checkpoint this one
+				// replaces, so it lends its buffer.
+				newest = g.AppendSnapshot(newest[:0])
+			} else {
+				if newest, err = g.Snapshot(); err != nil {
+					return err
+				}
+			}
 		}
-		p.snaps[cycle] = c
+		c.mu.Lock()
+		if take {
+			if firedCount == 0 {
+				clear(c.snaps)
+			}
+			c.snaps[cycle] = newest
+		}
+		c.reached = cycle
+		c.cond.Broadcast()
+		c.mu.Unlock()
 		return nil
 	}
 	if _, err := g.Run(); err != nil {
-		return nil, err
+		return err
 	}
-	p.endCycle = g.Cores[0].Cycle()
-	p.detections = len(g.Detections())
-	p.haltDiverged = make([]bool, len(g.Leads))
+	end := goldenEnd{
+		cycle:        g.Cores[0].Cycle(),
+		detections:   len(g.Detections()),
+		haltDiverged: make([]bool, len(g.Leads)),
+	}
 	for i := range g.Leads {
 		if tr := g.Trails[i]; tr != nil {
-			p.haltDiverged[i] = g.Leads[i].Arch.Halted != tr.Arch.Halted
+			end.haltDiverged[i] = g.Leads[i].Arch.Halted != tr.Arch.Halted
 		}
 	}
-	if spec.Mode == sim.ModeAdaptive {
+	if c.spec.Mode == sim.ModeAdaptive {
 		d := g.ArchDigest()
-		p.golden = &d
+		end.digest = &d
 	}
 	// SRTR replays resume the golden run's checkpoint lists and end at a
 	// rollback to a pre-fire checkpoint as golden state: both hold only for
 	// a fault-free run that itself never needed a rollback.
-	if spec.Mode == sim.ModeSRTR && (p.detections > 0 || slices.Contains(p.haltDiverged, true)) {
-		return nil, fmt.Errorf("SRTR fault-free run ends with %d standing detections (halt divergence: %v): its checkpoints cannot seed replays",
-			p.detections, p.haltDiverged)
+	if srtr && (end.detections > 0 || slices.Contains(end.haltDiverged, true)) {
+		return fmt.Errorf("SRTR fault-free run ends with %d standing detections (halt divergence: %v): its checkpoints cannot seed replays",
+			end.detections, end.haltDiverged)
 	}
-	// Checkpoints before the earliest replay base serve neither as restore
-	// points nor as convergence references; drop them. Everything later
-	// stays: a trial may replay from it, or compare against it to prove it
-	// has rejoined the golden run.
-	minBase, anyFired := ^uint64(0), false
-	for i := range faults {
-		if p.fired[i] {
-			base := p.base(i)
-			if _, ok := p.snaps[base]; !ok {
-				return nil, fmt.Errorf("golden run has no checkpoint %d for fire cycle %d", base, p.fireIter[i])
-			}
-			minBase = min(minBase, base)
-			anyFired = true
-		}
-	}
-	for cycle := range p.snaps {
-		if !anyFired || cycle < minBase {
-			delete(p.snaps, cycle)
-		}
-	}
-	// The golden machine's job is done; strip its hooks and let the first
-	// replay trial recycle it instead of building from scratch.
+	// The golden machine's pass is done; strip its hooks and let a replay
+	// recycle it instead of building from scratch.
 	g.OnCycle = nil
 	clearCorruptHooks(g)
-	p.pool.Put(&replayMachine{Machine: g})
-	return p, nil
+	c.mu.Lock()
+	c.ended, c.end = true, end
+	for i := range c.faults {
+		if !c.fired[i] {
+			c.queue = append(c.queue, i)
+		}
+	}
+	c.idle = append(c.idle, &replayMachine{Machine: g})
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return nil
+}
+
+// goldenAt returns the golden checkpoint at boundary cycle, once the pass
+// has reached it or ended; nil if the pass keeps none there. It fails with
+// the campaign's failure.
+func (c *forkCampaign) goldenAt(cycle uint64) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.err == nil && !c.ended && c.reached < cycle {
+		c.wait()
+	}
+	return c.snaps[cycle], c.err
+}
+
+// take hands a replay firing at iteration fire the idle machine whose
+// saved golden state is the latest at or before fire, else any idle
+// machine, else a fresh build.
+func (c *forkCampaign) take(fire uint64) (*replayMachine, error) {
+	// reach ranks a machine's saved state as a starting point: 0 when it
+	// has none usable.
+	reach := func(m *replayMachine) uint64 {
+		if len(m.saved) == 0 || m.savedAt > fire {
+			return 0
+		}
+		return m.savedAt + 1
+	}
+	c.mu.Lock()
+	best := -1
+	for j, m := range c.idle {
+		if best < 0 || reach(m) > reach(c.idle[best]) {
+			best = j
+		}
+	}
+	if best >= 0 {
+		m := c.idle[best]
+		c.idle[best] = c.idle[len(c.idle)-1]
+		c.idle = c.idle[:len(c.idle)-1]
+		c.mu.Unlock()
+		return m, nil
+	}
+	c.mu.Unlock()
+	m, err := sim.Build(c.spec)
+	if err != nil {
+		return nil, err
+	}
+	return &replayMachine{Machine: m}, nil
+}
+
+// put returns a machine to the idle list.
+func (c *forkCampaign) put(m *replayMachine) {
+	c.mu.Lock()
+	c.idle = append(c.idle, m)
+	c.mu.Unlock()
 }
 
 // clearCorruptHooks detaches every corruption closure from the machine.
@@ -579,40 +814,50 @@ func clearCorruptHooks(m *sim.Machine) {
 	}
 }
 
-// replay restores trial i's golden checkpoint into a pooled machine (or a
-// fresh build when the pool is empty), arms the fault, and replays the
-// suffix. RestoreState replaces all mutable simulated state, so a machine
-// that just finished another trial restores as cleanly as a fresh one; the
-// machine returns to the pool only after a successful trial. An SRTR
-// replay also resumes the golden run's checkpoint list at its checkpoint,
-// so it holds the rollback targets the from-scratch run holds.
+// replay runs fired trial i on m, from the golden state at the trial's
+// fire iteration. It restores m's own saved golden state if that is at or
+// after the fire's coarse checkpoint, else the checkpoint, and steps the
+// machine fault-free to the fire; RestoreState replaces all mutable
+// simulated state, so whatever m ran before does not matter. It saves the
+// state there for m's next replay, resumes (SRTR) the checkpoint list the
+// golden run held at the fire, so the replay validates and rolls back
+// exactly as the unbroken run does, arms the fault, and runs the rest.
 //
-// When the golden run is healthy, the replay also watches for convergence:
-// at the first checkpoint boundaries past the fire, the trial's state is
-// compared bytewise against the golden checkpoint at the same cycle. A
-// match proves the fault's effects have died out entirely — every later
-// cycle of the trial IS the golden run — so the trial ends immediately with
-// the masked outcome and the golden end cycle, exactly what simulating the
-// rest would produce. An SRTR rollback to a checkpoint taken at or before
-// the fire cycle ends the trial the same way without restoring it: that
-// checkpoint holds the golden run's state, and the transient has fired.
-func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
-	m, _ := p.pool.Get().(*replayMachine)
-	if m == nil {
-		b, err := sim.Build(spec)
-		if err != nil {
-			return Result{}, err
-		}
-		m = &replayMachine{Machine: b}
-	}
+// With checks, the replay also watches for convergence: at the first
+// checkpoint boundaries past the fire, its state is compared bytewise with
+// the golden checkpoint at the same cycle, waiting for the golden pass to
+// get there. A match proves the fault's effects have died out entirely —
+// every later cycle of the trial IS the golden run, if the golden run is
+// healthy — so the trial ends at once, masked. An SRTR rollback to a
+// checkpoint taken at or before the fire ends the trial the same way
+// without restoring it: that checkpoint holds the golden run's state, and
+// the transient has fired. Either way the product is marked converged for
+// settle.
+func (c *forkCampaign) replay(m *replayMachine, i int, checks bool) (replayed, error) {
+	f, fire := c.faults[i], c.fireIter[i]
 	clearCorruptHooks(m.Machine)
-	ckpt, fire := p.snaps[p.base(i)], p.fireIter[i]
-	if err := m.RestoreState(ckpt.snap); err != nil {
-		return Result{}, err
-	}
 	m.OnCycle, m.OnRollback = nil, nil
-	if spec.Mode == sim.ModeSRTR {
-		m.ResumeCheckpoints(ckpt.list)
+	from := m.saved
+	if base := fire - fire%checkpointInterval; len(from) == 0 || m.savedAt < base || m.savedAt > fire {
+		c.mu.Lock()
+		from = c.snaps[base]
+		c.mu.Unlock()
+		if from == nil {
+			return replayed{}, fmt.Errorf("golden run has no checkpoint %d for fire cycle %d", base, fire)
+		}
+	}
+	if err := m.RestoreState(from); err != nil {
+		return replayed{}, err
+	}
+	// The pipeline's Run, not the machine's: an SRTR run would capture an
+	// entry checkpoint, and a fault-free step changes no state the SRTR
+	// loop would.
+	if _, err := m.Machine.Machine.Run(fire); err != nil {
+		return replayed{}, err
+	}
+	m.saved, m.savedAt = m.encode(m.saved), fire
+	if c.spec.Mode == sim.ModeSRTR {
+		m.ResumeCheckpoints(c.lists[i])
 		m.OnRollback = func(target uint64) error {
 			if target <= fire {
 				return errConverged
@@ -620,42 +865,60 @@ func (p *forkPrep) replay(spec sim.Spec, f Transient, i int) (Result, error) {
 			return nil
 		}
 	}
-	if p.detections == 0 && !p.haltDiverged[f.Logical] {
-		checks := 0
+	if checks {
+		n := 0
 		m.OnCycle = func(cycle uint64) error {
-			if cycle%checkpointInterval != 0 || cycle <= fire || checks >= convergenceChecks {
+			if cycle%checkpointInterval != 0 || cycle <= fire || n >= convergenceChecks || len(m.Detections()) > 0 {
 				return nil
 			}
-			gsnap := p.snaps[cycle].snap
-			if gsnap == nil || len(m.Detections()) > 0 {
-				return nil
+			gsnap, err := c.goldenAt(cycle)
+			if gsnap == nil || err != nil {
+				return err
 			}
-			checks++
+			n++
 			if m.convergedWithGolden(f, gsnap) {
 				return errConverged
 			}
 			return nil
 		}
 	}
-	res, err := runArmed(m.Machine, f, p.golden)
+	if c.hooks.armed != nil {
+		c.hooks.armed(i, m.Machine)
+	}
+	res, err := runArmed(m.Machine, f, nil)
+	m.OnCycle, m.OnRollback = nil, nil
 	if errors.Is(err, errConverged) {
 		// Byte-identical to the golden run from here on: the rest of the
-		// trial is provably the golden suffix. If the machine rolled back
-		// to get there, the convergence is the proof of recovery.
-		res = Result{Fault: f, Outcome: Masked, Cycles: p.endCycle}
+		// trial is the golden suffix. If the machine rolled back to get
+		// there, the convergence is the proof of recovery.
+		r := replayed{Result: Result{Fault: f, Outcome: Masked}, converged: true}
 		if m.Recoveries > 0 {
-			res.Outcome = Recovered
-			res.Recoveries = m.Recoveries
-			res.RecoveryCycles = m.RecoveryCycles
+			r.Outcome = Recovered
+			r.Recoveries = m.Recoveries
+			r.RecoveryCycles = m.RecoveryCycles
 		}
-		err = nil
+		return r, nil
 	}
 	if err != nil {
-		return Result{}, err
+		return replayed{}, err
 	}
-	m.OnCycle, m.OnRollback = nil, nil
-	p.pool.Put(m)
-	return res, nil
+	r := replayed{Result: res}
+	if c.spec.Mode == sim.ModeAdaptive && res.Outcome == Masked {
+		d := m.ArchDigest()
+		r.digest = &d
+	}
+	return r, nil
+}
+
+// encode writes the machine's snapshot into buf, reusing its storage. A
+// first encoding sizes a fresh buffer from the machine's last snapshot,
+// instead of growing one into it by doubling.
+func (m *replayMachine) encode(buf []byte) []byte {
+	if buf == nil {
+		buf, _ = m.Snapshot() // Snapshot's error is always nil
+		return buf
+	}
+	return m.AppendSnapshot(buf[:0])
 }
 
 // convergedWithGolden reports whether the trial machine's state is
@@ -674,7 +937,7 @@ func (m *replayMachine) convergedWithGolden(f Transient, gsnap []byte) bool {
 		tt = trail.Arch.Tolerant
 		trail.Arch.Tolerant = false
 	}
-	m.scratch = m.AppendSnapshot(m.scratch[:0])
+	m.scratch = m.encode(m.scratch)
 	lead.Arch.Tolerant = lt
 	if trail != nil {
 		trail.Arch.Tolerant = tt

@@ -167,12 +167,12 @@ type Overlay struct {
 	n     int // pending byte count (sum of the word masks' popcounts)
 
 	// filter is a 64-bit presence summary over hashed word addresses: a
-	// clear bit proves the word was never stored, letting loads from
+	// clear bit proves the word holds no pending byte, letting loads from
 	// never-stored addresses skip the map probe entirely (the common case —
 	// kernels read far more addresses than they write). Conservative: bits
-	// are set on store and only cleared wholesale on restore, so
-	// a released byte may leave a stale bit, which costs one redundant map
-	// probe and nothing else.
+	// are set on store and only cleared wholesale, on restore or when the
+	// last pending byte is released, so a released word may leave a stale
+	// bit, which costs one redundant map probe and nothing else.
 	filter uint64 // derived presence summary, rebuilt from words on restore
 
 	// Direct-mapped word cache (indexed by low word-address bits): kernels
@@ -184,8 +184,8 @@ type Overlay struct {
 	// snapWAs holds the sorted word addresses of the last snapshot pass,
 	// reused by the next.
 	snapWAs []uint64 // scratch, rebuilt by every snapshot pass
-	// spare holds word records a restore took out of words, for wordFor
-	// to reuse before it allocates.
+	// spare holds word records a restore or a release took out of words,
+	// for wordFor to reuse before it allocates.
 	spare []*overlayWord // recycled storage, no state
 }
 
@@ -313,20 +313,41 @@ func (o *Overlay) Store(addr uint64, val uint64, size int, seq uint64) {
 // Release commits the store identified by (addr, val, size, seq) to the
 // shared memory and drops overlay bytes that still belong to it. If commit
 // is false the bytes are dropped without being written (used for the
-// trailing copy, whose stores never leave the sphere).
+// trailing copy, whose stores never leave the sphere). A word left with
+// no pending byte leaves the map for the spare list, so the overlay holds
+// only words with pending bytes and a snapshot sorts no others.
 func (o *Overlay) Release(addr uint64, val uint64, size int, seq uint64, commit bool) {
 	for i := 0; i < size; i++ {
 		a := addr + uint64(i)
 		if commit {
 			o.mem.SetByte(a, byte(val>>(8*i)))
 		}
-		if w := o.words[a>>3]; w != nil {
+		wa := a >> 3
+		if w := o.words[wa]; w != nil {
 			bit := uint32(1) << (a & 7)
 			if w.mask&bit != 0 && w.seq[a&7] == seq {
 				w.mask &^= bit
 				o.n--
+				if w.mask == 0 {
+					o.dropWord(wa, w)
+				}
 			}
 		}
+	}
+	if o.n == 0 {
+		o.filter = 0
+	}
+}
+
+// dropWord moves an emptied word record from the map to the spare list,
+// and out of the word cache, which must not hand a recycled record back
+// for its old address.
+func (o *Overlay) dropWord(wa uint64, w *overlayWord) {
+	delete(o.words, wa)
+	*w = overlayWord{}
+	o.spare = append(o.spare, w)
+	if slot := wa & 7; o.cacheW[slot] == w {
+		o.cacheW[slot] = nil
 	}
 }
 

@@ -326,6 +326,47 @@ func TestOverlayReleaseKeepsNewerStore(t *testing.T) {
 	}
 }
 
+// TestOverlayReleaseDropsEmptyWords: a word whose last pending byte is
+// released leaves the overlay, so a long run's overlay holds only the
+// words still pending, not every word stored since the last restore. A
+// recycled record must not stay reachable through the word cache under
+// its old address.
+func TestOverlayReleaseDropsEmptyWords(t *testing.T) {
+	mem := NewMemory()
+	o := NewOverlay(mem)
+	for i := uint64(0); i < 1000; i++ {
+		a := 0x1000 + 8*i
+		if i%2 == 0 {
+			o.Store(a, i, 8, i+1)
+			o.Release(a, i, 8, i+1, true)
+		} else {
+			o.Store(a+3, i, 1, i+1)
+			o.Release(a+3, i, 1, i+1, false)
+		}
+	}
+	if len(o.words) != 0 || o.PendingBytes() != 0 || o.filter != 0 {
+		t.Fatalf("after releasing every store the overlay holds %d words, %d bytes, filter %#x; want none",
+			len(o.words), o.PendingBytes(), o.filter)
+	}
+
+	// Keep one word pending so the filter stays set, release a second
+	// word, and store a third into the record the second one left.
+	mem.Write64(0x208, 0x5555)
+	o.Store(0x300, 1, 8, 2000)
+	o.Store(0x208, 2, 8, 2001)
+	o.Release(0x208, 2, 8, 2001, false)
+	o.Store(0x410, 3, 8, 2002)
+	if got := o.Read64(0x208); got != 0x5555 {
+		t.Errorf("released word reads %#x through the overlay, want the committed %#x", got, 0x5555)
+	}
+	if got := o.Read64(0x410); got != 3 {
+		t.Errorf("new store reads %#x, want 3", got)
+	}
+	if len(o.words) != 2 {
+		t.Errorf("overlay holds %d words, want the 2 pending", len(o.words))
+	}
+}
+
 func TestRedundantThreadsProduceIdenticalStores(t *testing.T) {
 	// Two copies of the same program over the same committed memory, each
 	// with its own overlay, must produce bit-identical store streams — the

@@ -52,12 +52,15 @@ const (
 
 // Campaign runs a deterministic transient-fault injection campaign
 // in-process using the fork-on-fault engine: the fault-free run is
-// simulated once, machine state is snapshotted at each planned injection
-// cycle, and each trial restores a snapshot and replays only the divergent
-// suffix. The summary — including per-trial outcome order — is identical
-// at any parallelism and matches what an rmtd daemon serves for the same
-// request. Cancelling ctx aborts the campaign within one checkpoint
-// interval of its fault-free run, or between trials.
+// simulated once, as the first job of the campaign's worker pool, with a
+// machine snapshot every 1024 cycles; each trial starts from the
+// fault-free state at the cycle its fault fires, as soon as the fault-free
+// run gets there, and replays only the divergent suffix. The summary —
+// including per-trial outcome order — is identical at any parallelism and
+// matches what an rmtd daemon serves for the same request. Progress and
+// Report count the fault-free run as one job beside the trials.
+// Cancelling ctx aborts the campaign within one checkpoint interval of its
+// fault-free run, or between trials.
 func Campaign(ctx context.Context, cs CampaignSpec, opts ...Option) (*CampaignSummary, error) {
 	c := newConfig(opts)
 	c.Cancel = ctx.Err
